@@ -1,20 +1,16 @@
-// Scheduler substrate microbenchmark: the pre-refactor mutex+condvar pool
-// vs the lock-free Chase–Lev work-stealing Scheduler, across task grains
-// (1/10/100 µs of busy work) and thread counts (1..max hardware threads,
-// plus oversubscribed points on small machines).
+// Scheduler substrate microbenchmark: throughput of the lock-free
+// Chase–Lev work-stealing Scheduler across task grains (1/10/100 µs of
+// busy work) and thread counts (1..max hardware threads, plus
+// oversubscribed points on small machines). Gate: the per-worker counters
+// advance monotonically and count exactly the tasks submitted.
 //
 // Emits a machine-readable BENCH_scheduler.json (path overridable as
 // argv[1]) so the perf trajectory of the runtime can be tracked across
 // PRs, and prints a human-readable table.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,69 +20,6 @@
 #include "util/timer.hpp"
 
 namespace {
-
-/// The mutex ThreadPool this PR replaced, kept verbatim as the baseline:
-/// one global queue, every pop under one lock, wait_idle on a condvar.
-class LegacyMutexPool {
- public:
-  explicit LegacyMutexPool(std::size_t threads) {
-    const std::size_t n = std::max<std::size_t>(1, threads);
-    workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
-  }
-
-  ~LegacyMutexPool() {
-    {
-      std::lock_guard lock(mutex_);
-      stop_ = true;
-    }
-    task_ready_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  void submit(std::function<void()> task) {
-    {
-      std::lock_guard lock(mutex_);
-      tasks_.push_back(std::move(task));
-    }
-    task_ready_.notify_one();
-  }
-
-  void wait_idle() {
-    std::unique_lock lock(mutex_);
-    all_idle_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-  }
-
- private:
-  void worker_loop() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock lock(mutex_);
-        task_ready_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-        if (stop_ && tasks_.empty()) return;
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-        ++active_;
-      }
-      task();
-      {
-        std::lock_guard lock(mutex_);
-        --active_;
-        if (tasks_.empty() && active_ == 0) all_idle_.notify_all();
-      }
-    }
-  }
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable task_ready_;
-  std::condition_variable all_idle_;
-  std::size_t active_ = 0;
-  bool stop_ = false;
-};
 
 /// Busy work of roughly `us` microseconds (clock-bounded spin).
 void spin_us(double us) {
@@ -98,27 +31,14 @@ void spin_us(double us) {
 }
 
 struct Row {
-  std::string executor;
   double grain_us = 0.0;
   std::size_t threads = 0;
   std::size_t tasks = 0;
   double wall_s = 0.0;
   double tasks_per_s = 0.0;
-  // Scheduler-only observability (the legacy pool has no counters).
-  bool has_counters = false;
   std::uint64_t steal_failures = 0;
   double park_s = 0.0;
 };
-
-double time_mutex_pool(std::size_t threads, std::size_t tasks,
-                       double grain_us) {
-  LegacyMutexPool pool(threads);
-  pmpl::WallTimer t;
-  for (std::size_t i = 0; i < tasks; ++i)
-    pool.submit([grain_us] { spin_us(grain_us); });
-  pool.wait_idle();
-  return t.elapsed_s();
-}
 
 /// One repetition on a *persistent* scheduler, so its counters accumulate
 /// across reps and their monotonicity can be asserted.
@@ -169,104 +89,69 @@ int main(int argc, char** argv) {
       {1.0, 16384}, {10.0, 4096}, {100.0, 512}};
   constexpr int kReps = 3;
 
-  std::vector<Row> rows;
-  int monotonicity_violations = 0;
-  pmpl::runtime::MetricsRegistry metrics;
-  std::printf("# scheduler substrate: %u hardware threads\n", hw);
-  std::printf("%-10s %9s %8s %8s %12s %14s\n", "executor", "grain_us",
-              "threads", "tasks", "wall_s", "tasks_per_s");
-  for (const auto& [grain_us, tasks] : grains) {
-    for (const std::size_t p : thread_counts) {
-      // Baseline: a fresh pool per repetition (it has no counters to keep).
-      {
-        double best = 1e100;
-        for (int rep = 0; rep < kReps; ++rep)
-          best = std::min(best, time_mutex_pool(p, tasks, grain_us));
-        Row row{"mutex_pool", grain_us, p, tasks, best,
-                static_cast<double>(tasks) / best};
-        std::printf("%-10s %9.0f %8zu %8zu %12.6f %14.0f\n",
-                    row.executor.c_str(), row.grain_us, row.threads,
-                    row.tasks, row.wall_s, row.tasks_per_s);
-        rows.push_back(std::move(row));
-      }
-      // One persistent Scheduler per (grain, threads) config: counters
-      // accumulate across repetitions, so each rep must advance them
-      // monotonically and execute exactly `tasks` more tasks.
-      {
-        pmpl::runtime::Scheduler sched(p);
-        double best = 1e100;
-        SchedTotals prev = totals_of(sched);
-        for (int rep = 0; rep < kReps; ++rep) {
-          best = std::min(best, time_scheduler(sched, tasks, grain_us));
-          const SchedTotals cur = totals_of(sched);
-          if (cur.executed != prev.executed + tasks ||
-              cur.steal_attempts < prev.steal_attempts ||
-              cur.steal_failures < prev.steal_failures ||
-              cur.park_s < prev.park_s) {
-            std::fprintf(stderr,
-                         "FAIL: counters not monotone at grain=%.0f p=%zu "
-                         "rep=%d (executed %llu -> %llu, expected +%zu)\n",
-                         grain_us, p, rep,
-                         static_cast<unsigned long long>(prev.executed),
-                         static_cast<unsigned long long>(cur.executed), tasks);
-            ++monotonicity_violations;
-          }
-          prev = cur;
-        }
-        metrics.add("scheduler/executed", prev.executed);
-        metrics.add("scheduler/steal_attempts", prev.steal_attempts);
-        metrics.add("scheduler/steal_failures", prev.steal_failures);
-        metrics.observe("scheduler/park_s_per_config", prev.park_s);
-        Row row{"chase_lev", grain_us, p, tasks, best,
-                static_cast<double>(tasks) / best, true, prev.steal_failures,
-                prev.park_s};
-        std::printf("%-10s %9.0f %8zu %8zu %12.6f %14.0f\n",
-                    row.executor.c_str(), row.grain_us, row.threads,
-                    row.tasks, row.wall_s, row.tasks_per_s);
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-
-  // Speedup per (grain, threads): chase_lev over mutex_pool.
+  // Open the output before the sweep so a bad path fails fast.
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
+
+  std::vector<Row> rows;
+  int monotonicity_violations = 0;
+  pmpl::runtime::MetricsRegistry metrics;
+  std::printf("# scheduler substrate: %u hardware threads\n", hw);
+  std::printf("%9s %8s %8s %12s %14s\n", "grain_us", "threads", "tasks",
+              "wall_s", "tasks_per_s");
+  for (const auto& [grain_us, tasks] : grains) {
+    for (const std::size_t p : thread_counts) {
+      // One persistent Scheduler per (grain, threads) config: counters
+      // accumulate across repetitions, so each rep must advance them
+      // monotonically and execute exactly `tasks` more tasks.
+      pmpl::runtime::Scheduler sched(p);
+      double best = 1e100;
+      SchedTotals prev = totals_of(sched);
+      for (int rep = 0; rep < kReps; ++rep) {
+        best = std::min(best, time_scheduler(sched, tasks, grain_us));
+        const SchedTotals cur = totals_of(sched);
+        if (cur.executed != prev.executed + tasks ||
+            cur.steal_attempts < prev.steal_attempts ||
+            cur.steal_failures < prev.steal_failures ||
+            cur.park_s < prev.park_s) {
+          std::fprintf(stderr,
+                       "FAIL: counters not monotone at grain=%.0f p=%zu "
+                       "rep=%d (executed %llu -> %llu, expected +%zu)\n",
+                       grain_us, p, rep,
+                       static_cast<unsigned long long>(prev.executed),
+                       static_cast<unsigned long long>(cur.executed), tasks);
+          ++monotonicity_violations;
+        }
+        prev = cur;
+      }
+      metrics.add("scheduler/executed", prev.executed);
+      metrics.add("scheduler/steal_attempts", prev.steal_attempts);
+      metrics.add("scheduler/steal_failures", prev.steal_failures);
+      metrics.observe("scheduler/park_s_per_config", prev.park_s);
+      Row row{grain_us, p, tasks, best, static_cast<double>(tasks) / best,
+              prev.steal_failures, prev.park_s};
+      std::printf("%9.0f %8zu %8zu %12.6f %14.0f\n", row.grain_us,
+                  row.threads, row.tasks, row.wall_s, row.tasks_per_s);
+      rows.push_back(row);
+    }
+  }
+
   std::fprintf(f, "{\n  \"bench\": \"scheduler_substrate\",\n");
   std::fprintf(f, "  \"hardware_threads\": %u,\n  \"results\": [\n", hw);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"executor\": \"%s\", \"grain_us\": %.0f, "
-                 "\"threads\": %zu, \"tasks\": %zu, \"wall_s\": %.6f, "
-                 "\"tasks_per_s\": %.0f",
-                 r.executor.c_str(), r.grain_us, r.threads, r.tasks, r.wall_s,
-                 r.tasks_per_s);
-    if (r.has_counters)
-      std::fprintf(f, ", \"steal_failures\": %llu, \"park_s\": %.6f",
-                   static_cast<unsigned long long>(r.steal_failures),
-                   r.park_s);
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
+                 "    {\"grain_us\": %.0f, \"threads\": %zu, \"tasks\": %zu, "
+                 "\"wall_s\": %.6f, \"tasks_per_s\": %.0f, "
+                 "\"steal_failures\": %llu, \"park_s\": %.6f}%s\n",
+                 r.grain_us, r.threads, r.tasks, r.wall_s, r.tasks_per_s,
+                 static_cast<unsigned long long>(r.steal_failures), r.park_s,
+                 i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"speedup\": [\n");
-  bool first = true;
-  std::printf("\n%9s %8s %8s\n", "grain_us", "threads", "speedup");
-  for (std::size_t i = 0; i + 1 < rows.size(); i += 2) {
-    const Row& mutex_row = rows[i];
-    const Row& sched_row = rows[i + 1];
-    const double speedup = sched_row.tasks_per_s / mutex_row.tasks_per_s;
-    std::fprintf(f,
-                 "%s    {\"grain_us\": %.0f, \"threads\": %zu, "
-                 "\"chase_lev_over_mutex\": %.3f}",
-                 first ? "" : ",\n", mutex_row.grain_us, mutex_row.threads,
-                 speedup);
-    std::printf("%9.0f %8zu %7.2fx\n", mutex_row.grain_us, mutex_row.threads,
-                speedup);
-    first = false;
-  }
-  std::fprintf(f, "\n  ],\n  \"metrics\": %s\n}\n", metrics.to_json().c_str());
+  std::fprintf(f, "  ],\n  \"metrics\": %s\n}\n", metrics.to_json().c_str());
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
   if (monotonicity_violations > 0) {

@@ -84,7 +84,7 @@ ClusterOutcome run_cluster(const loadbal::ClusterItems& work,
   out.ok = real.ok && real.terminated_all && real.all_done;
   out.roadmap = real.roadmap;
   // Per-rank finish time isolates protocol+tracing cost from fork/join
-  // harness noise (mirrors bench_transport's wall measure).
+  // harness noise.
   for (std::uint32_t r = 0; r < ranks; ++r)
     if (real.reported[r] && real.ranks[r].finish_s > out.wall_s)
       out.wall_s = real.ranks[r].finish_s;

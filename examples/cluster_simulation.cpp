@@ -20,25 +20,9 @@
 //                        naming the offending field — and replaces the
 //                        ad-hoc fault flags above
 //
-// Transport (optional):
-//   --transport des|socket  des (default) replays everything through the
-//                        simulator only; socket additionally runs the
-//                        measured HybridWS workload on real forked
-//                        processes over Unix-domain sockets (ranks capped
-//                        at 16) and gates the result against the DES
-//                        (identical roadmap hash, DESIGN.md §5h)
-//   --time-scale K       wall seconds per simulated second for the socket
-//                        pass (default: auto, sized for a ~2 s run)
-//   --restart            supervise the forked ranks: re-fork planned-crash
-//                        victims from their durable checkpoints as
-//                        generation+1 (DESIGN.md §5i) instead of leaving
-//                        them dead; the gate must still MATCH
-//   --max-restarts N     per-rank restart budget (default 3)
-//
 // Anytime execution (all optional):
-//   --deadline-ms D      stop the real planning work (anytime build and
-//                        workload measurement) after D ms; partial results
-//                        are reported and the process exits 3
+//   --deadline-ms D      stop the workload measurement after D ms; the
+//                        process reports how far it got and exits 3
 //
 // Observability (all optional):
 //   --trace FILE         write a Chrome/Perfetto trace of the fault-free
@@ -47,25 +31,22 @@
 //                        HybridWS replay (region spans, steal traffic)
 //   --metrics FILE       write a flat metrics JSON snapshot (per-strategy
 //                        DES counters, fault metrics, phase gauges)
-//   --checkpoint FILE    run a real shared-memory anytime PRM build first,
-//                        snapshotting completed regions to FILE
-//   --checkpoint-every N snapshot every N completed regions (default 8)
-//   --resume             restore completed regions from FILE before building
-//   --workers W          threads for the anytime build (default 4)
 //
 // Prints the phase breakdown, load statistics and communication counters
 // for every strategy at the chosen scale; with faults, adds recovery
 // metrics and the makespan degradation vs the fault-free run. If any DES
-// replay hits its event limit the run exits non-zero.
+// replay hits its event limit the run exits non-zero. A malformed flag or
+// one this tool does not know exits 2 before any planning work. The
+// threaded build is `quickstart --workers`; real forked ranks over sockets
+// are `tools/ws_cluster`.
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 
-#include "core/parallel_build.hpp"
 #include "core/prm_driver.hpp"
 #include "env/builders.hpp"
-#include "loadbal/ws_cluster.hpp"
+#include "runtime/cancel.hpp"
 #include "runtime/fault_io.hpp"
 #include "runtime/metrics_registry.hpp"
 #include "runtime/trace.hpp"
@@ -113,8 +94,8 @@ int main(int argc, char** argv) {
                            : runtime::ClusterSpec::hopper();
 
   // Up-front validation of anything that would otherwise fail mid-run,
-  // after minutes of real planning work: the fault-plan file and the
-  // transport choice. A malformed plan exits 2 naming the offending field.
+  // after minutes of real planning work: the fault-plan file and every
+  // flag. A malformed plan exits 2 naming the offending field.
   runtime::FaultPlan file_plan;
   bool have_file_plan = false;
   if (const std::string faults_path = args.get("faults", "");
@@ -126,21 +107,24 @@ int main(int argc, char** argv) {
     }
     have_file_plan = true;
   }
-  const std::string transport = args.get("transport", "des");
-  if (transport != "des" && transport != "socket") {
-    std::fprintf(stderr,
-                 "error: --transport: expected 'des' or 'socket', got '%s'\n",
-                 transport.c_str());
-    return 2;
-  }
 
-  // Anytime controls: one token covers the real planning work (the
-  // optional anytime build and the workload measurement).
+  // Ad-hoc fault flags: crashes land relative to the fault-free makespan,
+  // so the plan itself is built after the fault-free replays below.
+  auto crashes = static_cast<std::uint32_t>(args.get_i64("crashes", 0));
+  const double crash_frac = args.get_f64("crash-frac", 0.0);
+  if (crash_frac > 0.0)
+    crashes = std::max(crashes, static_cast<std::uint32_t>(
+                                    crash_frac * static_cast<double>(procs)));
+  const auto stragglers =
+      static_cast<std::uint32_t>(args.get_i64("straggle", 0));
+  const double straggle_factor = args.get_f64("straggle-factor", 4.0);
+  const double drop = args.get_f64("drop", 0.0);
+  const double token_drop = args.get_f64("token-drop", 0.0);
+  const auto fault_seed = static_cast<std::uint64_t>(
+      args.get_i64("fault-seed", 0xfa17ed5eedLL));
+
+  // Anytime control: one token covers the workload measurement.
   const double deadline_ms = args.get_f64("deadline-ms", 0.0, 0.0);
-  const std::string checkpoint_path = args.get("checkpoint", "");
-  const bool resume = args.get_bool("resume", false);
-  const auto checkpoint_every =
-      static_cast<std::size_t>(args.get_i64("checkpoint-every", 8, 1));
   const runtime::CancelToken token(deadline_ms > 0.0
                                        ? runtime::Deadline::after_ms(deadline_ms)
                                        : runtime::Deadline::never());
@@ -152,43 +136,13 @@ int main(int argc, char** argv) {
   const std::string metrics_path = args.get("metrics", "");
   runtime::Tracer tracer;
   runtime::MetricsRegistry metrics;
+  args.reject_unknown();
 
   std::printf("what-if: %s on %s, p=%u, %u regions, %zu attempts\n",
               e->name().c_str(), cluster.name.c_str(), procs, regions,
               attempts);
   const core::RegionGrid grid = core::RegionGrid::make_auto(
       e->space().position_bounds(), regions, false);
-
-  // Optional real anytime build: the shared-memory pipeline with
-  // checkpoint/resume, exercised before the DES what-if replays.
-  if (!checkpoint_path.empty() || resume) {
-    core::ParallelPrmConfig bcfg;
-    bcfg.total_attempts = attempts;
-    bcfg.seed = seed;
-    bcfg.workers = static_cast<std::uint32_t>(
-        args.get_i64("workers", 4, 1, 256));
-    bcfg.anytime.cancel = &token;
-    bcfg.anytime.checkpoint_path = checkpoint_path;
-    bcfg.anytime.checkpoint_every = checkpoint_every;
-    bcfg.anytime.resume = resume;
-    const auto b = core::parallel_build_prm(*e, grid, bcfg);
-    const auto& d = b.degradation;
-    std::printf("anytime build: %zu/%zu regions (%zu restored), |V|=%zu "
-                "|E|=%zu, %zu components%s\n",
-                d.regions_completed, d.regions_total, d.regions_restored,
-                b.roadmap.num_vertices(), b.roadmap.num_edges(),
-                d.connected_components,
-                d.checkpoint_written ? ", checkpoint written" : "");
-    if (resume && d.resume_status != IoStatus::kOk)
-      std::fprintf(stderr, "warning: resume: %s — built from scratch\n",
-                   to_string(d.resume_status));
-    if (!d.complete()) {
-      std::fprintf(stderr,
-                   "deadline: anytime build stopped early; partial roadmap "
-                   "above, resume with --resume to finish\n");
-      return 3;
-    }
-  }
 
   core::PrmWorkloadConfig wcfg;
   wcfg.total_attempts = attempts;
@@ -274,19 +228,6 @@ int main(int argc, char** argv) {
   table.print();
 
   // Optional faulty pass.
-  auto crashes = static_cast<std::uint32_t>(args.get_i64("crashes", 0));
-  const double crash_frac = args.get_f64("crash-frac", 0.0);
-  if (crash_frac > 0.0)
-    crashes = std::max(crashes, static_cast<std::uint32_t>(
-                                    crash_frac * static_cast<double>(procs)));
-  const auto stragglers =
-      static_cast<std::uint32_t>(args.get_i64("straggle", 0));
-  const double straggle_factor = args.get_f64("straggle-factor", 4.0);
-  const double drop = args.get_f64("drop", 0.0);
-  const double token_drop = args.get_f64("token-drop", 0.0);
-  const auto fault_seed = static_cast<std::uint64_t>(
-      args.get_i64("fault-seed", 0xfa17ed5eedLL));
-
   runtime::FaultPlan plan;
   plan.seed = fault_seed;
   // Crash victims halfway into the (fault-free NoLB) schedule so there is
@@ -339,84 +280,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Optional real-transport pass: the measured HybridWS workload on forked
-  // processes over Unix-domain sockets, held to the sim-vs-real gate
-  // (DESIGN.md §5h) against a DES replay of the very same inputs.
-  int socket_failed = 0;
-  if (transport == "socket") {
-    const auto p_sock = std::min<std::uint32_t>(procs, 16u);
-    const std::size_t nr = w.regions.size();
-    std::vector<loadbal::WsItem> items(nr);
-    double total_service = 0.0;
-    for (std::size_t r = 0; r < nr; ++r) {
-      items[r] = {w.regions[r].service_s(), w.regions[r].bytes};
-      total_service += items[r].service_s;
-    }
-    const auto initial = core::naive_assignment(nr, p_sock);
-
-    loadbal::WsConfig des_cfg;
-    des_cfg.seed = seed;
-    des_cfg.faults = plan;
-    const auto des =
-        loadbal::simulate_work_stealing(items, initial, p_sock, des_cfg);
-    const auto des_hash =
-        loadbal::roadmap_hash(seed, loadbal::completed_set(des));
-
-    loadbal::ClusterConfig ccfg;
-    ccfg.ranks = p_sock;
-    ccfg.rank.items = items;
-    ccfg.rank.initial = initial;
-    ccfg.rank.seed = seed;
-    ccfg.faults = plan;
-    ccfg.timeout_s = 120.0;
-    ccfg.restart.enabled = args.get_bool("restart", false);
-    ccfg.restart.max_restarts =
-        static_cast<std::uint32_t>(args.get_i64("max-restarts", 3, 0, 1000));
-    // Auto time scale: aim the busy portion of the run at ~2 wall seconds
-    // spread across the ranks; never stretch beyond real time.
-    double tscale = args.get_f64("time-scale", 0.0);
-    if (tscale <= 0.0)
-      tscale = std::min(1.0, 2.0 * p_sock / std::max(1e-9, total_service));
-    ccfg.rank.time_scale = tscale;
-    std::printf("\nsocket transport: %u forked rank(s), %zu regions, "
-                "time-scale %.4g\n",
-                p_sock, nr, tscale);
-    const auto real = loadbal::run_ws_cluster(ccfg);
-    if (!real.ok)
-      std::fprintf(stderr, "socket harness error: %s\n", real.error.c_str());
-    std::uint32_t reported = 0, killed = 0;
-    double wall = 0.0;
-    for (std::uint32_t r = 0; r < p_sock; ++r) {
-      if (real.killed[r]) ++killed;
-      if (!real.reported[r]) continue;
-      ++reported;
-      wall = std::max(wall, real.ranks[r].finish_s);
-    }
-    std::printf("socket run: %u/%u rank(s) reported (%u killed), wall %.3f s, "
-                "%llu grant(s), %llu retransmit(s), %llu recovered\n",
-                reported, p_sock, killed, wall,
-                static_cast<unsigned long long>(real.steal_grants),
-                static_cast<unsigned long long>(real.grant_retransmits),
-                static_cast<unsigned long long>(real.regions_recovered));
-    if (ccfg.restart.enabled) {
-      std::uint32_t restarts = 0;
-      for (std::uint32_t r = 0; r < p_sock; ++r) restarts += real.restarts[r];
-      std::printf("supervisor: restarts=%u zombies_fenced=%llu\n", restarts,
-                  static_cast<unsigned long long>(real.zombies_fenced));
-    }
-    const bool match =
-        real.ok && real.terminated_all && des_hash == real.roadmap;
-    std::printf("gate: des=%016llx real=%016llx -> %s\n",
-                static_cast<unsigned long long>(des_hash),
-                static_cast<unsigned long long>(real.roadmap),
-                match ? "MATCH" : "MISMATCH");
-    if (!match) socket_failed = 1;
-  }
-
   if (plan.empty()) {
     std::printf("\nload profile is in simulated seconds; the workload itself\n"
                 "is real planning work measured once on this machine.\n");
-    return (des_event_limit || observability_failed || socket_failed) ? 1 : 0;
+    return (des_event_limit || observability_failed) ? 1 : 0;
   }
 
   if (have_file_plan)
@@ -464,5 +331,5 @@ int main(int argc, char** argv) {
   std::printf("\nbulk-synchronous rows model stragglers only (no recovery\n"
               "protocol to simulate); work-stealing rows inject the full\n"
               "plan: crashes, lossy links and token loss.\n");
-  return (des_event_limit || observability_failed || socket_failed) ? 1 : 0;
+  return (des_event_limit || observability_failed) ? 1 : 0;
 }

@@ -58,6 +58,11 @@ int main(int argc, char** argv) {
   const bool anytime = args.has("workers") || deadline_ms > 0.0 ||
                        !checkpoint_path.empty() || resume ||
                        !trace_path.empty() || !metrics_path.empty();
+  const auto workers =
+      static_cast<std::uint32_t>(args.get_i64("workers", 4, 1, 256));
+  const bool rrtc = args.get("planner", "prm") == "rrtc";
+  const auto width = static_cast<std::size_t>(args.get_i64("width", 4, 1, 32));
+  args.reject_unknown();
 
   // 1. An environment: a 100^3 workspace with a central cube obstacle and
   //    a box-shaped rigid-body robot (6-DOF SE(3) planning).
@@ -67,11 +72,10 @@ int main(int argc, char** argv) {
 
   // Bidirectional RRT-Connect path: grow start and goal trees toward each
   // other with wavefront-batched extension, no roadmap construction.
-  if (args.get("planner", "prm") == "rrtc") {
+  if (rrtc) {
     planner::RrtConnectParams rc;
     rc.max_nodes = attempts;
-    rc.batch_width =
-        static_cast<std::size_t>(args.get_i64("width", 4, 1, 32));
+    rc.batch_width = width;
     planner::RrtConnect rrtc(*e, rc);
     Xoshiro256ss qrng(seed + 1);
     const auto start = e->space().at_position({8, 8, 8}, qrng);
@@ -115,8 +119,7 @@ int main(int argc, char** argv) {
     cfg.total_attempts = attempts;
     cfg.prm = params;
     cfg.seed = seed;
-    cfg.workers = static_cast<std::uint32_t>(args.get_i64("workers", 4, 1,
-                                                          256));
+    cfg.workers = workers;
     cfg.anytime.cancel = &token;
     cfg.anytime.checkpoint_path = checkpoint_path;
     cfg.anytime.checkpoint_every = 8;

@@ -284,8 +284,7 @@ PrmRunResult simulate_prm_run(const Workload& w, const PrmRunConfig& config) {
           assignment = loadbal::partition_greedy_lpt(problem);
           break;
       }
-      if (config.refine_cut)
-        loadbal::refine_edge_cut(problem, assignment);
+      loadbal::refine_edge_cut(problem, assignment);
       const double redistribution = loadbal::redistribution_time(
           w.region_bytes(), initial, assignment, config.procs,
           config.cluster);

@@ -58,7 +58,6 @@ struct PrmRunConfig {
   /// Partitioner for kRepartition (RCB preserves spatial geometry).
   enum class Partitioner { kRcb, kSfc, kGreedyLpt } partitioner =
       Partitioner::kRcb;
-  bool refine_cut = true;  ///< boundary refinement after repartitioning
   /// Adaptive gating (extension): before migrating, estimate the node-
   /// connection time saved by the new partition (using the same per-region
   /// weights the partitioner used) and skip redistribution when the

@@ -82,12 +82,12 @@ Workload build_rrt_workload(const env::Environment& e,
     planner::PlannerStats stats;
     planner::RrtBranch branch(e, w.roadmap, root, r, params);
     Xoshiro256ss rng(derive_seed(config.seed, r));
-    branch.grow_wave(
+    branch.grow(
         [&](Xoshiro256ss& g) {
           const geo::Vec3 p = regions.sample_in_cone(r, g, config.cone_overlap);
           return e.space().at_position(p, g);
         },
-        rng, config.wavefront_width, stats, config.cancel);
+        rng, stats, config.cancel);
     if (runtime::stop_requested(config.cancel)) {
       w.measurement_cancelled = true;
       break;

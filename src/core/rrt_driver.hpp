@@ -26,11 +26,6 @@ struct RrtWorkloadConfig {
   std::size_t max_boundary_attempts = 8;
   double cone_overlap = 1.5;
   std::uint64_t seed = 1;
-  /// Growth targets extended per batch inside each region. 1 (default)
-  /// replays the classic per-iteration loop bit-identically; wider waves
-  /// run the branch growth through `RrtBranch::extend_wave` so the wide
-  /// validity kernels see full lanes (deterministic per width).
-  std::size_t wavefront_width = 1;
   /// Work-unit costs (paper_fidelity reproduces the paper's regime).
   runtime::CostModel costs = runtime::CostModel::paper_fidelity();
   /// Cooperative stop: measurement ends after the current granule and the

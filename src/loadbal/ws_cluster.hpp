@@ -16,8 +16,8 @@
 /// derive_seed(seed, region) only — so the same seed and fault plan run
 /// under the DES (simulate_work_stealing) and under this harness must
 /// produce *identical* hashes, and their protocol-event counters must
-/// agree within tolerance. tests/test_transport.cpp and
-/// bench/bench_transport.cpp hold both transports to it.
+/// agree within tolerance. tests/test_transport.cpp and tools/ws_cluster
+/// hold both transports to it.
 
 #include <cstdint>
 #include <string>

@@ -133,27 +133,6 @@ void RrtBranch::grow(
   }
 }
 
-void RrtBranch::grow_wave(
-    const std::function<cspace::Config(Xoshiro256ss&)>& sampler,
-    Xoshiro256ss& rng, std::size_t width, PlannerStats& stats,
-    const runtime::CancelToken* cancel) {
-  if (width <= 1) {
-    grow(sampler, rng, stats, cancel);
-    return;
-  }
-  std::vector<cspace::Config> targets;
-  for (std::size_t iter = 0;
-       iter < params_.max_iterations && node_ids_.size() < params_.max_nodes;
-       /* advanced per wave */) {
-    if (runtime::stop_requested(cancel)) return;
-    const std::size_t w = std::min(width, params_.max_iterations - iter);
-    sample_targets(sampler, rng, w, targets);
-    stats.samples_attempted += w;
-    extend_wave(targets, stats);
-    iter += w;
-  }
-}
-
 std::optional<std::vector<cspace::Config>> Rrt::plan(
     const cspace::Config& start, const cspace::Config& goal,
     std::uint64_t seed, double goal_bias,

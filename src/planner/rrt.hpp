@@ -75,14 +75,6 @@ class RrtBranch {
             Xoshiro256ss& rng, PlannerStats& stats,
             const runtime::CancelToken* cancel = nullptr);
 
-  /// `grow` with wavefront batching: draws `width` targets per round and
-  /// extends them as one wave. `width <= 1` delegates to `grow` (identical
-  /// tree); wider waves may overshoot `max_nodes` by at most one wave. A
-  /// fired `cancel` token stops between waves.
-  void grow_wave(const std::function<cspace::Config(Xoshiro256ss&)>& sampler,
-                 Xoshiro256ss& rng, std::size_t width, PlannerStats& stats,
-                 const runtime::CancelToken* cancel = nullptr);
-
   /// The k nearest tree nodes to `q` (canonical neighbor order) — exposed
   /// for inter-tree connection (RRT-Connect). The span aliases finder
   /// scratch: invalidated by the next query or insertion.

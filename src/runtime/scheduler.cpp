@@ -42,6 +42,7 @@ inline std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) noexcept {
 
 constexpr int kSpinIters = 64;    ///< pause-loop iterations before yielding
 constexpr int kYieldIters = 16;   ///< yields before parking
+constexpr std::size_t kStealBatchMax = 16;  ///< cap on extra tasks per steal
 
 }  // namespace
 
@@ -168,7 +169,7 @@ Scheduler::Task* Scheduler::try_steal(std::uint32_t w, std::uint32_t victim) {
     // extras in reverse makes our own LIFO pops run them in that same
     // (victim-FIFO) order.
     const std::size_t want = std::min<std::size_t>(
-        v.deque.size_approx() / 2, options_.steal_batch_max);
+        v.deque.size_approx() / 2, kStealBatchMax);
     std::vector<Task*> extras;
     extras.reserve(want);
     Task* t = nullptr;
@@ -224,7 +225,7 @@ Scheduler::Task* Scheduler::find_task(std::uint32_t w,
   // 3. Steal: a few random probes, then one deterministic sweep so that a
   // lone runnable task is always discovered, not just with probability.
   const auto n = static_cast<std::uint32_t>(size());
-  if (!options_.steal || n == 1) return nullptr;
+  if (n == 1) return nullptr;
   const std::uint32_t random_probes = 2 * n;
   for (std::uint32_t i = 0; i < random_probes; ++i) {
     const auto victim =
@@ -276,8 +277,7 @@ void Scheduler::worker_loop(std::uint32_t w) {
     if (stop_.load(std::memory_order_seq_cst) &&
         self.deque.empty_approx() &&
         self.inbox_size.load(std::memory_order_seq_cst) == 0 &&
-        (!options_.steal ||
-         pending_.load(std::memory_order_seq_cst) <= 0))
+        pending_.load(std::memory_order_seq_cst) <= 0)
       return;
     // Exponential idle backoff: spin, then yield, then park. Parking never
     // races a wakeup: parked_ is registered under park_mutex_ and the
@@ -297,8 +297,7 @@ void Scheduler::worker_loop(std::uint32_t w) {
       const auto runnable = [&] {
         return stop_.load(std::memory_order_seq_cst) ||
                self.inbox_size.load(std::memory_order_seq_cst) > 0 ||
-               (options_.steal &&
-                pending_.load(std::memory_order_seq_cst) > 0);
+               pending_.load(std::memory_order_seq_cst) > 0;
       };
       if (!runnable()) {
         if (self.trace) self.trace->begin_at("park", options_.tracer->now_s());

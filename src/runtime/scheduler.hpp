@@ -107,9 +107,7 @@ class TaskGroup {
 };
 
 struct SchedulerOptions {
-  bool steal = true;  ///< false: tasks run only on their targeted worker
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;  ///< victim-selection streams
-  std::uint32_t steal_batch_max = 16;  ///< cap on extra tasks per steal
   /// Quiescence watchdog: when > 0, a wait() whose group makes no progress
   /// for this many seconds reports the apparent hang (and keeps reporting
   /// every further stalled interval) instead of blocking silently.
@@ -149,8 +147,8 @@ class Scheduler {
   /// round-robin across worker inboxes.
   void submit(std::function<void()> fn, TaskGroup* group = nullptr);
 
-  /// Enqueue a task for a specific worker. With stealing enabled this is
-  /// an initial placement hint; with stealing disabled it is binding.
+  /// Enqueue a task for a specific worker. This is an initial placement
+  /// hint: an idle worker may still steal the task.
   void submit_to(std::uint32_t worker, std::function<void()> fn,
                  TaskGroup* group = nullptr);
 

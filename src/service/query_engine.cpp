@@ -31,17 +31,6 @@ constexpr graph::VertexId tag_vertex(std::uint64_t tag) noexcept {
 
 }  // namespace
 
-const char* to_string(QueryStatus s) noexcept {
-  switch (s) {
-    case QueryStatus::kSolved: return "solved";
-    case QueryStatus::kUnreachable: return "unreachable";
-    case QueryStatus::kInvalidEndpoint: return "invalid-endpoint";
-    case QueryStatus::kDeadlineMiss: return "deadline-miss";
-    case QueryStatus::kNoSnapshot: return "no-snapshot";
-  }
-  return "?";
-}
-
 LatencyQuantiles summarize_latency(const runtime::Histogram& h) noexcept {
   LatencyQuantiles q;
   q.count = h.count();

@@ -61,7 +61,6 @@ enum class QueryStatus : std::uint8_t {
   kDeadlineMiss = 3,     ///< deadline expired before an answer was produced
   kNoSnapshot = 4,       ///< nothing published yet
 };
-const char* to_string(QueryStatus s) noexcept;
 
 struct QueryResult {
   QueryStatus status = QueryStatus::kNoSnapshot;

@@ -8,7 +8,9 @@
 /// it must lie within the caller's permitted range — anything else is a
 /// clear error on stderr naming the offending flag, then exit(2). Typos
 /// silently becoming 0 (the `std::stoll` legacy) cost more debugging time
-/// than a hard stop.
+/// than a hard stop. For the same reason a program can call
+/// `reject_unknown()` once it has read every flag it knows, so a typo or
+/// a retired flag fails instead of quietly leaving a default in place.
 
 #include <charconv>
 #include <cstdint>
@@ -16,13 +18,15 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace pmpl {
 
 /// Parses `--key value` / `--key=value` / bare `--key` flags from argv.
-/// Unknown positional arguments are ignored. Lookups fall back to defaults.
+/// Positional arguments are ignored. Lookups fall back to defaults.
 class ArgParser {
  public:
   ArgParser(int argc, char** argv) {
@@ -30,6 +34,7 @@ class ArgParser {
       std::string_view arg = argv[i];
       if (!arg.starts_with("--")) continue;
       arg.remove_prefix(2);
+      order_.emplace_back(arg.substr(0, arg.find('=')));
       if (const auto eq = arg.find('='); eq != std::string_view::npos) {
         flags_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
       } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
@@ -40,10 +45,10 @@ class ArgParser {
     }
   }
 
-  bool has(const std::string& key) const { return flags_.count(key) != 0; }
+  bool has(const std::string& key) const { return find(key) != flags_.end(); }
 
   std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = flags_.find(key);
+    const auto it = find(key);
     return it != flags_.end() ? it->second : fallback;
   }
 
@@ -52,7 +57,7 @@ class ArgParser {
   std::int64_t get_i64(const std::string& key, std::int64_t fallback,
                        std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
                        std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const {
-    const auto it = flags_.find(key);
+    const auto it = find(key);
     if (it == flags_.end()) return fallback;
     const std::string& s = it->second;
     std::int64_t value = 0;
@@ -71,7 +76,7 @@ class ArgParser {
   double get_f64(const std::string& key, double fallback,
                  double lo = std::numeric_limits<double>::lowest(),
                  double hi = std::numeric_limits<double>::max()) const {
-    const auto it = flags_.find(key);
+    const auto it = find(key);
     if (it == flags_.end()) return fallback;
     const std::string& s = it->second;
     double value = 0.0;
@@ -88,7 +93,7 @@ class ArgParser {
 
   /// Strict boolean flag: accepts 1/0, true/false, yes/no, on/off.
   bool get_bool(const std::string& key, bool fallback = false) const {
-    const auto it = flags_.find(key);
+    const auto it = find(key);
     if (it == flags_.end()) return fallback;
     const std::string& s = it->second;
     if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
@@ -96,7 +101,25 @@ class ArgParser {
     die(key, s, "not a valid boolean (use 1/0, true/false, yes/no, on/off)");
   }
 
+  /// Exits 2 naming the first flag, in argv order, that no lookup above
+  /// has read. Call it after the program has looked up every flag it
+  /// understands.
+  void reject_unknown() const {
+    for (const std::string& key : order_)
+      if (read_.count(key) == 0) {
+        std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+        std::exit(2);
+      }
+  }
+
  private:
+  using Flags = std::map<std::string, std::string>;
+
+  Flags::const_iterator find(const std::string& key) const {
+    read_.insert(key);
+    return flags_.find(key);
+  }
+
   [[noreturn]] static void die(const std::string& key, const std::string& value,
                                const char* what) {
     std::fprintf(stderr, "error: flag --%s: %s: '%s'\n", key.c_str(), what,
@@ -104,7 +127,9 @@ class ArgParser {
     std::exit(2);
   }
 
-  std::map<std::string, std::string> flags_;
+  Flags flags_;
+  std::vector<std::string> order_;      // flag names as given, in argv order
+  mutable std::set<std::string> read_;  // names some lookup has asked for
 };
 
 }  // namespace pmpl

@@ -1,5 +1,5 @@
-// Tests for the library extensions: sampling strategies, path smoothing,
-// roadmap serialization, and lifeline work stealing.
+// Tests for the library extensions: sampling strategies, roadmap
+// serialization, and lifeline work stealing.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "planner/query.hpp"
 #include "planner/roadmap_io.hpp"
 #include "planner/samplers.hpp"
-#include "planner/smoothing.hpp"
 #include "util/rng.hpp"
 
 namespace pmpl {
@@ -139,52 +138,6 @@ TEST(Samplers, DeterministicPerSeed) {
       EXPECT_EQ(a, b);
     }
   }
-}
-
-// --- smoothing -----------------------------------------------------------
-
-TEST(Smoothing, StraightensDetourInFreeSpace) {
-  const auto e = env::free_env();
-  Xoshiro256ss rng(5);
-  std::vector<cspace::Config> path;
-  // A deliberately jagged path along x.
-  for (const double x : {0.0, 10.0, 20.0, 30.0, 40.0, 50.0})
-    path.push_back(e->space().at_position(
-        {x, (static_cast<int>(x) % 20 == 0) ? 10.0 : 40.0, 50.0}, rng));
-  const auto r = planner::shortcut_path(*e, path, 200, 1.0, 6);
-  EXPECT_LT(r.length_after, r.length_before);
-  EXPECT_GT(r.shortcuts_applied, 0u);
-  EXPECT_EQ(r.path.front(), path.front());
-  EXPECT_EQ(r.path.back(), path.back());
-  EXPECT_TRUE(planner::path_valid(*e, r.path, 1.0));
-}
-
-TEST(Smoothing, NeverCutsThroughObstacles) {
-  const auto e = env::med_cube();
-  planner::PrmParams params;
-  params.k_neighbors = 8;
-  planner::Prm prm(*e, params);
-  prm.build(1500, 7);
-  Xoshiro256ss rng(8);
-  const auto start = e->space().at_position({8, 8, 8}, rng);
-  const auto goal = e->space().at_position({92, 92, 92}, rng);
-  const auto path = prm.query(start, goal);
-  ASSERT_TRUE(path.has_value());
-  const auto r = planner::shortcut_path(*e, *path, 300, 1.0, 9);
-  EXPECT_LE(r.length_after, r.length_before + 1e-9);
-  EXPECT_TRUE(planner::path_valid(*e, r.path, 1.0));
-}
-
-TEST(Smoothing, ShortPathsUntouched) {
-  const auto e = env::free_env();
-  Xoshiro256ss rng(10);
-  const std::vector<cspace::Config> two{
-      e->space().at_position({0, 0, 0}, rng),
-      e->space().at_position({10, 0, 0}, rng)};
-  const auto r = planner::shortcut_path(*e, two, 50, 1.0, 11);
-  EXPECT_EQ(r.path.size(), 2u);
-  EXPECT_EQ(r.shortcuts_applied, 0u);
-  EXPECT_DOUBLE_EQ(r.length_before, r.length_after);
 }
 
 // --- roadmap io ------------------------------------------------------------

@@ -249,6 +249,7 @@ TEST(ArgsStrict, AcceptsWellFormedValues) {
   EXPECT_TRUE(args.get_bool("flag"));
   EXPECT_TRUE(args.get_bool("on"));
   EXPECT_EQ(args.get_i64("absent", 7), 7);
+  args.reject_unknown();  // every flag given was read: returns
 }
 
 TEST(ArgsStrictDeathTest, RejectsTrailingGarbageInteger) {
@@ -286,6 +287,15 @@ TEST(ArgsStrictDeathTest, RejectsNanFloat) {
   const auto args = make_args({"--x", "nan"});
   EXPECT_EXIT(args.get_f64("x", 0.0, 0.0, 100.0),
               ::testing::ExitedWithCode(2), "flag --x");
+}
+
+TEST(ArgsStrictDeathTest, RejectsFlagNoLookupRead) {
+  const auto args = make_args({"--procs", "64", "--proc=32", "--seed", "3"});
+  EXPECT_EQ(args.get_i64("procs", 1), 64);
+  EXPECT_EQ(args.get_i64("seed", 0), 3);
+  EXPECT_EQ(args.get_i64("absent", 7), 7);
+  EXPECT_EXIT(args.reject_unknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --proc\n");
 }
 
 }  // namespace

@@ -457,23 +457,6 @@ TEST(Scheduler, NestedParallelForCompletes) {
   EXPECT_EQ(count.load(), 8 * 16);
 }
 
-TEST(Scheduler, SubmitToPinsWhenStealingDisabled) {
-  SchedulerOptions options;
-  options.steal = false;
-  Scheduler sched(3, options);
-  TaskGroup group;
-  std::vector<std::atomic<int>> ran_on(3);
-  for (int i = 0; i < 60; ++i) {
-    const auto target = static_cast<std::uint32_t>(i % 3);
-    sched.submit_to(target, [&, target] {
-      EXPECT_EQ(sched.current_worker(), static_cast<int>(target));
-      ++ran_on[target];
-    }, &group);
-  }
-  sched.wait(group);
-  for (int w = 0; w < 3; ++w) EXPECT_EQ(ran_on[w].load(), 20);
-}
-
 TEST(Scheduler, PerGroupWaitIgnoresOtherGroups) {
   Scheduler sched(4);
   TaskGroup slow_group, fast_group;

@@ -24,7 +24,7 @@
 //                      arrow per query (admission -> A* worker)
 //
 // Exit status: 0 when every wave served and (if solvable) at least one
-// query solved; 1 on setup failure.
+// query solved; 1 on setup failure; 2 on a bad or unknown flag.
 
 #include <atomic>
 #include <cstdio>
@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_i64("seed", 7));
   const std::string metrics_path = args.get("metrics", "");
   const std::string trace_path = args.get("trace", "");
+  args.reject_unknown();
 
   std::unique_ptr<env::Environment> e;
   if (env_name == "maze") {

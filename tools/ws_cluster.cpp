@@ -22,7 +22,7 @@
 //                [--suspect-after S]    stalled-checkpoint replacement (zombie
 //                                       scenario); 0 disables (default)
 //
-// Chaos-soak mode (ignores the workload/fault flags above):
+// Chaos-soak mode (rejects the workload/fault flags above):
 //   $ ws_cluster --chaos N [--chaos-seed S] [--chaos-out FILE]
 //                [--ranks P] [--regions N] [--time-scale K]
 // runs N seeded randomized kill/pause/loss/partition schedules under the
@@ -30,8 +30,8 @@
 // writing the per-schedule report to --chaos-out.
 //
 // Exit codes: 0 gate passed (or --no-gate and the cluster ran clean),
-// 1 gate or protocol failure, 2 bad usage or a malformed fault plan
-// (the error names the offending field).
+// 1 gate or protocol failure, 2 bad usage (including an unknown flag) or
+// a malformed fault plan (the error names the offending field).
 
 #include <cstdio>
 #include <string>
@@ -108,6 +108,8 @@ int main(int argc, char** argv) {
     ccfg.regions = static_cast<std::uint32_t>(
         args.get_i64("regions", static_cast<std::int64_t>(ccfg.regions)));
     ccfg.time_scale = time_scale;
+    const std::string out = args.get("chaos-out", "");
+    args.reject_unknown();
     std::printf("chaos soak: %u schedules, %u ranks x %u regions, seed %llu\n",
                 ccfg.schedules, ccfg.ranks, ccfg.regions,
                 static_cast<unsigned long long>(ccfg.seed));
@@ -125,7 +127,6 @@ int main(int argc, char** argv) {
                 soak.passed, soak.passed + soak.failed,
                 soak.no_leaks ? "none" : "LEAKED", soak.fds_before,
                 soak.fds_after, soak.tmp_before, soak.tmp_after);
-    const std::string out = args.get("chaos-out", "");
     if (!out.empty()) {
       if (!loadbal::write_chaos_report(soak, ccfg, out)) {
         std::fprintf(stderr, "error: cannot write report to %s\n",
@@ -176,6 +177,7 @@ int main(int argc, char** argv) {
   cfg.restart.max_restarts =
       static_cast<std::uint32_t>(args.get_i64("max-restarts", 3, 0, 1000));
   cfg.restart.suspect_after_s = args.get_f64("suspect-after", 0.0, 0.0);
+  args.reject_unknown();
 
   std::printf("ws_cluster: %u ranks x %u regions, seed %llu, policy %s%s\n",
               ranks, regions, static_cast<unsigned long long>(seed),
