@@ -199,5 +199,22 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n  \"metrics\": %s\n}\n", metrics.to_json().c_str());
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+
+  // Figure-shape gate (EXPERIMENTS.md "Resilience"): losing the hotspot's
+  // mesh neighborhood hurts DIFFUSIVE most, since its whole steal domain
+  // around the hotspot dies while random probing reaches across.
+  auto neighbor_death = [&](const char* policy) {
+    for (const Row& r : rows)
+      if (r.policy == policy && r.scenario == "neighbor_death")
+        return r.degradation;
+    return 0.0;
+  };
+  const double diffusive = neighbor_death("diffusive");
+  const double rand8 = neighbor_death("rand8");
+  const double hybrid = neighbor_death("hybrid");
+  const bool ok = diffusive > rand8 && diffusive > hybrid;
+  std::printf("# shape %s: diffusive degrades most under neighbor_death "
+              "(%.2f vs rand8 %.2f, hybrid %.2f)\n",
+              ok ? "ok" : "FAILED", diffusive, rand8, hybrid);
+  return ok ? 0 : 1;
 }

@@ -12,9 +12,17 @@ using namespace pmpl;
 
 namespace {
 
+/// Which shapes an environment's table must show.
+enum class Expect {
+  kWsWins,            ///< every WS strategy beats NoLB at every p
+  kWsWinsRepartLoses, ///< ... and k-rays repartitioning loses to NoLB
+  kNoOverhead,        ///< no strategy more than 5% slower than NoLB
+};
+
 void run_env(std::unique_ptr<env::Environment> e, const char* label,
-             bool with_repartitioning, std::uint32_t regions,
-             std::size_t nodes, std::uint64_t seed) {
+             Expect expect, std::uint32_t regions, std::size_t nodes,
+             std::uint64_t seed, bench::ShapeGate& gate) {
+  const bool with_repartitioning = expect == Expect::kWsWinsRepartLoses;
   const geo::Vec3 root_pos{50, 50, 50};
   const core::RadialRegions radial(root_pos, 45.0, regions, 4, seed,
                                    /*two_d=*/false);
@@ -55,9 +63,26 @@ void run_env(std::unique_ptr<env::Environment> e, const char* label,
       cfg.seed = seed;
       const auto r = core::simulate_rrt_run(w, *e, radial, cfg);
       table.num(r.total_s, 3);
-      if (s == core::Strategy::kNoLB) base = r.total_s;
+      if (s == core::Strategy::kNoLB) {
+        base = r.total_s;  // the first column: every check below has it
+        continue;
+      }
       if (core::is_work_stealing(s)) best_ws = std::min(best_ws, r.total_s);
       if (s == core::Strategy::kRepartition) corr = r.weight_correlation;
+      const std::string at = " at p=" + std::to_string(p) + " (" +
+                             bench::ratio_str(r.total_s / base) +
+                             " of NoLB's time)";
+      if (expect == Expect::kNoOverhead)
+        gate.expect(r.total_s <= 1.05 * base,
+                    e->name() + ": " + core::to_string(s) +
+                        " within 5% of NoLB" + at);
+      else if (core::is_work_stealing(s))
+        gate.expect(r.total_s < base,
+                    e->name() + ": " + core::to_string(s) + " beats NoLB" +
+                        at);
+      else
+        gate.expect(r.total_s > base,
+                    e->name() + ": k-rays repartitioning loses to NoLB" + at);
     }
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.2fx", base / best_ws);
@@ -81,10 +106,12 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_i64("seed", 1));
 
   std::printf("=== Figure 10: radial RRT across environments, Opteron ===\n");
-  run_env(env::mixed(0.60), "(a) mixed (60% blocked)", false, regions, nodes,
-          seed);
-  run_env(env::mixed(0.30), "(b) mixed-30 (30% blocked)", true, regions,
-          nodes, seed);
-  run_env(env::free_env(), "(c) free", false, regions, nodes, seed);
-  return 0;
+  bench::ShapeGate gate;
+  run_env(env::mixed(0.60), "(a) mixed (60% blocked)", Expect::kWsWins,
+          regions, nodes, seed, gate);
+  run_env(env::mixed(0.30), "(b) mixed-30 (30% blocked)",
+          Expect::kWsWinsRepartLoses, regions, nodes, seed, gate);
+  run_env(env::free_env(), "(c) free", Expect::kNoOverhead, regions, nodes,
+          seed, gate);
+  return gate.exit_code();
 }

@@ -35,6 +35,16 @@ int main(int argc, char** argv) {
       bench::sweep_prm(w, procs, bench::kPrmStrategies, cluster, seed);
   bench::print_time_table("(a) Execution time (simulated seconds)", rows,
                           procs, bench::kPrmStrategies);
+  bench::ShapeGate gate;
+  for (const std::uint32_t p : procs)
+    for (const auto s : bench::kPrmStrategies) {
+      if (s == core::Strategy::kNoLB) continue;
+      const double gain = bench::sweep_time(rows, p, core::Strategy::kNoLB) /
+                          bench::sweep_time(rows, p, s);
+      gate.expect(gain >= 1.3, core::to_string(s) + " >= 1.3x NoLB at p=" +
+                                   std::to_string(p) + " (" +
+                                   bench::ratio_str(gain) + ")");
+    }
 
   std::printf("\n(b) CV of roadmap nodes per processor\n");
   TextTable cv_table({"procs", "before repartitioning",
@@ -72,5 +82,5 @@ int main(int argc, char** argv) {
         .num(ideal);
   }
   profile.print();
-  return 0;
+  return gate.exit_code();
 }

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
       env::walls(true)};
   const char* labels[] = {"(a) med-cube", "(b) small-cube", "(c) free",
                           "(alt) walls", "(alt) walls-45"};
+  bench::ShapeGate gate;
   for (std::size_t i = 0; i < std::size(envs); ++i) {
     const auto& e = *envs[i];
     const core::RegionGrid grid = core::RegionGrid::make_auto(
@@ -38,6 +39,19 @@ int main(int argc, char** argv) {
     bench::print_time_table(
         std::string(labels[i]) + " execution time (simulated seconds)", rows,
         procs, bench::kPrmStrategies);
+    if (i != 2) continue;
+    // (c) free: load balancing costs nothing measurable.
+    for (const std::uint32_t p : procs)
+      for (const auto s : bench::kPrmStrategies) {
+        if (s == core::Strategy::kNoLB) continue;
+        const double slowdown =
+            bench::sweep_time(rows, p, s) /
+            bench::sweep_time(rows, p, core::Strategy::kNoLB);
+        gate.expect(slowdown <= 1.05,
+                    "free: " + core::to_string(s) +
+                        " within 5% of NoLB at p=" + std::to_string(p) +
+                        " (" + bench::ratio_str(slowdown) + ")");
+      }
   }
-  return 0;
+  return gate.exit_code();
 }

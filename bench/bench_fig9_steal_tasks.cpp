@@ -13,8 +13,10 @@ using namespace pmpl;
 
 namespace {
 
-void report(const core::Workload& w, std::uint32_t procs,
-            std::uint64_t seed) {
+/// Print the p = `procs` task distribution; returns the mean stolen tasks
+/// per processor.
+double report(const core::Workload& w, std::uint32_t procs,
+              std::uint64_t seed) {
   core::PrmRunConfig cfg;
   cfg.procs = procs;
   cfg.strategy = core::Strategy::kHybridWS;
@@ -53,6 +55,7 @@ void report(const core::Workload& w, std::uint32_t procs,
                 static_cast<unsigned long long>(stolen[idx]));
   }
   std::printf("\n");
+  return double(total_stolen) / procs;
 }
 
 }  // namespace
@@ -74,10 +77,16 @@ int main(int argc, char** argv) {
                                   false);
   const auto w = bench::make_prm_workload(*e, grid, attempts, seed);
 
-  report(w, 96, seed);
-  report(w, 768, seed);
+  const double at_96 = report(w, 96, seed);
+  const double at_768 = report(w, 768, seed);
   std::printf(
       "\n# expectation: stolen tasks/processor collapse from 96 to 768\n"
       "# cores (less stealable work per processor, more victims to probe).\n");
-  return 0;
+  bench::ShapeGate gate;
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "(%.2f vs %.2f)", at_768, at_96);
+  gate.expect(at_768 <= 0.5 * at_96,
+              "stolen tasks/processor at p=768 <= half of p=96 " +
+                  std::string(buf));
+  return gate.exit_code();
 }

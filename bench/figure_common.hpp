@@ -105,6 +105,40 @@ inline void print_time_table(const std::string& title,
   table.print();
 }
 
+/// Figure-shape gate: the DESIGN.md §4 expected shapes a harness asserts
+/// on its own numbers. Each check prints one "# shape ok|FAILED" line; a
+/// harness returns exit_code(), so any failed shape exits 1 (the `figures`
+/// ctest label runs every gated harness).
+class ShapeGate {
+ public:
+  void expect(bool ok, const std::string& shape) {
+    std::printf("# shape %s: %s\n", ok ? "ok" : "FAILED", shape.c_str());
+    if (!ok) ++failed_;
+  }
+  int exit_code() const {
+    if (failed_ > 0) std::printf("# %d figure shape(s) FAILED\n", failed_);
+    return failed_ > 0 ? 1 : 0;
+  }
+
+ private:
+  int failed_ = 0;
+};
+
+/// Simulated time of `s` at `p` in a sweep (0 when absent).
+inline double sweep_time(const std::vector<SweepRow>& rows, std::uint32_t p,
+                         core::Strategy s) {
+  for (const auto& r : rows)
+    if (r.procs == p && r.strategy == s) return r.result.total_s;
+  return 0.0;
+}
+
+/// Fixed-point ratio for shape messages ("1.43x").
+inline std::string ratio_str(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.2fx", x);
+  return buf;
+}
+
 /// Shared `"metrics"` member for BENCH_*.json files: every bench embeds a
 /// MetricsRegistry's flat snapshot under this one key, so downstream
 /// tooling reads a single schema (counters/gauges/histograms) regardless

@@ -1,918 +1,315 @@
 #include "loadbal/ws_engine.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <deque>
-#include <map>
-#include <set>
+#include <limits>
 
+#include "loadbal/ws_rank.hpp"
 #include "runtime/des.hpp"
 #include "runtime/metrics_registry.hpp"
-#include "runtime/termination.hpp"
 #include "runtime/transport_des.hpp"
 
 namespace pmpl::loadbal {
 
 namespace {
 
-/// Whole simulation state; one instance per simulate_work_stealing call.
-///
-/// Fault machinery (ids, ledger, timeouts, heartbeats, token generations)
-/// is structured so that with an empty FaultPlan the exact same sequence of
-/// Simulator::schedule_* calls is issued as the pre-fault engine made:
-/// determinism ties break on insertion order, so even one extra event would
-/// perturb fault-free schedules.
-///
-/// Every inter-rank hop goes through the DesTransport seam (the virtual-
-/// time implementation of the transport concept, DESIGN.md §5h): latency
-/// pricing and fault rolls live there, protocol decisions stay here. The
-/// per-rank engine in ws_rank.cpp runs the same protocol over real
-/// transports; the sim-vs-real gate in tests holds the two to the same
-/// roadmap.
-class WsEngine {
+using runtime::Frame;
+using runtime::FrameType;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The virtual-time driver: p WsRank cores over the DES transport, plus
+/// what only a god view can tally — crashes and straggler stretch from
+/// the FaultPlan, completion times, final owners and re-executions.
+class DesDriver final : public WsLink {
  public:
-  WsEngine(std::span<const WsItem> items,
-           std::span<const std::uint32_t> initial, std::uint32_t p,
-           const WsConfig& config)
-      : items_(items),
-        p_(p),
-        config_(config),
-        policy_(config.policy, p, config.rand_k),
-        safra_(p),
-        rng_(config.seed),
-        inject_(config.faults),
-        locs_(p) {
+  DesDriver(std::span<const WsItem> items,
+            std::span<const std::uint32_t> initial, std::uint32_t p,
+            const WsConfig& config)
+      : items_(items), p_(p), config_(config), inject_(config.faults),
+        timers_(WsTimers::virtual_time(config.cluster, config.faults, p)) {
+    rank_cfg_.items = items;
+    rank_cfg_.initial = initial;
+    rank_cfg_.policy = config.policy;
+    rank_cfg_.rand_k = config.rand_k;
+    rank_cfg_.seed = config.seed;
+    rank_cfg_.steal_max_items = config.steal_max_items;
+    rank_cfg_.give_up_after = config.give_up_after;
+    rank_cfg_.tracer = config.tracer;
+    rank_cfg_.trace_prefix = config.trace_prefix;
+    rank_cfg_.trace_capacity = config.trace_capacity;
+    std::vector<std::vector<std::uint32_t>> queues(p);
     for (std::size_t i = 0; i < items.size(); ++i) {
       assert(initial[i] < p);
-      locs_[initial[i]].queue.push_back(static_cast<std::uint32_t>(i));
+      queues[initial[i]].push_back(static_cast<std::uint32_t>(i));
     }
+    // Reserved, not touched: never copied on growth in a typical replay.
+    wires_.reserve(16 * std::size_t{p});
+    cores_.reserve(p);
+    for (std::uint32_t r = 0; r < p; ++r)
+      cores_.emplace_back(*this, r, p, rank_cfg_, timers_, inject_.active(),
+                          std::move(queues[r]));
+    alive_.assign(p, true);
+    wake_at_.assign(p, kInf);
+    current_.assign(p, 0);
+    service_.assign(p, 0.0);
+    down_at_.assign(p, 0.0);
     result_.busy_s.assign(p, 0.0);
-    result_.local_tasks.assign(p, 0);
-    result_.stolen_tasks.assign(p, 0);
     result_.final_owner.assign(items.size(), 0);
     result_.completion_s.assign(items.size(), -1.0);
-    stolen_flag_.assign(items.size(), false);
-    completed_.assign(items.size(), false);
     reexec_pending_.assign(items.size(), false);
-    alive_.assign(p, true);
-    death_known_.assign(p, false);
-    death_pending_.assign(p, false);
-    crash_time_.assign(p, 0.0);
-    if (config.tracer) {
-      // One virtual-time track per rank. The DES is single-threaded, so
-      // every track has exactly one writer (the simulation loop) and the
-      // lock-free single-writer emit contract holds trivially.
-      trace_.reserve(p);
-      for (std::uint32_t r = 0; r < p; ++r)
-        trace_.push_back(config.tracer->track(
-            config.trace_prefix + "rank " + std::to_string(r),
-            config.trace_capacity));
-    }
-    if (inject_.active()) {
-      // Derive resilience timeouts from the worst case the protocol must
-      // wait out: a victim busy with the largest region stretched by the
-      // strongest straggler window, plus round-trip control latency and the
-      // largest grant payload. Too-small values cost retries, never
-      // correctness.
-      const double remote = config.cluster.remote_latency_s;
-      // A short RPC-style timeout: long enough that control messages never
-      // time out spuriously on a healthy link, far shorter than a region's
-      // service time. A request parked at a busy victim may time out and be
-      // retried elsewhere — wasteful but correct (the eventual late grant
-      // is still accepted; its settled request is simply stale).
-      steal_timeout_ = config.steal_timeout_s > 0.0
-                           ? config.steal_timeout_s
-                           : std::max(256.0 * remote, 1e-3);
-      hb_period_ = config.heartbeat_period_s > 0.0
-                       ? config.heartbeat_period_s
-                       : std::max(64.0 * remote, 1e-4);
-      // Consecutive missed heartbeats before a rank is declared dead. The
-      // configured floor is enough on loss-free links, but with a lossy
-      // plan the threshold must scale so the per-window false-positive
-      // probability stays ~1e-9 across ~1e5 probe windows — otherwise the
-      // fencing path would slowly execute the whole cluster. A targeted
-      // drop_prob=1 link still fences after the configured floor.
-      hb_misses_required_ = config.heartbeat_misses;
-      double max_drop = 0.0;
-      for (const auto& l : config.faults.links)
-        max_drop = std::max(max_drop, l.drop_prob);
-      const double p_lost_rt = 1.0 - (1.0 - max_drop) * (1.0 - max_drop);
-      if (p_lost_rt > 0.0 && p_lost_rt < 1.0)
-        hb_misses_required_ = std::max(
-            hb_misses_required_,
-            static_cast<std::uint32_t>(
-                std::ceil(-9.0 / std::log10(p_lost_rt))));
-      // Token regeneration: keyed to an *idle* ring transit, not to the
-      // longest region — a token legitimately parked at a busy rank may be
-      // regenerated spuriously (the stale one is discarded by generation),
-      // which merely costs an extra round. The timeout doubles while
-      // rounds keep failing and resets once a token survives a transit.
-      token_regen_initial_ = std::max(
-          32.0 * static_cast<double>(p) * remote, 1e-3);
-      token_regen_timeout_ = token_regen_initial_;
-      token_retry_delay_ = std::max(64.0 * remote, 1e-4);
-    }
   }
+  // The cores and the calendar's events hold `this`.
+  DesDriver(const DesDriver&) = delete;
+  DesDriver& operator=(const DesDriver&) = delete;
 
   WsResult run() {
-    for (std::uint32_t i = 0; i < p_; ++i) start_next(i);
-    if (inject_.active()) {
-      for (const auto& c : inject_.plan().crashes) {
-        if (c.rank >= p_) continue;
-        sim_.schedule_at(c.at_s, [this, r = c.rank] {
-          if (terminated_ || !alive_[r]) return;
-          ++result_.faults.crashes;
-          do_crash(r);
-        });
-      }
-      start_heartbeats();
+    for (std::uint32_t r = 0; r < p_; ++r) {
+      cores_[r].start();
+      after(r);
     }
-    // Token-ring termination works for any p (the p==1 ring is rank 0
-    // alone, detecting on its first idle).
+    for (const auto& c : inject_.plan().crashes) {
+      if (c.rank >= p_) continue;
+      sim_.schedule_at(c.at_s, [this, r = c.rank] {
+        if (terminated_ || !alive_[r]) return;
+        ++result_.faults.crashes;
+        take_down(r);
+      });
+    }
     sim_.run();
     result_.hit_event_limit = sim_.hit_event_limit();
     result_.terminated = terminated_;
-    // If the calendar drained without detection (all locations crashed, or
-    // p==1 with rank 0 dead), fall back to the last event time.
+    // The calendar drained without detection (every rank crashed): fall
+    // back to the last event time.
     if (!terminated_) result_.makespan_s = sim_.now();
     result_.events = sim_.events_processed();
+    result_.local_tasks.resize(p_);
+    result_.stolen_tasks.resize(p_);
+    runtime::FaultMetrics& fm = result_.faults;
+    for (std::uint32_t r = 0; r < p_; ++r) {
+      const WsRankResult& c = cores_[r].result();
+      result_.local_tasks[r] = c.local_tasks;
+      result_.stolen_tasks[r] = c.stolen_tasks;
+      result_.steal_requests += c.steal_requests;
+      result_.steal_grants += c.steal_grants;
+      result_.steal_denies += c.steal_denies;
+      result_.regions_migrated += c.regions_migrated;
+      result_.token_rounds += c.token_rounds;
+      fm.steal_retries += c.steal_retries;
+      fm.grant_retransmits += c.grant_retransmits;
+      fm.regions_recovered += c.regions_recovered;
+      fm.heartbeat_probes += c.heartbeat_probes;
+      fm.tokens_regenerated += c.tokens_regenerated;
+    }
     return std::move(result_);
   }
 
+  // --- WsLink: every core shares this clock and transport -------------
+
+  double now() const override { return sim_.now(); }
+
+  /// A send to a rank already down fails fast, as a socket to a dead
+  /// process does; a frame the injector drops looks delivered, as a
+  /// receiver-side drop on a real transport does.
+  bool send(const Frame& f) override {
+    if (!alive_[f.to]) return false;
+    std::optional<double> delay;
+    if (f.type == FrameType::kToken) {
+      delay = net_.token(f.from, f.to, sim_.now());
+    } else if (f.type == FrameType::kGrant) {
+      std::uint64_t bytes = 0;
+      for (const std::uint32_t item : f.items) bytes += items_[item].bytes;
+      delay = net_.bulk(f.from, f.to, bytes, sim_.now());
+    } else {
+      delay = net_.control(f.from, f.to, sim_.now());
+    }
+    if (!delay) {
+      if (runtime::TraceBuffer* t = trace(f.from))
+        t->instant_at("drop", sim_.now(), f.to);
+      return true;
+    }
+    sim_.schedule_in(*delay, [this, slot = park(f)] { on_delivery(slot); });
+    return true;
+  }
+
+  void rehomed(std::uint32_t dead, std::size_t) override {
+    if (!alive_[dead])
+      result_.faults.recovery_latency_max_s =
+          std::max(result_.faults.recovery_latency_max_s,
+                   sim_.now() - down_at_[dead]);
+  }
+
  private:
-  struct PendingRequest {
-    std::uint32_t thief = 0;
-    std::uint64_t req_id = 0;
-  };
-
-  struct Location {
-    std::deque<std::uint32_t> queue;
-    bool busy = false;
-    std::uint32_t cur_item = 0;       ///< executing item (valid while busy)
-    std::uint32_t failed_rounds = 0;  ///< consecutive fully-denied rounds
-    std::uint32_t outstanding = 0;    ///< replies still expected
-    std::uint32_t stage = 0;
-    double backoff = 0.0;
-    bool holds_token = false;
-    runtime::SafraTermination::Token token;
-    std::uint64_t token_gen = 0;  ///< generation of the held token
-    /// Steal requests that arrived while this location was executing a
-    /// region: single-threaded locations only progress communication
-    /// between tasks (STAPL RMI polls at scheduling points), so they are
-    /// serviced when the current region completes.
-    std::vector<PendingRequest> pending_requests;
-    /// Lifeline mode: thieves whose steal was denied and who now wait for
-    /// a pushed grant when this location next has surplus work.
-    std::vector<std::uint32_t> lifeline_waiters;
-    /// Fault mode: outstanding request ids (drained by reply or timeout,
-    /// whichever first; the loser of that race is ignored as stale).
-    std::set<std::uint64_t> reqs_pending;
-    // Heartbeat probe state (fault mode only).
-    std::uint32_t hb_target = 0;
-    std::uint64_t hb_seq = 0;    ///< last probe sequence sent
-    std::uint64_t hb_acked = 0;  ///< last probe sequence acked
-    std::uint32_t hb_misses = 0;
-  };
-
-  /// A granted batch in flight: retransmitted until the thief acks, so a
-  /// region survives message loss. Resolved (erased) on ack, or at a crash
-  /// announcement: an undelivered batch is re-queued (victim alive) or
-  /// recovered with the dead victim's queue; a delivered one needs nothing.
-  struct GrantInFlight {
-    std::uint32_t victim = 0;
-    std::uint32_t thief = 0;
-    std::uint64_t req_id = 0;  ///< 0 for lifeline pushes
-    std::vector<std::uint32_t> items;
-    std::uint64_t bytes = 0;
-    bool delivered = false;
-    double timeout = 0.0;  ///< next retransmit timeout (doubles, capped)
-  };
-
-  bool idle(const Location& loc) const noexcept {
-    return !loc.busy && loc.queue.empty();
+  runtime::TraceBuffer* trace(std::uint32_t rank) const {
+    return cores_[rank].trace();
   }
 
-  /// Rank's trace track; nullptr when tracing is off.
-  runtime::TraceBuffer* tr(std::uint32_t rank) const noexcept {
-    return trace_.empty() ? nullptr : trace_[rank];
+  /// A frame in flight, compacted (tens of thousands are in flight at
+  /// p = 3072): the DES never restarts a rank, so `gen` is always 0, and
+  /// the few frames that carry items keep them in `parcels_`.
+  struct Wire {
+    std::uint64_t a = 0, b = 0, c = 0;
+    std::uint32_t from = 0, to = 0;
+    std::uint32_t parcel = kNoParcel;
+    FrameType type = FrameType::kHello;
+  };
+  static constexpr std::uint32_t kNoParcel = ~0u;
+
+  /// Store `f` until delivery; the delivery event then captures only the
+  /// slot and stays inside std::function's inline buffer.
+  std::uint32_t park(const Frame& f) {
+    Wire w{f.a, f.b, f.c, f.from, f.to, kNoParcel, f.type};
+    if (!f.items.empty()) {
+      w.parcel = take(free_parcels_, parcels_.size());
+      if (w.parcel == parcels_.size()) parcels_.emplace_back();
+      parcels_[w.parcel] = f.items;
+    }
+    const std::uint32_t slot = take(free_wires_, wires_.size());
+    if (slot == wires_.size())
+      wires_.push_back(w);
+    else
+      wires_[slot] = w;
+    return slot;
   }
 
-  void start_next(std::uint32_t rank) {
-    if (terminated_ || !alive_[rank]) return;
-    Location& loc = locs_[rank];
-    if (loc.queue.empty()) {
-      on_become_idle(rank);
+  /// Frame parked in `slot`, releasing the slot.
+  Frame unpark(std::uint32_t slot) {
+    const Wire& w = wires_[slot];
+    Frame f;
+    f.type = w.type;
+    f.from = w.from;
+    f.to = w.to;
+    f.a = w.a;
+    f.b = w.b;
+    f.c = w.c;
+    if (w.parcel != kNoParcel) {
+      f.items.swap(parcels_[w.parcel]);
+      free_parcels_.push_back(w.parcel);
+    }
+    free_wires_.push_back(slot);
+    return f;
+  }
+
+  static std::uint32_t take(std::vector<std::uint32_t>& free,
+                            std::size_t next) {
+    if (free.empty()) return static_cast<std::uint32_t>(next);
+    const std::uint32_t slot = free.back();
+    free.pop_back();
+    return slot;
+  }
+
+  void on_delivery(std::uint32_t slot) {
+    const Frame f = unpark(slot);
+    if (terminated_) return;
+    if (!alive_[f.to]) {
+      // Sent into a crash window: gone with the rank.
+      if (f.type == FrameType::kToken) ++result_.faults.tokens_lost;
       return;
     }
-    const std::uint32_t item = loc.queue.front();
-    loc.queue.pop_front();
-    loc.busy = true;
-    loc.cur_item = item;
+    cores_[f.to].on_frame(f);
+    after(f.to);
+  }
+
+  /// After any input to core r: notice termination or a fence, start its
+  /// next region, and re-arm its wakeup.
+  void after(std::uint32_t r) {
+    if (terminated_) return;
+    WsRank& core = cores_[r];
+    if (core.stopped()) {
+      if (core.declared()) {
+        terminated_ = true;
+        // Completion broadcast down a binomial tree: log2(p) remote hops.
+        result_.makespan_s =
+            sim_.now() + config_.cluster.remote_latency_s *
+                             std::ceil(std::log2(std::max(2.0, double(p_))));
+      } else {  // fenced: a false positive the ring killed
+        ++result_.faults.fenced;
+        take_down(r);
+      }
+      return;
+    }
+    if (const auto item = core.start_region()) begin_region(r, *item);
+    const double w = std::max(core.next_wakeup(), sim_.now());
+    if (w < wake_at_[r]) {
+      wake_at_[r] = w;
+      sim_.schedule_at(w, [this, r] { on_wake(r); });
+    }
+  }
+
+  void on_wake(std::uint32_t r) {
+    // A superseded (later) wakeup: the earlier one re-armed already.
+    if (terminated_ || !alive_[r] || sim_.now() != wake_at_[r]) return;
+    wake_at_[r] = kInf;
+    cores_[r].on_timer(sim_.now());
+    after(r);
+  }
+
+  void begin_region(std::uint32_t r, std::uint32_t item) {
     const double nominal = items_[item].service_s;
     const double service =
-        inject_.active() ? inject_.stretched_service(rank, sim_.now(), nominal)
+        inject_.active() ? inject_.stretched_service(r, sim_.now(), nominal)
                          : nominal;
-    if (runtime::TraceBuffer* t = tr(rank)) {
-      t->counter_at("queue", sim_.now(), loc.queue.size());
-      t->begin_at("region", sim_.now(), item);
-      if (service > nominal)
+    current_[r] = item;
+    service_[r] = service;
+    if (service > nominal)
+      if (runtime::TraceBuffer* t = trace(r))
         t->instant_at("straggle", sim_.now(),
                       static_cast<std::uint64_t>((service - nominal) * 1e6));
-    }
-    sim_.schedule_in(service, [this, rank, item, service, nominal] {
-      if (!alive_[rank]) return;  // crashed mid-region: work lost, recovered
-      Location& l = locs_[rank];
-      l.busy = false;
-      if (runtime::TraceBuffer* t = tr(rank))
-        t->end_at("region", sim_.now(), item);
-      result_.busy_s[rank] += service;
+    sim_.schedule_in(service, [this, r] { end_region(r); });
+  }
+
+  void end_region(std::uint32_t r) {
+    if (terminated_ || !alive_[r]) return;  // crashed mid-region: lost
+    WsRank& core = cores_[r];
+    const std::uint32_t item = current_[r];
+    const double service = service_[r];
+    if (core.finish_region(service)) {
+      const double nominal = items_[item].service_s;
+      result_.busy_s[r] += service;
       if (service > nominal)
         result_.faults.straggler_delay_s += service - nominal;
-      completed_[item] = true;
-      result_.completion_s[item] = sim_.now();
-      if (reexec_pending_[item]) {
+      if (result_.completion_s[item] >= 0.0 || reexec_pending_[item]) {
         reexec_pending_[item] = false;
         ++result_.faults.regions_reexecuted;
         result_.faults.reexecuted_service_s += nominal;
       }
-      result_.final_owner[item] = rank;
-      if (stolen_flag_[item])
-        ++result_.stolen_tasks[rank];
-      else
-        ++result_.local_tasks[rank];
-      // Serve steal requests that arrived mid-execution before starting
-      // the next region.
-      if (!l.pending_requests.empty()) {
-        const auto pending = std::move(l.pending_requests);
-        l.pending_requests.clear();
-        for (const PendingRequest& pr : pending) {
-          if (inject_.active() && death_known_[pr.thief]) continue;
-          serve_request(rank, pr.thief, pr.req_id);
-        }
-      }
-      feed_lifelines(rank);
-      start_next(rank);
-    });
+      result_.completion_s[item] = sim_.now();
+      result_.final_owner[item] = r;
+    }
+    after(r);
   }
 
-  void on_become_idle(std::uint32_t rank) {
-    if (terminated_ || !alive_[rank]) return;
-    Location& loc = locs_[rank];
-    // Forward a held token now that we are idle (unless a crash made it
-    // stale in the meantime — a fresh generation is circulating).
-    if (loc.holds_token) {
-      loc.holds_token = false;
-      if (loc.token_gen == token_generation_) process_token(rank, loc.token);
-    }
-    // The leader (rank 0 until it dies) drives detection rounds whenever it
-    // idles with no round in flight.
-    if (rank == safra_.leader() && !round_active_) initiate_round();
-    // Begin stealing unless a request round is already outstanding.
-    loc.stage = 0;
-    loc.backoff = config_.backoff_initial_s;
-    loc.failed_rounds = 0;  // fresh idleness: probe again
-    if (loc.outstanding == 0) issue_requests(rank);
-  }
-
-  void issue_requests(std::uint32_t rank) {
-    if (terminated_ || !alive_[rank]) return;
-    Location& loc = locs_[rank];
-    if (!idle(loc)) return;
-    auto victims = policy_.victims(rank, loc.stage, rng_);
-    if (inject_.active())
-      victims.erase(std::remove_if(victims.begin(), victims.end(),
-                                   [this](std::uint32_t v) {
-                                     return death_known_[v];
-                                   }),
-                    victims.end());
-    if (victims.empty()) {
-      retry_later(rank);
-      return;
-    }
-    loc.outstanding += static_cast<std::uint32_t>(victims.size());
-    for (const std::uint32_t v : victims) {
-      ++result_.steal_requests;
-      const std::uint64_t req_id = next_req_id_++;
-      if (runtime::TraceBuffer* t = tr(rank)) {
-        // DES request ids are globally unique, so generation 0 + the
-        // thief's rank make the steal-flow correlation id (the victim
-        // recomputes it from the same fields in on_request).
-        t->instant_at("steal_req", sim_.now(), v,
-                      runtime::trace_corr(rank, 0, req_id));
-        t->flow_start_at("steal", sim_.now(),
-                         runtime::trace_corr(rank, 0, req_id), v);
-      }
-      if (inject_.active()) loc.reqs_pending.insert(req_id);
-      if (!net_.send_control(rank, v, [this, v, rank, req_id] {
-            on_request(v, rank, req_id);
-          })) {
-        if (runtime::TraceBuffer* t = tr(rank))
-          t->instant_at("drop", sim_.now(), v);
-      }
-      if (!inject_.active()) continue;
-      sim_.schedule_in(steal_timeout_, [this, rank, req_id] {
-        on_request_timeout(rank, req_id);
-      });
-    }
-  }
-
-  void on_request_timeout(std::uint32_t thief, std::uint64_t req_id) {
-    if (terminated_ || !alive_[thief]) return;
-    if (locs_[thief].reqs_pending.erase(req_id) == 0) return;  // answered
-    ++result_.faults.steal_retries;
-    resolve_deny(thief);  // treat the silence as a deny and move on
-  }
-
-  void on_request(std::uint32_t victim, std::uint32_t thief,
-                  std::uint64_t req_id) {
-    if (terminated_ || !alive_[victim]) return;
-    if (runtime::TraceBuffer* t = tr(victim))
-      t->flow_end_at("steal", sim_.now(),
-                     runtime::trace_corr(thief, 0, req_id), thief);
-    Location& loc = locs_[victim];
-    // A busy location cannot progress communication until its current
-    // region completes; park the request.
-    if (loc.busy) {
-      loc.pending_requests.push_back({thief, req_id});
-      return;
-    }
-    serve_request(victim, thief, req_id);
-  }
-
-  void serve_request(std::uint32_t victim, std::uint32_t thief,
-                     std::uint64_t req_id) {
-    if (terminated_ || !alive_[victim]) return;
-    Location& loc = locs_[victim];
-    // Grant when the victim can spare work: up to steal_max_items from the
-    // back of the queue, never more than half (the victim keeps the front
-    // it is about to execute).
-    std::size_t n = std::min<std::size_t>(config_.steal_max_items,
-                                          loc.queue.size() / 2);
-    if (n == 0 && loc.queue.size() == 1 && loc.busy) n = 1;
-    if (n == 0) {
-      ++result_.steal_denies;
-      if (runtime::TraceBuffer* t = tr(victim))
-        t->instant_at("deny", sim_.now(), thief);
-      if (policy_.kind() == StealPolicyKind::kLifeline &&
-          std::find(loc.lifeline_waiters.begin(), loc.lifeline_waiters.end(),
-                    thief) == loc.lifeline_waiters.end())
-        loc.lifeline_waiters.push_back(thief);
-      if (!net_.send_control(victim, thief, [this, thief, req_id] {
-            on_deny(thief, req_id);
-          })) {
-        // Lost deny: the thief's request timeout resolves it.
-        if (runtime::TraceBuffer* t = tr(victim))
-          t->instant_at("drop", sim_.now(), thief);
-      }
-      return;
-    }
-    std::vector<std::uint32_t> grant;
-    grant.reserve(n);
-    std::uint64_t bytes = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      grant.push_back(loc.queue.back());
-      loc.queue.pop_back();
-      bytes += items_[grant.back()].bytes;
-    }
-    send_grant(victim, thief, req_id, std::move(grant), bytes);
-  }
-
-  /// Dispatch a granted batch. Fault-free: one delivery event, exactly the
-  /// legacy behavior. Fault mode: the batch enters the retransmit ledger
-  /// and is re-sent until acked, so loss delays but never destroys it.
-  void send_grant(std::uint32_t victim, std::uint32_t thief,
-                  std::uint64_t req_id, std::vector<std::uint32_t> grant,
-                  std::uint64_t bytes) {
-    ++result_.steal_grants;
-    result_.regions_migrated += grant.size();
-    if (runtime::TraceBuffer* t = tr(victim)) {
-      t->instant_at("grant", sim_.now(), thief,
-                    req_id != 0 ? runtime::trace_corr(thief, 0, req_id) : 0);
-      // Grant flows reuse the originating request's correlation id (the
-      // categories keep them distinct from the steal flow); lifeline
-      // pushes (req_id 0) share that id and get no flow.
-      if (req_id != 0)
-        t->flow_start_at("grant", sim_.now(),
-                         runtime::trace_corr(thief, 0, req_id), thief);
-    }
-    // Work-bearing message: participates in termination accounting.
-    safra_.on_send(victim);
-    if (!inject_.active()) {
-      net_.send_bulk(victim, thief, bytes,
-                     [this, thief, req_id, grant = std::move(grant)] {
-                       safra_.on_receive(thief);
-                       accept_grant(thief, grant, req_id);
-                     });
-      return;
-    }
-    const std::uint64_t gid = next_grant_id_++;
-    GrantInFlight g;
-    g.victim = victim;
-    g.thief = thief;
-    g.req_id = req_id;
-    g.items = std::move(grant);
-    g.bytes = bytes;
-    g.timeout = steal_timeout_;
-    ledger_.emplace(gid, std::move(g));
-    transmit_grant(gid, /*retransmit=*/false);
-  }
-
-  void transmit_grant(std::uint64_t gid, bool retransmit) {
-    auto it = ledger_.find(gid);
-    if (it == ledger_.end()) return;
-    GrantInFlight& g = it->second;
-    if (retransmit) ++result_.faults.grant_retransmits;
-    if (!net_.send_bulk(g.victim, g.thief, g.bytes,
-                        [this, gid] { deliver_grant(gid); })) {
-      if (runtime::TraceBuffer* t = tr(g.victim))
-        t->instant_at("drop", sim_.now(), g.thief);
-    }
-    sim_.schedule_in(g.timeout, [this, gid] { on_grant_timeout(gid); });
-    g.timeout = std::min(g.timeout * 2.0, 16.0 * steal_timeout_);
-  }
-
-  void deliver_grant(std::uint64_t gid) {
-    auto it = ledger_.find(gid);
-    if (it == ledger_.end()) return;  // already acked+resolved (duplicate)
-    GrantInFlight& g = it->second;
-    if (terminated_ || !alive_[g.thief]) return;  // timeout path resolves
-    if (!g.delivered) {
-      g.delivered = true;
-      safra_.on_receive(g.thief);
-      accept_grant(g.thief, g.items, g.req_id);
-    }
-    // Ack every delivery (duplicates re-ack in case the first ack was
-    // dropped). The ack itself can be lost; retransmits re-trigger it.
-    if (!net_.send_control(g.thief, g.victim,
-                           [this, gid] { ledger_.erase(gid); })) {
-      if (runtime::TraceBuffer* t = tr(g.thief))
-        t->instant_at("drop", sim_.now(), g.victim);
-    }
-  }
-
-  void on_grant_timeout(std::uint64_t gid) {
-    if (terminated_) return;
-    auto it = ledger_.find(gid);
-    if (it == ledger_.end()) return;  // acked in the meantime
-    GrantInFlight& g = it->second;
-    if (!alive_[g.victim]) return;  // resolved at the victim's death sweep
-    if (death_known_[g.thief]) {
-      // Thief confirmed dead. An undelivered batch goes back to the victim
-      // (a delivered one was recovered with the thief's queue).
-      if (!g.delivered) reclaim_grant(gid);
-      else ledger_.erase(it);
-      return;
-    }
-    transmit_grant(gid, /*retransmit=*/true);
-  }
-
-  /// Return an undelivered batch to its (alive) victim's queue. Only done
-  /// on *confirmed* thief death: re-claiming on mere silence could execute
-  /// a region twice.
-  void reclaim_grant(std::uint64_t gid) {
-    auto it = ledger_.find(gid);
-    if (it == ledger_.end()) return;
-    GrantInFlight& g = it->second;
-    Location& v = locs_[g.victim];
-    std::uint64_t recovered = 0;
-    for (const std::uint32_t item : g.items) {
-      if (completed_[item]) continue;
-      v.queue.push_back(item);
-      ++recovered;
-    }
-    result_.faults.regions_recovered += recovered;
-    // The grant's on_send at the victim will never see its on_receive.
-    safra_.on_send_cancelled(g.victim);
-    safra_.taint(g.victim);
-    ledger_.erase(it);
-    if (recovered > 0 && !v.busy) start_next(g.victim);
-  }
-
-  void accept_grant(std::uint32_t thief,
-                    const std::vector<std::uint32_t>& grant,
-                    std::uint64_t req_id) {
-    if (terminated_) return;
-    Location& loc = locs_[thief];
-    if (req_id != 0) {  // 0 = lifeline push: no request to settle
-      bool counted = true;
-      if (inject_.active())
-        counted = loc.reqs_pending.erase(req_id) > 0;  // false: timed out
-      if (counted && loc.outstanding > 0) --loc.outstanding;
-    }
-    if (!grant.empty()) {
-      for (const std::uint32_t item : grant) {
-        stolen_flag_[item] = true;
-        loc.queue.push_back(item);
-      }
-      if (runtime::TraceBuffer* t = tr(thief)) {
-        if (req_id != 0)
-          t->flow_end_at("grant", sim_.now(),
-                         runtime::trace_corr(thief, 0, req_id), grant.size());
-        t->instant_at("migrate_in", sim_.now(), grant.size());
-        t->counter_at("queue", sim_.now(), loc.queue.size());
-      }
-      if (req_id != 0) {
-        loc.stage = 0;
-        loc.backoff = config_.backoff_initial_s;
-        loc.failed_rounds = 0;
-      }
-      if (!loc.busy) start_next(thief);
-    }
-  }
-
-  void on_deny(std::uint32_t thief, std::uint64_t req_id) {
-    if (terminated_ || !alive_[thief]) return;
-    if (inject_.active() && locs_[thief].reqs_pending.erase(req_id) == 0)
-      return;  // stale: the request already timed out
-    resolve_deny(thief);
-  }
-
-  /// A request was answered empty (or timed out): when the whole round came
-  /// back empty, escalate, back off, or give up probing.
-  void resolve_deny(std::uint32_t thief) {
-    Location& loc = locs_[thief];
-    if (loc.outstanding > 0) --loc.outstanding;
-    if (loc.outstanding == 0 && idle(loc)) {
-      if (loc.stage + 1 < policy_.stages()) {
-        ++loc.stage;
-        issue_requests(thief);
-        return;
-      }
-      ++loc.failed_rounds;
-      if (policy_.kind() == StealPolicyKind::kLifeline)
-        return;  // registered on the victims' lifelines; wait for a push
-      if (loc.failed_rounds < config_.give_up_after) retry_later(thief);
-    }
-  }
-
-  /// Lifeline mode: a location with surplus queued work pushes grants to
-  /// registered waiters at its next communication point.
-  void feed_lifelines(std::uint32_t rank) {
-    if (terminated_ || policy_.kind() != StealPolicyKind::kLifeline) return;
-    Location& loc = locs_[rank];
-    while (!loc.lifeline_waiters.empty() && loc.queue.size() >= 2) {
-      const std::uint32_t waiter = loc.lifeline_waiters.back();
-      loc.lifeline_waiters.pop_back();
-      if (!idle(locs_[waiter])) continue;  // found work elsewhere meanwhile
-      if (inject_.active() && death_known_[waiter]) continue;
-      const std::size_t n = std::min<std::size_t>(config_.steal_max_items,
-                                                  loc.queue.size() / 2);
-      if (n == 0) break;
-      std::vector<std::uint32_t> grant;
-      grant.reserve(n);
-      std::uint64_t bytes = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        grant.push_back(loc.queue.back());
-        loc.queue.pop_back();
-        bytes += items_[grant.back()].bytes;
-      }
-      send_grant(rank, waiter, /*req_id=*/0, std::move(grant), bytes);
-    }
-  }
-
-  void retry_later(std::uint32_t rank) {
-    Location& loc = locs_[rank];
-    const double delay = loc.backoff;
-    loc.backoff = std::min(loc.backoff * 2.0, config_.backoff_max_s);
-    sim_.schedule_in(delay, [this, rank] {
-      Location& l = locs_[rank];
-      if (terminated_ || !alive_[rank] || !idle(l) || l.outstanding > 0)
-        return;
-      l.stage = 0;
-      issue_requests(rank);
-    });
-  }
-
-  // --- fault machinery --------------------------------------------------
-
-  void do_crash(std::uint32_t rank) {
-    alive_[rank] = false;
-    crash_time_[rank] = sim_.now();
-    Location& loc = locs_[rank];
-    if (runtime::TraceBuffer* t = tr(rank)) {
-      // Close the open region span (its completion event will bail out on
-      // !alive_) so the crash shows as a truncated span, then mark it.
-      if (loc.busy) t->end_at("region", sim_.now(), loc.cur_item);
-      t->instant_at("crash", sim_.now());
-    }
-    if (loc.busy) reexec_pending_[loc.cur_item] = true;  // partial work lost
-    if (loc.holds_token) {
-      loc.holds_token = false;
-      ++result_.faults.tokens_lost;  // regeneration will recover the round
-    }
-    // Everything else — queued regions, parked requests, in-flight grants —
-    // stays frozen until the heartbeat detector announces the death; that
-    // detection latency is part of the measured recovery cost.
-  }
-
-  /// Ring predecessor by *announced* knowledge (the detector cannot peek at
-  /// god-view liveness). Returns `rank` itself when it is the last one.
-  std::uint32_t pred_known_alive(std::uint32_t rank) const {
-    std::uint32_t pred = (rank + p_ - 1) % p_;
-    while (pred != rank && death_known_[pred]) pred = (pred + p_ - 1) % p_;
-    return pred;
-  }
-
-  /// First actually-alive rank after `rank` (recovery is god-view: the DES
-  /// re-homes regions the way a real checkpoint/successor scheme would).
-  std::uint32_t successor_alive(std::uint32_t rank) const {
-    std::uint32_t succ = (rank + 1) % p_;
-    while (succ != rank && !alive_[succ]) succ = (succ + 1) % p_;
-    return succ;
-  }
-
-  void start_heartbeats() {
-    if (p_ < 2) return;
-    for (std::uint32_t r = 0; r < p_; ++r) {
-      locs_[r].hb_target = pred_known_alive(r);
-      // Stagger first probes across the period so they do not pile onto
-      // one simulated instant.
-      sim_.schedule_in(hb_period_ * static_cast<double>(r + 1) /
-                           static_cast<double>(p_),
-                       [this, r] { hb_tick(r); });
-    }
-  }
-
-  void hb_tick(std::uint32_t r) {
-    if (terminated_ || !alive_[r]) return;
-    Location& loc = locs_[r];
-    const std::uint32_t target = pred_known_alive(r);
-    if (target == r) return;  // last announced-alive rank: nobody to probe
-    if (target != loc.hb_target) {
-      // Ring shifted under us; start a fresh probe history.
-      loc.hb_target = target;
-      loc.hb_misses = 0;
-      loc.hb_acked = loc.hb_seq;
-    }
-    // Evaluate the previous probe before sending the next one.
-    if (loc.hb_seq > loc.hb_acked) {
-      ++loc.hb_misses;
-      if (runtime::TraceBuffer* t = tr(r))
-        t->instant_at("hb_miss", sim_.now(), target);
-      if (loc.hb_misses >= hb_misses_required_ &&
-          !death_known_[target] && !death_pending_[target]) {
-        death_pending_[target] = true;
-        sim_.schedule_in(broadcast_latency(),
-                         [this, target] { on_death_known(target); });
-      }
-    } else {
-      loc.hb_misses = 0;
-    }
-    ++loc.hb_seq;
-    ++result_.faults.heartbeat_probes;
-    const std::uint64_t seq = loc.hb_seq;
-    // A dropped probe needs no handling here: the unanswered sequence
-    // number is the miss signal.
-    net_.send_control(r, target,
-                      [this, r, target, seq] { hb_probe_at(r, target, seq); });
-    sim_.schedule_in(hb_period_, [this, r] { hb_tick(r); });
-  }
-
-  /// Probe arrived at `target`. Heartbeats are runtime-level (answered by
-  /// the communication layer even while the rank is busy executing), so a
-  /// merely slow or busy rank is not declared dead — only silence from a
-  /// crash (or message loss, fenced below) is.
-  void hb_probe_at(std::uint32_t prober, std::uint32_t target,
-                   std::uint64_t seq) {
-    if (terminated_ || !alive_[target]) return;  // the dead do not ack
-    net_.send_control(target, prober, [this, prober, seq] {
-      if (terminated_ || !alive_[prober]) return;
-      Location& l = locs_[prober];
-      if (seq > l.hb_acked) l.hb_acked = seq;
-    });
-  }
-
-  /// One-to-all dissemination down a binomial tree: log2(p) remote hops.
-  double broadcast_latency() const {
-    return config_.cluster.remote_latency_s *
-           std::ceil(std::log2(static_cast<double>(std::max(2u, p_))));
-  }
-
-  /// The cluster now *knows* `d` is dead: repair the ring, fence a false
-  /// positive, and re-home every region the rank still owned.
-  void on_death_known(std::uint32_t d) {
-    if (terminated_ || death_known_[d]) return;
-    death_known_[d] = true;
-    if (alive_[d]) {
-      // False positive (probes/acks eaten by a lossy link): fence the
-      // suspect so no region ever has two owners.
-      ++result_.faults.fenced;
-      if (runtime::TraceBuffer* t = tr(d))
-        t->instant_at("fenced", sim_.now());
-      do_crash(d);
-    }
-    if (runtime::TraceBuffer* t = tr(d))
-      t->instant_at("death_known", sim_.now());
-    safra_.mark_dead(d);
-    // Any token computed against the old ring is unsound (the dead rank's
-    // balance just moved to the leader): invalidate the round.
-    ++token_generation_;
-    round_active_ = false;
-    Location& dead = locs_[d];
-    dead.pending_requests.clear();
-    dead.lifeline_waiters.clear();
-    // Resolve ledger entries touching d. Collect first: resolution erases.
-    std::vector<std::uint64_t> involved;
-    for (const auto& [gid, g] : ledger_)
-      if (g.victim == d || g.thief == d) involved.push_back(gid);
-    std::vector<std::uint32_t> from_ledger;  // victim==d, undelivered
-    for (const std::uint64_t gid : involved) {
-      auto it = ledger_.find(gid);
-      if (it == ledger_.end()) continue;
-      GrantInFlight& g = it->second;
-      if (g.thief == d) {
-        // Delivered: the batch sits in d's queue and is recovered below.
-        // Undelivered: back to the alive victim right away.
-        if (!g.delivered) {
-          reclaim_grant(gid);
-          continue;
-        }
-        ledger_.erase(it);
-        continue;
-      }
-      // g.victim == d. A delivered batch is fine where it is (its Safra
-      // send/receive pair already balanced); an undelivered one is lost
-      // with the sender — recover the regions, cancel the orphaned send
-      // (whose balance mark_dead just folded into the leader).
-      if (!g.delivered) {
-        for (const std::uint32_t item : g.items) from_ledger.push_back(item);
-        safra_.on_send_cancelled(safra_.leader());
-      }
-      ledger_.erase(it);
-    }
-    // Re-home d's unfinished regions to its ring successor.
-    const std::uint32_t succ = successor_alive(d);
-    if (succ != d) {
-      Location& s = locs_[succ];
-      std::uint64_t recovered = 0;
-      auto recover = [&](std::uint32_t item) {
-        if (completed_[item]) return;
-        s.queue.push_back(item);
-        ++recovered;
-      };
-      if (dead.busy) recover(dead.cur_item);  // will be re-executed
-      for (const std::uint32_t item : dead.queue) recover(item);
-      for (const std::uint32_t item : from_ledger) recover(item);
-      dead.queue.clear();
-      dead.busy = false;
-      if (recovered > 0) {
-        result_.faults.regions_recovered += recovered;
-        // The successor just became active again: force a fresh white
-        // detection round before termination can be declared.
-        safra_.taint(succ);
-        result_.faults.recovery_latency_max_s =
-            std::max(result_.faults.recovery_latency_max_s,
-                     sim_.now() - crash_time_[d]);
-        if (!s.busy) start_next(succ);
-      }
-    }
-    // Restart detection under the repaired ring.
-    const std::uint32_t leader = safra_.leader();
-    if (alive_[leader] && idle(locs_[leader]) && !round_active_)
-      initiate_round();
-  }
-
-  // --- termination detection -------------------------------------------
-
-  void initiate_round() {
-    if (terminated_ || round_active_) return;
-    round_active_ = true;
-    ++result_.token_rounds;
-    // Each round gets its own generation: an abandoned round's token (or
-    // its regeneration timer) can then be recognized as stale.
-    ++token_generation_;
-    if (inject_.active()) arm_token_regeneration();
-    send_token(safra_.leader(), safra_.initiate());
-  }
-
-  void arm_token_regeneration() {
-    const std::uint64_t gen = token_generation_;
-    sim_.schedule_in(token_regen_timeout_, [this, gen] {
-      if (terminated_ || gen != token_generation_ || !round_active_) return;
-      // The round's token vanished (dropped, or died with a rank before
-      // the crash was announced): abandon the round and let the leader
-      // start a fresh one. The timeout doubles so a slow-but-alive round
-      // is not chased forever.
-      ++result_.faults.tokens_regenerated;
-      ++token_generation_;
-      round_active_ = false;
-      token_regen_timeout_ *= 2.0;
-      const std::uint32_t leader = safra_.leader();
-      if (alive_[leader] && idle(locs_[leader])) initiate_round();
-      // Otherwise the leader's next on_become_idle restarts detection.
-    });
-  }
-
-  void send_token(std::uint32_t from,
-                  runtime::SafraTermination::Token token) {
-    const std::uint32_t to = safra_.next_of(from);
-    const std::uint64_t gen = token_generation_;
-    if (runtime::TraceBuffer* t = tr(from))
-      t->instant_at("token", sim_.now(), to);
-    const bool forwarded = net_.send_token(from, to, [this, to, token, gen] {
-      if (terminated_) return;
-      if (gen != token_generation_) return;  // stale round: discard
-      if (!alive_[to]) {
-        // Sent into a crash window: the token is gone until regeneration.
-        ++result_.faults.tokens_lost;
-        return;
-      }
-      Location& loc = locs_[to];
-      if (idle(loc)) {
-        process_token(to, token);
-      } else {
-        loc.holds_token = true;
-        loc.token = token;
-        loc.token_gen = gen;
-      }
-    });
-    if (!forwarded) {
-      // Reliable hop-by-hop forwarding: the sender notices the missing
-      // ack and resends (the handshake is folded into the retry delay).
-      // Without this, a lossy ring of p hops completes a round with
-      // probability (1-q)^p — essentially never — and end-to-end
-      // regeneration alone cannot terminate. Regeneration stays as the
-      // backstop for tokens that die *with* their holder.
-      sim_.schedule_in(token_retry_delay_, [this, from, token, gen] {
-        if (terminated_ || gen != token_generation_ || !alive_[from]) return;
-        send_token(from, token);
-      });
-    }
-  }
-
-  void process_token(std::uint32_t rank,
-                     runtime::SafraTermination::Token token) {
-    // A token reaching the leader proves the ring is passable: stop
-    // escalating the regeneration timeout.
-    if (rank == safra_.leader()) token_regen_timeout_ = token_regen_initial_;
-    const auto decision = safra_.on_token_at_idle(rank, token);
-    switch (decision.action) {
-      case runtime::SafraTermination::Action::kTerminate: {
-        terminated_ = true;
-        if (runtime::TraceBuffer* t = tr(rank))
-          t->instant_at("terminate", sim_.now());
-        // Completion broadcast down a binomial tree: log2(p) remote hops.
-        result_.makespan_s = sim_.now() + broadcast_latency();
-        return;
-      }
-      case runtime::SafraTermination::Action::kForward: {
-        if (rank == safra_.leader()) {
-          // A round just failed; pace the next one so the ring is not
-          // saturated by detection traffic.
-          round_active_ = false;
-          const double pace =
-              std::max(config_.cluster.remote_latency_s * 16.0,
-                       std::min(1e-2, 0.02 * sim_.now()));
-          sim_.schedule_in(pace, [this] {
-            const std::uint32_t leader = safra_.leader();
-            if (!terminated_ && alive_[leader] && idle(locs_[leader]))
-              initiate_round();
-          });
-          return;
-        }
-        send_token(rank, decision.token);
-        return;
-      }
-      case runtime::SafraTermination::Action::kHold:
-        return;
-    }
+  /// Crash or fence: the rank stops; its in-progress work is lost and
+  /// will run again wherever recovery re-homes it.
+  void take_down(std::uint32_t r) {
+    WsRank& core = cores_[r];
+    if (core.busy()) reexec_pending_[current_[r]] = true;
+    core.halt();
+    alive_[r] = false;
+    down_at_[r] = sim_.now();
   }
 
   std::span<const WsItem> items_;
   std::uint32_t p_;
-  WsConfig config_;
-  StealPolicy policy_;
-  runtime::SafraTermination safra_;
-  Xoshiro256ss rng_;
+  const WsConfig& config_;
   runtime::FaultInjector inject_;
+  const WsTimers timers_;
+  WsRankConfig rank_cfg_;
   runtime::Simulator sim_;
-  std::vector<Location> locs_;
-  std::vector<bool> stolen_flag_;
-  std::vector<bool> completed_;       ///< executed somewhere (durable)
-  std::vector<bool> reexec_pending_;  ///< lost mid-execution at a crash
-  std::vector<bool> alive_;           ///< god view: crash already fired
-  std::vector<bool> death_known_;     ///< announced cluster-wide
-  std::vector<bool> death_pending_;   ///< announcement broadcast in flight
-  std::vector<double> crash_time_;
-  std::vector<runtime::TraceBuffer*> trace_;  ///< per rank; empty = off
-  std::map<std::uint64_t, GrantInFlight> ledger_;
   WsResult result_;
-  /// The transport seam: declared after every member it references (sim_,
-  /// config_, inject_, result_) so its construction sees them initialized.
-  runtime::DesTransport net_{sim_, config_.cluster, inject_, result_.faults,
-                             p_};
+  runtime::DesTransport net_{config_.cluster, inject_, result_.faults};
+  std::vector<WsRank> cores_;
+  std::vector<bool> alive_;
+  std::vector<double> wake_at_;  ///< earliest scheduled wakeup per rank
+  std::vector<std::uint32_t> current_;  ///< running region per rank
+  std::vector<double> service_;  ///< running region's stretched service
+  std::vector<double> down_at_;  ///< crash/fence time per rank
+  std::vector<bool> reexec_pending_;  ///< lost mid-execution at a crash
+  std::vector<Wire> wires_;  ///< frames in flight
+  std::vector<std::uint32_t> free_wires_;
+  std::vector<std::vector<std::uint32_t>> parcels_;  ///< their item lists
+  std::vector<std::uint32_t> free_parcels_;
   bool terminated_ = false;
-  bool round_active_ = false;
-  std::uint64_t next_req_id_ = 1;    ///< 0 is the lifeline-push sentinel
-  std::uint64_t next_grant_id_ = 1;
-  std::uint64_t token_generation_ = 0;
-  double steal_timeout_ = 0.0;
-  double hb_period_ = 0.0;
-  std::uint32_t hb_misses_required_ = 3;
-  double token_regen_initial_ = 0.0;
-  double token_regen_timeout_ = 0.0;
-  double token_retry_delay_ = 0.0;
 };
 
 }  // namespace
@@ -922,8 +319,7 @@ WsResult simulate_work_stealing(std::span<const WsItem> items,
                                 std::uint32_t p, const WsConfig& config) {
   assert(p > 0);
   assert(items.size() == initial.size());
-  WsEngine engine(items, initial, p, config);
-  return engine.run();
+  return DesDriver(items, initial, p, config).run();
 }
 
 void publish(runtime::MetricsRegistry& reg, const WsResult& result,

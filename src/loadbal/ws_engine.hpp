@@ -4,34 +4,20 @@
 ///
 /// Regions are tasks with measured service times; each location executes
 /// its queue front-to-back, and an idle location issues steal requests per
-/// the victim-selection policy. A victim grants half of its queued regions
-/// from the *back* of its queue (ownership transfer, paper §II-A/III-A);
-/// transfers pay latency plus payload-bytes/bandwidth. The phase ends when
-/// Safra token-ring termination detection confirms global quiescence, so
-/// detection cost is part of the measured schedule.
+/// the victim-selection policy. A victim grants regions from the *back* of
+/// its queue (ownership transfer, paper §II-A/III-A); transfers pay latency
+/// plus payload-bytes/bandwidth. The phase ends when token-ring
+/// termination detection confirms global quiescence, so detection cost is
+/// part of the measured schedule.
 ///
-/// Only work-bearing messages (grants) participate in termination
-/// accounting: requests and denies cannot activate a process, so they are
-/// tracked as overhead but do not dirty the token. Thieves retry with
-/// exponential backoff until termination, so late imbalance is still
-/// stolen.
-///
-/// Fault tolerance (active only when WsConfig::faults is non-empty; an
-/// empty plan reproduces the fault-free event stream bit-for-bit):
-///  - steal requests and grants carry ids; requests time out into denies
-///    and are retried, grants are acknowledged and retransmitted until
-///    acked, so a lossy link can delay a region but never lose it.
-///  - a heartbeat detector (each rank probes its ring predecessor) declares
-///    unresponsive ranks dead after `heartbeat_misses` missed acks; a false
-///    positive is fenced (the suspect is killed) so the ring never has two
-///    owners for one region.
-///  - a dead rank's queued and in-progress regions are recovered by its
-///    ring successor; re-executed in-progress work is counted in
-///    FaultMetrics::reexecuted_service_s.
-///  - Safra termination survives crashes via ring repair + leader
-///    migration, and token loss via generation-stamped tokens regenerated
-///    on a doubling timeout — termination is never declared early and
-///    detection never hangs.
+/// simulate_work_stealing() runs p copies of the one protocol core
+/// (WsRank, loadbal/ws_rank.hpp) in virtual time — the same core the
+/// forked socket cluster runs in wall time. Its own share is what only a
+/// god view can do: execute the FaultPlan's crashes and straggler
+/// windows, and tally completion times, final owners and re-executions.
+/// The failure machinery (timeouts, retransmits, heartbeat fencing,
+/// ring-successor recovery from a replicated directory) runs only under a
+/// non-empty FaultPlan; an empty plan schedules none of it.
 
 #include <cstdint>
 #include <span>
@@ -62,8 +48,6 @@ struct WsConfig {
   std::uint32_t rand_k = 8;  ///< victims per RAND-K attempt (paper: 8)
   runtime::ClusterSpec cluster = runtime::ClusterSpec::hopper();
   std::uint64_t seed = 1;
-  double backoff_initial_s = 5e-6;
-  double backoff_max_s = 1e-2;
   /// A thief stops probing after this many consecutive fully-denied
   /// escalation rounds (it still serves requests and the token). Real
   /// schedulers bound probing to avoid congestion; this is also what makes
@@ -75,23 +59,19 @@ struct WsConfig {
   /// are what make work stealing "random and non-exact" (paper §IV-C2)
   /// compared with a global repartition.
   std::uint32_t steal_max_items = 1;
-  /// Failure scenario. Empty (the default) leaves the engine's event
-  /// stream bit-for-bit identical to the fault-free model: no timeouts,
-  /// acks, heartbeats or fault-RNG draws are scheduled at all.
+  /// Failure scenario. Empty (the default) runs no failure machinery: no
+  /// timeouts, heartbeats or fault-RNG draws are scheduled at all. The
+  /// protocol timers derive from `cluster` and this plan
+  /// (WsTimers::virtual_time).
   runtime::FaultPlan faults;
-  /// Resilience knobs, consulted only when `faults` is non-empty.
-  /// 0 = derive from cluster latencies and the largest (stretched) region.
-  double steal_timeout_s = 0.0;     ///< request/grant-ack timeout
-  double heartbeat_period_s = 0.0;  ///< failure-detector probe period
-  std::uint32_t heartbeat_misses = 3;  ///< consecutive misses => declared dead
   /// Tracing sink; nullptr (the default) disables tracing. When set, the
   /// engine creates one *virtual-time* track per rank named
   /// "<trace_prefix>rank <r>" and records region spans, steal
   /// request/deny/grant and migration instants, heartbeat-miss / fencing /
-  /// death markers, Safra token hops, and crash/straggle/drop fault
-  /// instants, all stamped in simulated seconds. Tracing draws no
-  /// randomness and schedules no DES events, so a traced replay is
-  /// event-for-event identical to an untraced one.
+  /// death markers, token hops, and crash/straggle/drop fault instants,
+  /// all stamped in simulated seconds. Tracing draws no randomness and
+  /// schedules no DES events, so a traced replay is event-for-event
+  /// identical to an untraced one.
   runtime::Tracer* tracer = nullptr;
   std::string trace_prefix;        ///< track-name prefix (strategy label…)
   std::size_t trace_capacity = 0;  ///< per-rank ring size; 0 = tracer default
@@ -113,8 +93,8 @@ struct WsResult {
   /// Completion time of each item (-1 when never executed, which can only
   /// happen when every location crashed before finishing the work).
   std::vector<double> completion_s;
-  /// True when Safra detection confirmed global quiescence; false when the
-  /// calendar drained without it (e.g. all locations crashed).
+  /// True when token-ring detection confirmed global quiescence; false
+  /// when the calendar drained without it (e.g. all locations crashed).
   bool terminated = false;
   /// True when the DES stopped at its runaway-event backstop; makespan and
   /// counters from such a run are meaningless and callers must fail loudly.

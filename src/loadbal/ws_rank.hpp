@@ -1,35 +1,28 @@
 #pragma once
 /// \file ws_rank.hpp
-/// Per-rank work-stealing protocol engine over a real Transport.
+/// The work-stealing protocol, once: one rank's event-driven core.
 ///
-/// This is the same protocol the DES engine (ws_engine.cpp) simulates from
-/// a god's-eye view — steal requests/denies, acked grants with retransmit,
-/// heartbeat fencing, ring-successor region recovery, token-ring
-/// termination — restated as what ONE rank does with only its own state
-/// and the frames it receives. run_ws_rank() is what each forked process
-/// (or MemTransport thread) executes; the cluster launcher in
-/// ws_cluster.hpp assembles the per-rank results and the sim-vs-real gate
-/// holds them to the DES roadmap (DESIGN.md §5h).
+/// WsRank is what ONE rank does with only its own state and the frames it
+/// receives — steal requests/denies, acked grants with retransmit,
+/// heartbeat fencing, ring-successor recovery from a replicated region
+/// directory, and token-ring termination that sums *unacked grants*. It
+/// never blocks and never reads a clock of its own: a driver feeds it
+/// frames (on_frame), wakes it at next_wakeup() (on_timer), runs the
+/// regions it hands out (start_region / finish_region), and carries its
+/// frames through a WsLink. Two drivers exist (DESIGN.md §5h):
+///  - run_ws_rank() below: one core in wall time over a real Transport
+///    (forked processes over sockets, or MemTransport threads);
+///  - simulate_work_stealing() (ws_engine.hpp): p cores in virtual time
+///    over runtime/transport_des.hpp, plus the god-view tallies.
 ///
-/// Differences from the DES forced by losing the god view:
-///  - Region directory: every rank tracks (owner, done) per region,
-///    updated by broadcast kOwnerUpdate / kRegionDone frames. Recovery of
-///    a dead rank's regions is the *ring successor* scanning its own
-///    directory — not an omniscient sweep — so a completion whose
-///    broadcast was cut short by SIGKILL is simply re-executed (benign:
-///    regions are deterministic by derive_seed).
-///  - Termination: classic Safra message counting cannot survive a crash
-///    (a dead rank's balance is unrecoverable), so the token instead sums
-///    *unacked grants* — a self-correcting local count (send +1, ack or
-///    death-reclaim -1) — plus the usual black/white round. Sound over
-///    stream transports because anything a dead sender wrote is already
-///    readable at the receiver, and a rank drains `Transport::pending`
-///    before forwarding a token.
-///  - Execution is sliced: between ~slice_s chunks of a region the rank
-///    polls the transport, so heartbeat probes are answered while "busy"
-///    (the DES models this as runtime-level heartbeats).
+/// Failure machinery — directory broadcasts, heartbeats, request/grant
+/// timeouts, token hop acks, the grant dedup set and per-peer generations
+/// — runs only when a peer can fail (`resilient`): always over real
+/// transports, and in the DES only under a non-empty FaultPlan, so a
+/// fault-free replay pays for none of it.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -37,6 +30,8 @@
 
 #include "loadbal/steal_policy.hpp"
 #include "loadbal/ws_engine.hpp"
+#include "runtime/fault.hpp"
+#include "runtime/topology.hpp"
 #include "runtime/trace.hpp"
 #include "runtime/transport.hpp"
 #include "util/io_status.hpp"
@@ -58,18 +53,6 @@ struct WsRankConfig {
 
   double time_scale = 1.0;  ///< wall seconds per simulated service second
 
-  // Wall-clock protocol timers. Defaults are sized for a loaded CI box
-  // (hundreds of ms of scheduling jitter must not fence a live rank).
-  double slice_s = 2e-3;           ///< max execution chunk between polls
-  double steal_timeout_s = 0.05;   ///< silence => treat request as denied
-  double grant_timeout_s = 0.05;   ///< unacked grant retransmit (doubles)
-  double heartbeat_period_s = 0.025;
-  std::uint32_t heartbeat_misses = 8;
-  double token_regen_initial_s = 0.4;  ///< leader re-initiates a lost round
-  double retry_backoff_initial_s = 2e-3;
-  double retry_backoff_max_s = 0.05;
-  double idle_poll_s = 0.01;  ///< recv timeout when nothing is armed
-
   /// Give up entirely when no frame arrives for this long after the last
   /// activity — a liveness backstop against protocol wedges; 0 disables.
   double run_timeout_s = 60.0;
@@ -84,9 +67,8 @@ struct WsRankConfig {
   /// Durable rank state (util/state_file container, kStateKindWsRank).
   /// Written after every completion *before* its kRegionDone broadcast
   /// (so a completion a peer heard about is always durable), plus
-  /// periodically every checkpoint_period_s. Empty disables.
+  /// periodically. Empty disables.
   std::string checkpoint_path;
-  double checkpoint_period_s = 0.05;
 
   /// Checkpoint of the previous incarnation to resume from (typically its
   /// checkpoint_path). Absent/corrupt degrades to a fresh start — the
@@ -104,11 +86,9 @@ struct WsRankConfig {
 
   /// Restarted incarnations (generation > 0) run the rejoin protocol
   /// before executing anything: broadcast kRejoin, collect kDirSync
-  /// replies from every live peer (retransmitting every
-  /// rejoin_retransmit_s), and reconcile queue ownership. The deadline
-  /// bounds the wait when peers are dead or already gone.
-  double rejoin_timeout_s = 0.6;
-  double rejoin_retransmit_s = 0.05;
+  /// replies from every live peer (retransmitting to the silent ones), and
+  /// reconcile queue ownership. A deadline bounds the wait when peers are
+  /// dead or already gone.
 
   runtime::Tracer* tracer = nullptr;
   std::string trace_prefix;
@@ -118,15 +98,48 @@ struct WsRankConfig {
   /// ring is persisted to this path through the util/state_file atomic
   /// checksummed container (kStateKindTraceRing) at checkpoint boundaries
   /// — written right *after* the durable checkpoint, so the fragment never
-  /// describes work the checkpoint has not yet made durable — and on every
-  /// abnormal exit (fenced / superseded / liveness backstop). A SIGKILLed
-  /// rank therefore leaves a fragment at most one flight_record_period_s
-  /// stale for the supervisor to salvage. Empty disables.
+  /// describes work the checkpoint has not yet made durable; throttled,
+  /// since serializing the ring is much heavier than a checkpoint — and on
+  /// every exit. A SIGKILLed rank therefore leaves a recent fragment for
+  /// the supervisor to salvage. Empty disables.
   std::string flight_recorder_path;
-  /// Minimum spacing between checkpoint-boundary flight-recorder writes
-  /// (serializing the ring is much heavier than a checkpoint, so it is
-  /// throttled independently of checkpoint_period_s).
-  double flight_record_period_s = 0.2;
+};
+
+/// Protocol timers. Derived from the clock that drives the core, never
+/// configured: wall_clock() keeps constants sized for a loaded CI box
+/// (hundreds of ms of scheduling jitter must not fence a live rank);
+/// virtual_time() derives them from the cluster's latencies and the fault
+/// plan's worst link loss.
+struct WsTimers {
+  double steal_timeout_s = 0.0;  ///< silence => treat a request as denied
+  double grant_timeout_s = 0.0;  ///< first unacked-grant retransmit; doubles
+                                 ///<   up to 16x
+  double token_retry_s = 0.0;    ///< unacked token hop retransmit
+  double heartbeat_period_s = 0.0;
+  std::uint32_t heartbeat_misses = 0;  ///< consecutive misses => dead
+  double token_regen_initial_s = 0.0;  ///< leader re-initiates a lost round;
+  double token_regen_max_s = 0.0;      ///<   doubles up to this
+  double backoff_initial_s = 0.0;  ///< thief retry after a fully denied
+  double backoff_max_s = 0.0;      ///<   round; doubles up to the max
+  /// Gap between a failed detection round and the next:
+  /// clamp(pace_frac * now, pace_min_s, pace_max_s), so the ring is not
+  /// saturated by detection traffic.
+  double pace_min_s = 0.0;
+  double pace_max_s = 0.0;
+  double pace_frac = 0.0;
+  double rejoin_timeout_s = 0.0;     ///< rejoin gives up waiting after this
+  double rejoin_retransmit_s = 0.0;  ///< kRejoin resend to silent peers
+  double checkpoint_period_s = 0.0;
+  double flight_record_period_s = 0.0;
+
+  static WsTimers wall_clock();
+  /// `p` ranks on `cluster` under `faults`: short RPC-style timeouts keyed
+  /// to the remote latency, and a heartbeat miss threshold that keeps the
+  /// per-window false-positive probability ~1e-9 at the plan's worst link
+  /// loss.
+  static WsTimers virtual_time(const runtime::ClusterSpec& cluster,
+                               const runtime::FaultPlan& faults,
+                               std::uint32_t p);
 };
 
 /// What one rank reports at exit; the launcher aggregates these. The
@@ -233,9 +246,91 @@ std::optional<RankCheckpoint> load_rank_checkpoint(
 void publish(runtime::MetricsRegistry& reg, const WsRankResult& r,
              const std::string& prefix);
 
+/// A core's window on the world: its driver's clock and transport.
+class WsLink {
+ public:
+  virtual ~WsLink() = default;
+  virtual double now() const = 0;
+  /// Hand `f` (from/to/gen already stamped) to the transport. False when
+  /// the peer is known unreachable; a frame lost later looks delivered.
+  virtual bool send(const runtime::Frame& f) = 0;
+  /// Frames addressed to this rank that arrived but have not reached
+  /// on_frame yet. A held token waits while this is nonzero: a grant
+  /// queued behind it must blacken the rank before the token moves on.
+  virtual std::size_t pending() const { return 0; }
+  /// Freeze fence, called between a completion's durable checkpoint and
+  /// its claim: deliver whatever arrived while the rank was not polling
+  /// (a wall-clock rank may have been SIGSTOPped and declared dead).
+  virtual void fence() {}
+  /// Observer: `regions` of dead rank `dead` were just re-homed here.
+  virtual void rehomed(std::uint32_t dead, std::size_t regions) {
+    (void)dead;
+    (void)regions;
+  }
+};
+
+/// One rank's protocol state machine. Never blocks: every entry point
+/// handles one input and returns. The driver loop is
+///   start(); then, until stopped(): deliver frames (on_frame), wake at
+///   next_wakeup() (on_timer), and whenever !busy() ask start_region()
+///   for a region to run, reporting it back with finish_region().
+class WsRank {
+ public:
+  /// Rank `rank` of `p`, starting with `queue` (its initial regions).
+  /// `resilient` switches the failure machinery on (file comment). `link`,
+  /// `cfg` and `timers` must outlive the core.
+  WsRank(WsLink& link, std::uint32_t rank, std::uint32_t p,
+         const WsRankConfig& cfg, const WsTimers& timers, bool resilient,
+         std::vector<std::uint32_t> queue);
+  ~WsRank();
+  WsRank(WsRank&&) noexcept;
+  WsRank& operator=(WsRank&&) noexcept;
+
+  /// Arm the timers; a restarted incarnation (generation > 0) restores
+  /// its checkpoint and starts the rejoin handshake.
+  void start();
+  void on_frame(const runtime::Frame& f);
+  /// Fire every timer due at `now` (the link's clock).
+  void on_timer(double now);
+  /// Earliest armed deadline; +inf when nothing is armed.
+  double next_wakeup() const;
+
+  /// Region handshake: the next region to execute (the core is busy until
+  /// finish_region), or nullopt when the core is busy, idle or stopped.
+  std::optional<std::uint32_t> start_region();
+  /// The region handed out last finished after `busy_s` seconds. Returns
+  /// whether the completion was committed (false: the rank stopped, or a
+  /// peer completed the region first).
+  bool finish_region(double busy_s);
+  /// True when the running region has already been completed elsewhere,
+  /// so the driver may cut its execution short.
+  bool region_cancelled() const;
+
+  /// The driver stopped this rank (a crash): close its open region span,
+  /// mark the trace, and ignore every later input.
+  void halt();
+
+  bool busy() const;
+  /// Terminated, fenced, superseded or halted: the core does nothing more.
+  bool stopped() const;
+  /// This rank detected global termination itself (it led the round).
+  bool declared() const;
+  bool known_dead(std::uint32_t r) const;
+  double last_activity() const;
+  /// This rank's trace track (nullptr when tracing is off).
+  runtime::TraceBuffer* trace() const;
+  const WsRankResult& result() const;
+  /// Final report (directory included); flushes the flight recorder.
+  WsRankResult finish();
+
+ private:
+  class Core;
+  std::unique_ptr<Core> core_;
+};
+
 /// Run the work-stealing protocol as rank `net.rank()` until global
-/// termination (or the liveness backstop). Blocks; drives `net` from the
-/// calling thread only.
+/// termination (or the liveness backstop): the wall-clock driver of one
+/// WsRank. Blocks; drives `net` from the calling thread only.
 WsRankResult run_ws_rank(runtime::Transport& net, const WsRankConfig& config);
 
 }  // namespace pmpl::loadbal

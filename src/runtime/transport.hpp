@@ -2,18 +2,19 @@
 /// \file transport.hpp
 /// The transport concept behind the work-stealing protocol (DESIGN.md §5h).
 ///
-/// The protocol in loadbal/ is written against five operations — `rank`,
-/// `size`, `now`, `send`, `recv` — and nothing else. Two families satisfy
-/// them:
+/// The protocol core in loadbal/ws_rank.hpp (WsRank) is written against a
+/// clock and a send; frames come back to it through its driver. Two
+/// families carry them:
 ///
-///  - the DES (runtime/transport_des.hpp): `now` is virtual time, `send`
-///    prices the hop against a ClusterSpec and rolls the FaultInjector,
-///    `recv` is inverted control (the simulator invokes the delivery
-///    callback). Used by the god-view engine in loadbal/ws_engine.cpp.
+///  - the DES (runtime/transport_des.hpp): `now` is virtual time, each
+///    hop is priced against a ClusterSpec and rolled against the
+///    FaultInjector, and delivery is inverted control (the simulation
+///    driver in loadbal/ws_engine.cpp schedules it). p cores share one
+///    simulated clock.
 ///  - real transports (runtime/transport_socket.hpp over Unix-domain
 ///    sockets, runtime/transport_mem.hpp over in-process mailboxes) that
 ///    move the `Frame` wire format below between genuinely concurrent
-///    ranks. Used by the per-rank engine in loadbal/ws_rank.cpp.
+///    ranks, each driven by run_ws_rank() in wall time.
 ///
 /// The Frame codec is length-prefixed and bounds-checked: a frame on the
 /// wire is a little-endian u32 payload length followed by the payload, and

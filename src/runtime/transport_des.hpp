@@ -1,104 +1,75 @@
 #pragma once
 /// \file transport_des.hpp
-/// The discrete-event-simulation implementation of the transport concept
-/// (DESIGN.md §5h; see runtime/transport.hpp for the concept itself).
+/// The discrete-event-simulation side of the transport concept (DESIGN.md
+/// §5h; see runtime/transport.hpp for the concept itself).
 ///
-/// A DES has no blocking recv: delivery is inverted control, so `send`
-/// takes the handler to run at the delivery instant. Everything a hop
-/// costs or risks is priced here — ClusterSpec latency/bandwidth for the
-/// delay, FaultInjector rolls for drops and stretches — and nowhere else,
-/// which is what lets loadbal/ws_engine.cpp stay pure protocol.
-///
-/// Bit-identity contract: for any call sequence, this class issues exactly
-/// the Simulator::schedule_* calls and FaultInjector RNG draws, in exactly
-/// the order, that the pre-seam engine issued inline. Determinism ties
-/// break on insertion order, so even one extra scheduled event would
-/// perturb every seeded replay; tests pin the engine's counters against
-/// pre-seam goldens.
+/// A DES has no blocking recv: delivery is inverted control, so the
+/// simulation driver (loadbal/ws_engine.cpp) schedules each frame's
+/// delivery itself. What a hop costs or risks is decided here, and
+/// nowhere else: ClusterSpec latency/bandwidth for the delay, and
+/// FaultInjector rolls for drops and extra delay (an empty plan rolls
+/// nothing, so a fault-free replay draws no fault randomness at all).
 
 #include <cstdint>
+#include <optional>
 
-#include "runtime/des.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/topology.hpp"
 
 namespace pmpl::runtime {
 
-/// Virtual-time transport among ranks 0..p-1. Not a `Transport` subclass —
-/// the real interface is pull (blocking recv), the DES is push (delivery
-/// callbacks) — but it carries the same five operations, with `recv`
-/// appearing as the callback argument of each send.
+/// Prices virtual-time hops among ranks 0..p-1. Each method returns the
+/// hop's delivery delay, or nullopt when the injector dropped the frame —
+/// already counted in `metrics`, the caller's fault tally.
 class DesTransport {
  public:
-  /// `metrics` is the caller's fault tally (drops and delays are counted
-  /// where they are rolled, so the caller cannot forget).
-  DesTransport(Simulator& sim, const ClusterSpec& cluster,
-               FaultInjector& inject, FaultMetrics& metrics,
-               std::uint32_t p) noexcept
-      : sim_(sim), cluster_(cluster), inject_(inject), metrics_(metrics),
-        p_(p) {}
-
-  std::uint32_t size() const noexcept { return p_; }
-  double now() const noexcept { return sim_.now(); }
-  Simulator& simulator() noexcept { return sim_; }
+  DesTransport(const ClusterSpec& cluster, FaultInjector& inject,
+               FaultMetrics& metrics) noexcept
+      : cluster_(cluster), inject_(inject), metrics_(metrics) {}
 
   /// Control-plane hop (requests, denies, acks, heartbeats): pays
-  /// point-to-point latency. Returns false when the injector dropped the
-  /// frame — the drop is already counted; the caller owns the fallout
-  /// (timeout arming, drop trace).
-  bool send_control(std::uint32_t from, std::uint32_t to,
-                    Simulator::Callback on_deliver) {
-    return dispatch(from, to, cluster_.latency(from, to),
-                    std::move(on_deliver));
+  /// point-to-point latency.
+  std::optional<double> control(std::uint32_t from, std::uint32_t to,
+                                double now) {
+    return roll(from, to, now, cluster_.latency(from, to));
   }
 
   /// Work-bearing hop (grants): pays the payload transfer time.
-  bool send_bulk(std::uint32_t from, std::uint32_t to, std::uint64_t bytes,
-                 Simulator::Callback on_deliver) {
-    return dispatch(from, to, cluster_.transfer_time(from, to, bytes),
-                    std::move(on_deliver));
+  std::optional<double> bulk(std::uint32_t from, std::uint32_t to,
+                             std::uint64_t bytes, double now) {
+    return roll(from, to, now, cluster_.transfer_time(from, to, bytes));
   }
 
-  /// Termination-token hop: rolls the plan's token faults instead of the
-  /// basic-message channel. A dropped token is counted in tokens_lost and
-  /// the hop-by-hop retry is the caller's move.
-  bool send_token(std::uint32_t from, std::uint32_t to,
-                  Simulator::Callback on_deliver) {
+  /// Termination-token hop: rolls the plan's token faults on top of the
+  /// link's. A dropped token is counted in tokens_lost.
+  std::optional<double> token(std::uint32_t from, std::uint32_t to,
+                              double now) {
     double delay = cluster_.latency(from, to);
-    if (inject_.active()) {
-      const auto fate = inject_.on_token(from, to, sim_.now());
-      if (fate.dropped) {
-        ++metrics_.tokens_lost;
-        return false;
-      }
-      delay += fate.extra_delay_s;
+    if (!inject_.active()) return delay;
+    const auto fate = inject_.on_token(from, to, now);
+    if (fate.dropped) {
+      ++metrics_.tokens_lost;
+      return std::nullopt;
     }
-    sim_.schedule_in(delay, std::move(on_deliver));
-    return true;
+    return delay + fate.extra_delay_s;
   }
 
  private:
-  bool dispatch(std::uint32_t from, std::uint32_t to, double base_delay,
-                Simulator::Callback on_deliver) {
-    if (!inject_.active()) {
-      sim_.schedule_in(base_delay, std::move(on_deliver));
-      return true;
-    }
-    const auto fate = inject_.on_message(from, to, sim_.now());
+  std::optional<double> roll(std::uint32_t from, std::uint32_t to,
+                             double now, double delay) {
+    if (!inject_.active()) return delay;
+    const auto fate = inject_.on_message(from, to, now);
     if (fate.dropped) {
       ++metrics_.messages_dropped;
-      return false;
+      return std::nullopt;
     }
     if (fate.extra_delay_s > 0.0) ++metrics_.messages_delayed;
-    sim_.schedule_in(base_delay + fate.extra_delay_s, std::move(on_deliver));
-    return true;
+    return delay + fate.extra_delay_s;
   }
 
-  Simulator& sim_;
   const ClusterSpec& cluster_;
   FaultInjector& inject_;
   FaultMetrics& metrics_;
-  std::uint32_t p_;
 };
 
 }  // namespace pmpl::runtime

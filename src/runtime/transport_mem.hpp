@@ -107,8 +107,12 @@ class MemCluster {
       return ready_.size() + delayed_.size();
     }
 
+    /// A snapshot taken under the lock: senders' deposit() calls write
+    /// this endpoint's receive-side counters from their own threads.
     const TransportMetrics& metrics() const noexcept override {
-      return metrics_;
+      std::lock_guard lock(mutex_);
+      snapshot_ = metrics_;
+      return snapshot_;
     }
 
    private:
@@ -154,6 +158,7 @@ class MemCluster {
     std::uint64_t delay_seq_ = 0;
     std::uint64_t send_seq_ = 0;  ///< wire trace ids (Frame::seq)
     TransportMetrics metrics_;
+    mutable TransportMetrics snapshot_;  ///< owner thread's copy
   };
 
   std::vector<std::unique_ptr<Endpoint>> ranks_;

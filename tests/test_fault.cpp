@@ -1,8 +1,8 @@
 // Tests for the fault-injection subsystem and the fault-tolerant
 // work-stealing engine: FaultInjector semantics, the region-conservation
-// property under crashes / lossy links / token loss, Safra ring repair
-// driven end-to-end through the DES, and the straggler-aware
-// bulk-synchronous phase model.
+// property under crashes / lossy links / token loss, termination and
+// leader migration driven end-to-end through the DES, and the
+// straggler-aware bulk-synchronous phase model.
 
 #include <gtest/gtest.h>
 

@@ -1,12 +1,13 @@
 // Tests for loadbal/: metrics, partitioners (with property sweeps), steal
-// policies, the DES work-stealing engine, bulk-synchronous timing, and the
-// threaded executor.
+// policies, the work-stealing core driven by hand, the DES work-stealing
+// engine, bulk-synchronous timing, and the threaded executor.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <chrono>
 #include <set>
@@ -17,6 +18,7 @@
 #include "loadbal/partition.hpp"
 #include "loadbal/steal_policy.hpp"
 #include "loadbal/ws_engine.hpp"
+#include "loadbal/ws_rank.hpp"
 #include "loadbal/ws_threaded.hpp"
 #include "util/rng.hpp"
 
@@ -251,6 +253,124 @@ TEST(StealPolicy, Names) {
   EXPECT_EQ(to_string(StealPolicyKind::kRandK), "rand-8");
   EXPECT_EQ(to_string(StealPolicyKind::kDiffusive), "diffusive");
   EXPECT_EQ(to_string(StealPolicyKind::kHybrid), "hybrid");
+}
+
+// --- the work-stealing core, driven by hand ------------------------------
+
+/// A WsLink with a hand-set clock that records every frame sent.
+struct RecordingLink final : WsLink {
+  double t = 0.0;
+  std::vector<runtime::Frame> sent;
+  double now() const override { return t; }
+  bool send(const runtime::Frame& f) override {
+    sent.push_back(f);
+    return true;
+  }
+  std::size_t count(runtime::FrameType type) const {
+    return static_cast<std::size_t>(std::count_if(
+        sent.begin(), sent.end(),
+        [type](const runtime::Frame& f) { return f.type == type; }));
+  }
+};
+
+/// `n` unit regions, all initially on rank 0.
+struct HandCluster {
+  std::vector<WsItem> items;
+  Assignment initial;
+  WsRankConfig cfg;
+  WsTimers timers = WsTimers::wall_clock();
+  explicit HandCluster(std::size_t n)
+      : items(n, WsItem{1.0, 8}), initial(n, 0) {
+    cfg.items = items;
+    cfg.initial = initial;
+    cfg.policy = StealPolicyKind::kRandK;
+  }
+};
+
+runtime::Frame frame_from(std::uint32_t from, runtime::FrameType type,
+                          std::uint64_t a = 0, std::uint64_t b = 0,
+                          std::uint64_t c = 0) {
+  runtime::Frame f;
+  f.type = type;
+  f.from = from;
+  f.a = a;
+  f.b = b;
+  f.c = c;
+  return f;
+}
+
+TEST(WsRankCore, StealWhileBusyIsParkedAndServedAfterTheRegion) {
+  HandCluster hc(3);
+  RecordingLink link;
+  WsRank core(link, 0, 2, hc.cfg, hc.timers, false, {0, 1, 2});
+  core.start();
+  ASSERT_EQ(core.start_region(), std::optional<std::uint32_t>(0));
+  core.on_frame(frame_from(1, runtime::FrameType::kStealRequest, 7));
+  EXPECT_TRUE(link.sent.empty());  // parked: no grant, no deny mid-region
+  EXPECT_TRUE(core.finish_region(1.0));
+  ASSERT_EQ(link.count(runtime::FrameType::kGrant), 1u);
+  const runtime::Frame& g = link.sent.back();
+  EXPECT_EQ(g.to, 1u);
+  EXPECT_EQ(g.b, 7u);  // settles the parked request
+  EXPECT_EQ(g.items, std::vector<std::uint32_t>{2});  // from the back
+  EXPECT_EQ(core.start_region(), std::optional<std::uint32_t>(1));
+}
+
+TEST(WsRankCore, DuplicateGrantIsReackedButAppliedOnce) {
+  HandCluster hc(4);
+  RecordingLink link;
+  WsRank core(link, 1, 2, hc.cfg, hc.timers, true, {});
+  core.start();  // idle: asks rank 0 for work
+  ASSERT_EQ(link.count(runtime::FrameType::kStealRequest), 1u);
+  const std::uint64_t req = link.sent.back().a;
+  runtime::Frame grant = frame_from(0, runtime::FrameType::kGrant, 5, req);
+  grant.items = {3};
+  core.on_frame(grant);
+  core.on_frame(grant);  // a retransmit whose first ack was lost
+  EXPECT_EQ(link.count(runtime::FrameType::kGrantAck), 2u);
+  EXPECT_EQ(link.count(runtime::FrameType::kOwnerUpdate), 1u);
+  ASSERT_EQ(core.start_region(), std::optional<std::uint32_t>(3));
+  EXPECT_TRUE(core.finish_region(1.0));
+  EXPECT_FALSE(core.start_region().has_value());
+  EXPECT_EQ(core.result().executed, std::vector<std::uint32_t>{3});
+  EXPECT_EQ(core.result().stolen_tasks, 1u);
+}
+
+TEST(WsRankCore, TokenIsHeldWhileBusyThenForwardedWithUnackedCount) {
+  HandCluster hc(3);
+  RecordingLink link;
+  WsRank core(link, 1, 3, hc.cfg, hc.timers, false, {0, 1, 2});
+  core.start();
+  ASSERT_EQ(core.start_region(), std::optional<std::uint32_t>(0));
+  core.on_frame(frame_from(2, runtime::FrameType::kStealRequest, 9));
+  core.on_frame(frame_from(0, runtime::FrameType::kToken, 0, 0, 1));
+  EXPECT_EQ(link.count(runtime::FrameType::kToken), 0u);  // held: busy
+  EXPECT_TRUE(core.finish_region(1.0));  // grants region 2, unacked
+  ASSERT_EQ(core.start_region(), std::optional<std::uint32_t>(1));
+  EXPECT_EQ(link.count(runtime::FrameType::kToken), 0u);  // still busy
+  EXPECT_TRUE(core.finish_region(1.0));  // idle now: the token moves on
+  ASSERT_EQ(link.count(runtime::FrameType::kToken), 1u);
+  const auto tok = std::find_if(
+      link.sent.begin(), link.sent.end(), [](const runtime::Frame& f) {
+        return f.type == runtime::FrameType::kToken;
+      });
+  EXPECT_EQ(tok->to, 2u);
+  EXPECT_EQ(tok->a, 1u);  // the one grant rank 2 has not acked
+  EXPECT_EQ(tok->c, 1u);
+}
+
+TEST(WsRankCore, RingOfOneDeclaresTerminationLocally) {
+  HandCluster hc(1);
+  RecordingLink link;
+  WsRank core(link, 0, 1, hc.cfg, hc.timers, false, {0});
+  core.start();
+  ASSERT_EQ(core.start_region(), std::optional<std::uint32_t>(0));
+  EXPECT_FALSE(core.declared());
+  EXPECT_TRUE(core.finish_region(1.0));
+  EXPECT_TRUE(core.declared());
+  EXPECT_TRUE(core.stopped());
+  EXPECT_TRUE(link.sent.empty());  // nobody to tell
+  EXPECT_EQ(core.next_wakeup(), std::numeric_limits<double>::infinity());
 }
 
 // --- DES work stealing -----------------------------------------------------

@@ -1,7 +1,7 @@
-// Tests for runtime/: DES core, topology, communication model, Safra
-// termination detection, Chase–Lev deque, work-stealing scheduler and
-// parallel_for, work-unit cost model. The ChaseLev/Scheduler stress tests
-// double as the ThreadSanitizer targets (PMPL_SANITIZE=thread).
+// Tests for runtime/: DES core, topology, communication model, Chase–Lev
+// deque, work-stealing scheduler and parallel_for, work-unit cost model.
+// The ChaseLev/Scheduler stress tests double as the ThreadSanitizer
+// targets (PMPL_SANITIZE=thread).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "runtime/chase_lev_deque.hpp"
 #include "runtime/des.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/termination.hpp"
 #include "runtime/topology.hpp"
 #include "runtime/work_units.hpp"
 
@@ -173,146 +172,6 @@ TEST(Mesh, HopsIsManhattan) {
 TEST(Mesh, SingleProcessor) {
   const ProcessMesh m(1);
   EXPECT_TRUE(m.neighbors(0).empty());
-}
-
-// --- Safra termination ------------------------------------------------------
-
-using Token = SafraTermination::Token;
-using Action = SafraTermination::Action;
-
-/// Run the token around the ring once, starting from initiate(); all ranks
-/// idle. Returns the decision at rank 0.
-SafraTermination::Decision run_round(SafraTermination& safra) {
-  Token token = safra.initiate();
-  std::uint32_t rank = safra.next_of(0);
-  while (rank != 0) {
-    const auto d = safra.on_token_at_idle(rank, token);
-    EXPECT_EQ(d.action, Action::kForward);
-    token = d.token;
-    rank = d.next;
-  }
-  return safra.on_token_at_idle(0, token);
-}
-
-TEST(Safra, QuiescentRingTerminatesFirstRound) {
-  SafraTermination safra(4);
-  EXPECT_EQ(run_round(safra).action, Action::kTerminate);
-}
-
-TEST(Safra, InFlightMessageBlocksTermination) {
-  SafraTermination safra(4);
-  safra.on_send(1);  // message left rank 1, not yet received
-  EXPECT_EQ(run_round(safra).action, Action::kForward);
-  // After delivery: receiver black for one round, then terminate.
-  safra.on_receive(3);
-  EXPECT_EQ(run_round(safra).action, Action::kForward);  // black rank 3
-  EXPECT_EQ(run_round(safra).action, Action::kTerminate);
-}
-
-TEST(Safra, BalancedTrafficNeedsWhiteRound) {
-  SafraTermination safra(3);
-  // 1 -> 2 delivered before any round: counts balanced but 2 is black.
-  safra.on_send(1);
-  safra.on_receive(2);
-  EXPECT_EQ(run_round(safra).action, Action::kForward);
-  EXPECT_EQ(run_round(safra).action, Action::kTerminate);
-}
-
-TEST(Safra, MessageIntoRankZero) {
-  SafraTermination safra(3);
-  // A message delivered to rank 0 *before* any round starts: the system is
-  // already quiescent when rank 0 initiates (initiation whitens rank 0),
-  // so the very first round may detect termination.
-  safra.on_send(2);
-  safra.on_receive(0);
-  EXPECT_EQ(run_round(safra).action, Action::kTerminate);
-}
-
-TEST(Safra, ManyMessagesEventuallyTerminate) {
-  SafraTermination safra(8);
-  for (int i = 0; i < 100; ++i) {
-    safra.on_send(static_cast<std::uint32_t>(i % 8));
-    safra.on_receive(static_cast<std::uint32_t>((i + 3) % 8));
-  }
-  int rounds = 0;
-  while (run_round(safra).action != Action::kTerminate) {
-    ++rounds;
-    ASSERT_LT(rounds, 5);
-  }
-}
-
-// --- Safra ring repair -------------------------------------------------------
-
-/// run_round that starts at the current leader (which may not be rank 0
-/// after crashes) and skips spliced-out ranks.
-SafraTermination::Decision run_round_from_leader(SafraTermination& safra) {
-  const std::uint32_t leader = safra.leader();
-  Token token = safra.initiate();
-  std::uint32_t rank = safra.next_of(leader);
-  while (rank != leader) {
-    const auto d = safra.on_token_at_idle(rank, token);
-    EXPECT_EQ(d.action, Action::kForward);
-    token = d.token;
-    rank = d.next;
-  }
-  return safra.on_token_at_idle(leader, token);
-}
-
-TEST(Safra, SingleRankRingTerminatesImmediately) {
-  SafraTermination safra(1);
-  EXPECT_EQ(safra.next_of(0), 0u);
-  const auto d = safra.on_token_at_idle(0, safra.initiate());
-  EXPECT_EQ(d.action, Action::kTerminate);
-}
-
-TEST(Safra, NextOfSkipsDeadRanks) {
-  SafraTermination safra(4);
-  safra.mark_dead(1);
-  EXPECT_EQ(safra.next_of(0), 2u);
-  safra.mark_dead(2);
-  EXPECT_EQ(safra.next_of(0), 3u);
-  EXPECT_EQ(safra.next_of(3), 0u);
-  EXPECT_TRUE(safra.is_dead(1));
-  EXPECT_FALSE(safra.is_dead(0));
-}
-
-TEST(Safra, LeaderMigratesToLowestAliveRank) {
-  SafraTermination safra(4);
-  EXPECT_EQ(safra.leader(), 0u);
-  safra.mark_dead(0);
-  EXPECT_EQ(safra.leader(), 1u);
-  safra.mark_dead(1);
-  EXPECT_EQ(safra.leader(), 2u);
-  // The repaired two-rank ring still detects termination.
-  EXPECT_EQ(run_round_from_leader(safra).action, Action::kTerminate);
-}
-
-TEST(Safra, DeadRankBalanceFoldsIntoLeader) {
-  SafraTermination safra(4);
-  safra.on_send(2);   // message in flight from rank 2...
-  safra.mark_dead(2); // ...when it dies: balance moves to the leader
-  // The in-flight message is not yet delivered, so no round may terminate.
-  EXPECT_EQ(run_round_from_leader(safra).action, Action::kForward);
-  safra.on_receive(3);  // delivery still cancels the folded count
-  EXPECT_EQ(run_round_from_leader(safra).action, Action::kForward);  // black
-  EXPECT_EQ(run_round_from_leader(safra).action, Action::kTerminate);
-}
-
-TEST(Safra, CancelledSendRestoresBalance) {
-  SafraTermination safra(4);
-  safra.on_send(2);
-  safra.mark_dead(2);
-  // The engine learns the message can never be delivered (its payload was
-  // recovered elsewhere) and compensates at the leader.
-  safra.on_send_cancelled(safra.leader());
-  EXPECT_EQ(run_round_from_leader(safra).action, Action::kTerminate);
-}
-
-TEST(Safra, TaintForcesExtraRound) {
-  SafraTermination safra(3);
-  safra.taint(1);  // rank 1 absorbed recovered regions
-  EXPECT_EQ(run_round_from_leader(safra).action, Action::kForward);
-  EXPECT_EQ(run_round_from_leader(safra).action, Action::kTerminate);
 }
 
 // --- Chase–Lev deque --------------------------------------------------------
