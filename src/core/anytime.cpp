@@ -9,7 +9,6 @@
 #include <tuple>
 #include <utility>
 
-#include "graph/union_find.hpp"
 #include "loadbal/partition.hpp"
 #include "runtime/scheduler.hpp"
 #include "util/state_file.hpp"
@@ -37,14 +36,22 @@ static_assert(sizeof(planner::PlannerStats) ==
                       sizeof(std::uint64_t),
               "a PlannerStats counter is missing from the checkpoint");
 
+}  // namespace
+
+std::uint64_t fp_environment(const env::Environment& e) {
+  std::uint64_t h = fp_mix(kFnvOffset, std::string_view(e.name()));
+  const auto& b = e.space().position_bounds();
+  for (const double v : {b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z})
+    h = fp_mix(h, v);
+  return h;
+}
+
 graph::UnionFind components_of(const planner::Roadmap& g) {
   graph::UnionFind cc(g.num_vertices());
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
     for (const auto& he : g.edges_of(v)) cc.unite(v, he.to);
   return cc;
 }
-
-}  // namespace
 
 bool save_checkpoint_file(const Checkpoint& c, const std::string& path) {
   StateBlob blob;
@@ -67,6 +74,7 @@ bool save_checkpoint_file(const Checkpoint& c, const std::string& path) {
       put_u32(out, edge.v);
       put_f64(out, edge.length);
     }
+    for (const std::uint64_t* v : counters(s.sampling)) put_u64(out, *v);
     for (const std::uint64_t* v : counters(s.stats)) put_u64(out, *v);
   }
   return save_state_file(blob, path);
@@ -115,6 +123,7 @@ std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
       if (r.ok && (edge.u >= configs || edge.v >= configs))
         return fail(IoStatus::kOutOfRange);
     }
+    for (std::uint64_t* v : counters(s.sampling)) *v = r.u64();
     for (std::uint64_t* v : counters(s.stats)) *v = r.u64();
     if (!r.ok) return fail(IoStatus::kMalformed);  // trailing partial record
     c.regions.push_back(std::move(s));
@@ -130,10 +139,10 @@ std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
   return c;
 }
 
-RegionBuildResult build_regions_anytime(
-    const env::Environment& e, std::size_t num_regions,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> adjacency,
-    const RegionPipeline& pipeline, const RegionTask& build_region) {
+RegionBuildResult build_regions_anytime(std::size_t num_regions,
+                                        const RegionPipeline& pipeline,
+                                        const RegionTask& build_region,
+                                        const ConnectPhase& connect) {
   RegionBuildResult result;
   const std::size_t nr = num_regions;
   const AnytimeOptions& any = pipeline.anytime;
@@ -197,7 +206,7 @@ RegionBuildResult build_regions_anytime(
       runtime::TraceSpan span(tracer, tb, pipeline.task_span, r);
       planner::Roadmap local;
       RegionSnapshot out;
-      build_region(r, local, out.stats);
+      build_region(r, local, out.sampling, out.stats);
       // All-or-nothing: a token fired mid-region means `local` is partial
       // and must not be kept, or resume equivalence would break.
       if (runtime::stop_requested(cancel)) return;
@@ -230,48 +239,35 @@ RegionBuildResult build_regions_anytime(
   result.workers = loadbal::run_on_scheduler(
       scheduler, tasks, loadbal::partition_block(nr, pipeline.workers));
   result.build_wall_s = build_timer.elapsed_s();
-
-  for (std::size_t r = 0; r < nr; ++r)
-    if (done[r].load(std::memory_order_acquire)) ++report.regions_completed;
   report.cancelled = runtime::stop_requested(cancel);
 
   // Merge in region-id order (serial; bookkeeping only). Only completed
   // regions contribute — this is what makes the partial result a
   // prefix-equivalent of the full build.
   result.region_vertices.resize(nr);
+  result.region_completed.resize(nr);
+  result.region_sampling.resize(nr);
+  result.region_build.resize(nr);
   for (std::uint32_t r = 0; r < nr; ++r) {
     if (!done[r].load(std::memory_order_acquire)) continue;
+    ++report.regions_completed;
+    result.region_completed[r] = true;
     auto& ids = result.region_vertices[r];
     ids.reserve(outputs[r].configs.size());
     for (auto& c : outputs[r].configs)
       ids.push_back(result.roadmap.add_vertex({std::move(c), r}));
     for (const auto& edge : outputs[r].edges)
       result.roadmap.add_edge(ids[edge.u], ids[edge.v], {edge.length});
+    result.region_sampling[r] = outputs[r].sampling;
+    result.region_build[r] = outputs[r].stats;
+    result.stats += outputs[r].sampling;
     result.stats += outputs[r].stats;
   }
 
-  // Connect adjacent completed regions. Connection edges are derived
-  // state: a resumed build redoes this phase from the restored regions.
+  // Connection edges are derived state: a resumed build redoes this phase
+  // from the restored regions.
   WallTimer connect_timer;
-  graph::UnionFind cc;
-  if (pipeline.acyclic) cc = components_of(result.roadmap);
-  bool connect_ran_to_end = true;
-  runtime::TraceBuffer* connect_tb =
-      tracer ? tracer->thread_track(pipeline.connect_track) : nullptr;
-  for (const auto& [a, b] : adjacency) {
-    if (runtime::stop_requested(cancel)) {
-      connect_ran_to_end = false;
-      break;
-    }
-    if (!done[a].load(std::memory_order_acquire) ||
-        !done[b].load(std::memory_order_acquire))
-      continue;
-    runtime::TraceSpan span(tracer, connect_tb, "edge_connect", a);
-    planner::connect_between(e, result.roadmap, result.region_vertices[a],
-                             result.region_vertices[b], pipeline.connect,
-                             result.stats, pipeline.acyclic ? &cc : nullptr,
-                             pipeline.max_boundary_attempts, cancel);
-  }
+  const bool connect_ran_to_end = connect(result);
   result.connect_wall_s = connect_timer.elapsed_s();
   report.connect_completed =
       connect_ran_to_end && !runtime::stop_requested(cancel);
@@ -291,6 +287,30 @@ RegionBuildResult build_regions_anytime(
   report.checkpoint_written =
       checkpoint_written.load(std::memory_order_acquire);
   return result;
+}
+
+ConnectPhase connect_whole_regions(
+    const env::Environment& e,
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacency,
+    const RegionPipeline& pipeline) {
+  return [&e, adjacency = std::move(adjacency),
+          pipeline](RegionBuildResult& merged) {
+    const runtime::CancelToken* cancel = pipeline.anytime.cancel;
+    runtime::Tracer* tracer = pipeline.tracer;
+    graph::UnionFind cc;
+    if (pipeline.acyclic) cc = components_of(merged.roadmap);
+    runtime::TraceBuffer* tb =
+        tracer ? tracer->thread_track(pipeline.connect_track) : nullptr;
+    for (const auto& [a, b] : adjacency) {
+      if (runtime::stop_requested(cancel)) return false;
+      runtime::TraceSpan span(tracer, tb, "edge_connect", a);
+      planner::connect_between(e, merged.roadmap, merged.region_vertices[a],
+                               merged.region_vertices[b], pipeline.connect,
+                               merged.stats, pipeline.acyclic ? &cc : nullptr,
+                               pipeline.max_boundary_attempts, cancel);
+    }
+    return true;
+  };
 }
 
 }  // namespace pmpl::core

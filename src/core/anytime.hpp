@@ -1,13 +1,14 @@
 #pragma once
 /// \file anytime.hpp
-/// The anytime region pipeline shared by the threaded PRM and RRT builders.
+/// The anytime region pipeline shared by every PRM and RRT builder.
 ///
 /// Algorithm 1 (uniform-subdivision PRM) and Algorithm 2 (radial RRT) have
 /// the same parallel shape: every region is built as an independent task,
 /// Algorithm 3's work stealing balances the tasks over the workers, and
 /// adjacent regions are connected afterwards. `build_regions_anytime` runs
-/// that shape once for both builders, together with the anytime machinery
-/// around it:
+/// that shape for all four builders — the threaded `parallel_build_*` and
+/// the measuring `build_*_workload` — with one region task per algorithm,
+/// together with the anytime machinery around it:
 ///
 ///  - cooperative cancellation with all-or-nothing regions: a region cut
 ///    short by the token is discarded, never merged half-built;
@@ -16,8 +17,10 @@
 ///    one whose kind, fingerprint and region count match;
 ///  - a `DegradationReport` of what was actually delivered.
 ///
-/// The builders supply only their region task, their configuration
-/// fingerprint and their connection parameters. Per-region RNG streams make
+/// The builders supply their region task, their configuration fingerprint
+/// and their connection phase: the threaded builders connect whole regions
+/// (`connect_whole_regions`), the workload builders measure every pair
+/// (core/profile.hpp). Per-region RNG streams make
 /// each region's output independent of placement and stealing, so a build
 /// resumed from any checkpoint finishes bit-identical to an uninterrupted
 /// one.
@@ -25,13 +28,13 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "env/environment.hpp"
+#include "graph/union_find.hpp"
 #include "loadbal/ws_threaded.hpp"
 #include "planner/prm.hpp"
 #include "planner/roadmap.hpp"
@@ -80,7 +83,8 @@ struct RegionSnapshot {
   std::uint32_t region = 0;
   std::vector<cspace::Config> configs;
   std::vector<Edge> edges;
-  planner::PlannerStats stats;
+  planner::PlannerStats sampling;  ///< node generation (PRM; empty for RRT)
+  planner::PlannerStats stats;     ///< connect-within (PRM) / growth (RRT)
 };
 
 /// Checkpoint payload kinds (`StateBlob::kind`, see util/state_file.hpp).
@@ -120,7 +124,11 @@ inline std::uint64_t fp_mix(std::uint64_t h, std::string_view s) noexcept {
                  fp_mix(h, static_cast<std::uint64_t>(s.size())));
 }
 
-/// A builder's part of the pipeline, besides its region task.
+/// A builder fingerprint's start: the environment's name and bounds.
+std::uint64_t fp_environment(const env::Environment& e);
+
+/// A builder's part of the pipeline, besides its region task and its
+/// connection phase.
 struct RegionPipeline {
   std::uint32_t kind = kCheckpointKindPrm;  ///< checkpoint payload kind
   /// Everything that shapes the roadmap; worker count excluded, since the
@@ -130,11 +138,12 @@ struct RegionPipeline {
   std::uint32_t workers = 4;
   AnytimeOptions anytime;
   /// Tracing sink; nullptr disables. Each region task runs inside a
-  /// `task_span` span (arg = region id) on its worker's track; each
-  /// adjacency pair records an edge_connect span on the `connect_track`
-  /// track of the calling thread.
+  /// `task_span` span (arg = region id) on its worker's track; with
+  /// connect_whole_regions, each adjacency pair records an edge_connect
+  /// span on the `connect_track` track of the calling thread.
   runtime::Tracer* tracer = nullptr;
   const char* task_span = "region";
+  /// The rest is read by connect_whole_regions only.
   const char* connect_track = "region-connect";
   planner::PrmParams connect;  ///< connect_between parameters
   std::size_t max_boundary_attempts = 16;
@@ -144,31 +153,56 @@ struct RegionPipeline {
 };
 
 /// Builds one region into `local`, which starts empty: its vertex ids are
-/// region-local and the pipeline relabels them at the merge. Planner work
-/// goes into `stats`. Runs on a scheduler worker concurrently with other
-/// regions, and polls the cancel token itself.
-using RegionTask = std::function<void(std::uint32_t region,
-                                      planner::Roadmap& local,
-                                      planner::PlannerStats& stats)>;
+/// region-local and the pipeline relabels them at the merge. Node
+/// generation goes into `sampling` (PRM only), the rest of the region's
+/// planner work into `build`. Runs on a scheduler worker concurrently with
+/// other regions, and polls the cancel token itself.
+using RegionTask = std::function<void(
+    std::uint32_t region, planner::Roadmap& local,
+    planner::PlannerStats& sampling, planner::PlannerStats& build)>;
 
 /// The roadmap of a threaded region build (PRM roadmap or RRT forest).
 struct RegionBuildResult {
   planner::Roadmap roadmap;
   std::vector<loadbal::WorkerStats> workers;  ///< per-thread steal stats
   std::vector<std::vector<graph::VertexId>> region_vertices;
+  /// Per region: merged (built or restored). A region is left out only
+  /// when the cancel token fired.
+  std::vector<bool> region_completed;
+  /// Per-region planner work, zero for a region left out.
+  std::vector<planner::PlannerStats> region_sampling;  ///< node generation
+  std::vector<planner::PlannerStats> region_build;  ///< connect / growth
   double build_wall_s = 0.0;    ///< region tasks (the parallel part)
   double connect_wall_s = 0.0;  ///< region-connection phase
-  planner::PlannerStats stats;  ///< summed over completed regions
+  planner::PlannerStats stats;  ///< completed regions plus connection
   DegradationReport degradation;  ///< what was actually delivered
 };
 
+/// The phase after the merge: connects adjacent regions of `merged`,
+/// whose roadmap holds the completed regions, and adds its planner work to
+/// `merged.stats`. Returns false when the cancel token cut it short. The
+/// token latches, so a phase that polls it before each pair never reaches
+/// a region that was left out.
+using ConnectPhase = std::function<bool(RegionBuildResult& merged)>;
+
 /// Run `build_region` for every region in [0, num_regions) on a
 /// work-stealing scheduler with block placement, merge the completed
-/// regions in region-id order and connect adjacent completed pairs along
-/// `adjacency`. Anytime semantics as described in the file comment.
-RegionBuildResult build_regions_anytime(
-    const env::Environment& e, std::size_t num_regions,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> adjacency,
-    const RegionPipeline& pipeline, const RegionTask& build_region);
+/// regions in region-id order, then run `connect` on the merge. Anytime
+/// semantics as described in the file comment.
+RegionBuildResult build_regions_anytime(std::size_t num_regions,
+                                        const RegionPipeline& pipeline,
+                                        const RegionTask& build_region,
+                                        const ConnectPhase& connect);
+
+/// The connected components of `g`, as a union-find over its vertices.
+graph::UnionFind components_of(const planner::Roadmap& g);
+
+/// The threaded builders' connection phase: connect_between over all
+/// vertices of both regions of every pair in `adjacency`, with the
+/// connection parameters, cancel token and tracer of `pipeline`.
+ConnectPhase connect_whole_regions(
+    const env::Environment& e,
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacency,
+    const RegionPipeline& pipeline);
 
 }  // namespace pmpl::core

@@ -1,5 +1,7 @@
 #include "core/parallel_build.hpp"
 
+#include <memory>
+
 #include "util/rng.hpp"
 
 namespace pmpl::core {
@@ -11,15 +13,7 @@ namespace {
 std::uint64_t prm_fingerprint(const env::Environment& e,
                               const RegionGrid& grid,
                               const ParallelPrmConfig& config) {
-  std::uint64_t h = kFnvOffset;
-  h = fp_mix(h, std::string_view(e.name()));
-  const auto& b = e.space().position_bounds();
-  h = fp_mix(h, b.lo.x);
-  h = fp_mix(h, b.lo.y);
-  h = fp_mix(h, b.lo.z);
-  h = fp_mix(h, b.hi.x);
-  h = fp_mix(h, b.hi.y);
-  h = fp_mix(h, b.hi.z);
+  std::uint64_t h = fp_environment(e);
   h = fp_mix(h, static_cast<std::uint64_t>(grid.size()));
   h = fp_mix(h, static_cast<std::uint64_t>(config.total_attempts));
   h = fp_mix(h, config.seed);
@@ -35,14 +29,35 @@ std::uint64_t prm_fingerprint(const env::Environment& e,
 
 }  // namespace
 
+RegionTask prm_region_task(const env::Environment& e, const RegionGrid& grid,
+                           const ParallelPrmConfig& config) {
+  const std::shared_ptr<const planner::Sampler> sampler =
+      planner::make_sampler(config.prm.sampler, e.space(), e.validity(),
+                            config.prm.sampler_scale);
+  return [&e, &grid, config, sampler](std::uint32_t r, planner::Roadmap& local,
+                                      planner::PlannerStats& sampling,
+                                      planner::PlannerStats& build) {
+    const std::size_t nr = grid.size();
+    const std::size_t attempts =
+        config.total_attempts / nr + (r < config.total_attempts % nr);
+    const runtime::CancelToken* cancel = config.anytime.cancel;
+    runtime::Tracer* tracer = config.tracer;
+    runtime::TraceBuffer* tb = tracer ? tracer->thread_track() : nullptr;
+    Xoshiro256ss rng(derive_seed(config.seed, r));
+    std::vector<cspace::Config> samples;
+    {
+      runtime::TraceSpan span(tracer, tb, "sample");
+      samples = planner::sample_region_with(*sampler, grid.sampling_box(r),
+                                            attempts, rng, sampling, cancel);
+    }
+    runtime::TraceSpan span(tracer, tb, "connect");
+    planner::connect_samples(e, local, samples, 0, config.prm, build, cancel);
+  };
+}
+
 RegionBuildResult parallel_build_prm(const env::Environment& e,
                                      const RegionGrid& grid,
                                      const ParallelPrmConfig& config) {
-  const std::size_t nr = grid.size();
-  const std::size_t base = config.total_attempts / nr;
-  const std::size_t extra = config.total_attempts % nr;
-  const runtime::CancelToken* cancel = config.anytime.cancel;
-
   RegionPipeline pipeline;
   pipeline.kind = kCheckpointKindPrm;
   pipeline.fingerprint = prm_fingerprint(e, grid, config);
@@ -54,24 +69,9 @@ RegionBuildResult parallel_build_prm(const env::Environment& e,
   pipeline.connect_track = "region-connect";
   pipeline.connect = config.prm;
   pipeline.max_boundary_attempts = config.max_boundary_attempts;
-
-  // One region: sample its box, then connect the samples within it.
-  const auto build_region = [&](std::uint32_t r, planner::Roadmap& local,
-                                planner::PlannerStats& stats) {
-    runtime::Tracer* tracer = config.tracer;
-    runtime::TraceBuffer* tb = tracer ? tracer->thread_track() : nullptr;
-    Xoshiro256ss rng(derive_seed(config.seed, r));
-    std::vector<cspace::Config> samples;
-    {
-      runtime::TraceSpan span(tracer, tb, "sample");
-      samples = planner::sample_region(e, grid.sampling_box(r),
-                                       base + (r < extra), rng, stats, cancel);
-    }
-    runtime::TraceSpan span(tracer, tb, "connect");
-    planner::connect_samples(e, local, samples, 0, config.prm, stats, cancel);
-  };
-  return build_regions_anytime(e, nr, grid.adjacency_edges(), pipeline,
-                               build_region);
+  return build_regions_anytime(
+      grid.size(), pipeline, prm_region_task(e, grid, config),
+      connect_whole_regions(e, grid.adjacency_edges(), pipeline));
 }
 
 }  // namespace pmpl::core

@@ -6,8 +6,8 @@
 /// Regions are independent tasks (sample + connect-within on region-local
 /// storage) executed by the work-stealing scheduler through the shared
 /// anytime region pipeline (core/anytime.hpp); the regional roadmaps are
-/// then merged and adjacent regions connected. Produces bitwise the same
-/// roadmap as a sequential run thanks to per-region RNG streams.
+/// then merged and adjacent regions connected. Per-region RNG streams make
+/// the roadmap independent of the worker count and of stealing.
 
 #include <cstdint>
 
@@ -47,5 +47,14 @@ struct ParallelPrmConfig {
 RegionBuildResult parallel_build_prm(const env::Environment& e,
                                      const RegionGrid& grid,
                                      const ParallelPrmConfig& config);
+
+/// Algorithm 1's region task, shared by `parallel_build_prm` and
+/// `build_prm_workload`: draw region r's share of `total_attempts` in its
+/// sampling box with `prm.sampler`, then connect the samples within the
+/// region (connect_samples). Reads total_attempts, prm, seed,
+/// anytime.cancel and tracer from `config`; `e` and `grid` must outlive
+/// the task.
+RegionTask prm_region_task(const env::Environment& e, const RegionGrid& grid,
+                           const ParallelPrmConfig& config);
 
 }  // namespace pmpl::core

@@ -8,45 +8,13 @@ namespace pmpl::core {
 
 namespace {
 
-/// Grow one branch into the branch-local `local`; vertex 0 is the root.
-void grow_branch(const env::Environment& e, const RadialRegions& regions,
-                 std::uint32_t region, const cspace::Config& root,
-                 const ParallelRrtConfig& config, planner::Roadmap& local,
-                 planner::PlannerStats& stats) {
-  planner::RrtParams params = config.rrt;
-  params.max_nodes =
-      std::max<std::size_t>(2, config.total_nodes / regions.size());
-  params.max_iterations = config.iteration_factor * params.max_nodes;
-
-  runtime::TraceBuffer* tb =
-      config.tracer ? config.tracer->thread_track() : nullptr;
-  runtime::TraceSpan span(config.tracer, tb, "grow", region);
-  planner::RrtBranch branch(e, local, root, region, params);
-  Xoshiro256ss rng(derive_seed(config.seed, region));
-  branch.grow(
-      [&](Xoshiro256ss& g) {
-        const geo::Vec3 p =
-            regions.sample_in_cone(region, g, config.cone_overlap);
-        return e.space().at_position(p, g);
-      },
-      rng, stats, config.anytime.cancel);
-}
-
 /// Everything that affects the forest (worker count excluded: the result
 /// is placement-independent by construction).
 std::uint64_t rrt_fingerprint(const env::Environment& e,
                               const RadialRegions& regions,
                               const cspace::Config& root,
                               const ParallelRrtConfig& config) {
-  std::uint64_t h = kFnvOffset;
-  h = fp_mix(h, std::string_view(e.name()));
-  const auto& b = e.space().position_bounds();
-  h = fp_mix(h, b.lo.x);
-  h = fp_mix(h, b.lo.y);
-  h = fp_mix(h, b.lo.z);
-  h = fp_mix(h, b.hi.x);
-  h = fp_mix(h, b.hi.y);
-  h = fp_mix(h, b.hi.z);
+  std::uint64_t h = fp_environment(e);
   h = fp_mix(h, static_cast<std::uint64_t>(regions.size()));
   h = fp_mix(h, static_cast<std::uint64_t>(config.total_nodes));
   h = fp_mix(h, config.seed);
@@ -63,6 +31,32 @@ std::uint64_t rrt_fingerprint(const env::Environment& e,
 }
 
 }  // namespace
+
+RegionTask rrt_region_task(const env::Environment& e,
+                           const RadialRegions& regions,
+                           const cspace::Config& root,
+                           const ParallelRrtConfig& config) {
+  return [&e, &regions, root, config](std::uint32_t r, planner::Roadmap& local,
+                                      planner::PlannerStats&,
+                                      planner::PlannerStats& build) {
+    planner::RrtParams params = config.rrt;
+    params.max_nodes =
+        std::max<std::size_t>(2, config.total_nodes / regions.size());
+    params.max_iterations = config.iteration_factor * params.max_nodes;
+
+    runtime::TraceBuffer* tb =
+        config.tracer ? config.tracer->thread_track() : nullptr;
+    runtime::TraceSpan span(config.tracer, tb, "grow", r);
+    planner::RrtBranch branch(e, local, root, r, params);
+    Xoshiro256ss rng(derive_seed(config.seed, r));
+    branch.grow(
+        [&](Xoshiro256ss& g) {
+          const geo::Vec3 p = regions.sample_in_cone(r, g, config.cone_overlap);
+          return e.space().at_position(p, g);
+        },
+        rng, build, config.anytime.cancel);
+  };
+}
 
 RegionBuildResult parallel_build_rrt(const env::Environment& e,
                                      const RadialRegions& regions,
@@ -81,13 +75,9 @@ RegionBuildResult parallel_build_rrt(const env::Environment& e,
   pipeline.connect.skip_same_component = true;
   pipeline.max_boundary_attempts = config.max_boundary_attempts;
   pipeline.acyclic = true;  // branch connection never closes a cycle
-
   return build_regions_anytime(
-      e, regions.size(), regions.adjacency_edges(), pipeline,
-      [&](std::uint32_t r, planner::Roadmap& local,
-          planner::PlannerStats& stats) {
-        grow_branch(e, regions, r, root, config, local, stats);
-      });
+      regions.size(), pipeline, rrt_region_task(e, regions, root, config),
+      connect_whole_regions(e, regions.adjacency_edges(), pipeline));
 }
 
 }  // namespace pmpl::core

@@ -48,4 +48,14 @@ RegionBuildResult parallel_build_rrt(const env::Environment& e,
                                      const cspace::Config& root,
                                      const ParallelRrtConfig& config);
 
+/// Algorithm 2's region task, shared by `parallel_build_rrt` and
+/// `build_rrt_workload`: grow region r's branch from `root` toward its
+/// cone, into a branch-local roadmap whose vertex 0 is the root. Reads
+/// total_nodes, rrt, iteration_factor, cone_overlap, seed, anytime.cancel
+/// and tracer from `config`; `e` and `regions` must outlive the task.
+RegionTask rrt_region_task(const env::Environment& e,
+                           const RadialRegions& regions,
+                           const cspace::Config& root,
+                           const ParallelRrtConfig& config);
+
 }  // namespace pmpl::core

@@ -4,9 +4,10 @@
 /// (Algorithms 3 & 4): workload measurement and schedule replay.
 ///
 /// `build_prm_workload` executes the real computation once (deterministic
-/// per-region seeds). `simulate_prm_run` replays the measured costs under a
-/// strategy, processor count and cluster, producing the phase times, load
-/// profiles, CVs and remote-access counts the paper's figures report.
+/// per-region seeds) through the same region task as parallel_build_prm.
+/// `simulate_prm_run` replays the measured costs under a strategy,
+/// processor count and cluster, producing the phase times, load profiles,
+/// CVs and remote-access counts the paper's figures report.
 
 #include "core/profile.hpp"
 #include "core/region_grid.hpp"
@@ -31,8 +32,10 @@ struct PrmWorkloadConfig {
   const runtime::CancelToken* cancel = nullptr;
 };
 
-/// Execute Algorithm 1's computation over `grid`, measuring every region
-/// and region-edge. The returned workload contains the full roadmap.
+/// Execute Algorithm 1's computation over `grid` on one worker per
+/// hardware thread, measuring every region and region-edge. The returned
+/// workload contains the full roadmap and does not depend on the worker
+/// count.
 Workload build_prm_workload(const env::Environment& e, const RegionGrid& grid,
                             const PrmWorkloadConfig& config);
 
@@ -55,15 +58,6 @@ struct PrmRunConfig {
   runtime::ClusterSpec cluster = runtime::ClusterSpec::hopper();
   Strategy strategy = Strategy::kNoLB;
   std::uint64_t seed = 1;
-  /// Partitioner for kRepartition (RCB preserves spatial geometry).
-  enum class Partitioner { kRcb, kSfc, kGreedyLpt } partitioner =
-      Partitioner::kRcb;
-  /// Adaptive gating (extension): before migrating, estimate the node-
-  /// connection time saved by the new partition (using the same per-region
-  /// weights the partitioner used) and skip redistribution when the
-  /// estimated saving does not cover its cost. Protects balanced
-  /// workloads (e.g. the free environment) from paying for nothing.
-  bool adaptive = false;
   /// Failure scenario for the replay. Work-stealing strategies get the
   /// full treatment (crashes, lossy links, token loss, stragglers) through
   /// the DES engine; the bulk-synchronous strategies — which have no
@@ -95,9 +89,7 @@ struct PrmRunResult {
   double cv_nodes_before = 0.0;  ///< CV of roadmap nodes per proc, naive map
   double cv_nodes_after = 0.0;   ///< ... under the final assignment (Fig 5b)
 
-  std::uint64_t edge_cut_before = 0;
   std::uint64_t edge_cut_after = 0;
-  bool repartition_skipped = false;  ///< adaptive gate declined to migrate
   std::uint64_t remote_region_graph = 0;  ///< region-graph remote accesses
   std::uint64_t remote_roadmap = 0;       ///< roadmap remote accesses (Fig 7b)
 

@@ -5,17 +5,22 @@
 /// A *workload* is the result of actually executing the parallel planner's
 /// computation once with deterministic per-region seeds: the roadmap/tree
 /// it built plus, for every region and region-graph edge, the operation
-/// counts the planner performed. Replaying a workload under a strategy and
-/// processor count (prm_driver / rrt_driver) never re-runs the planner —
-/// it schedules these measured costs.
+/// counts the planner performed. The regions run through the same region
+/// task and pipeline as the threaded builders (core/anytime.hpp), so the
+/// measured work is the work they do. Replaying a workload under a
+/// strategy and processor count (prm_driver / rrt_driver) never re-runs
+/// the planner — it schedules these measured costs.
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "core/anytime.hpp"
 #include "geometry/vec.hpp"
+#include "loadbal/metrics.hpp"
 #include "planner/roadmap.hpp"
 #include "planner/stats.hpp"
+#include "runtime/topology.hpp"
 #include "runtime/work_units.hpp"
 
 namespace pmpl::core {
@@ -57,11 +62,13 @@ struct Workload {
   std::vector<std::vector<graph::VertexId>> region_vertices;
   geo::Aabb bounds;  ///< centroid bounds (partitioner input)
 
-  /// Anytime measurement progress: regions [0, regions_measured) carry
-  /// real profiles; with a fired cancel token the remainder are
-  /// zero-initialized and `measurement_cancelled` is set. A cancelled
-  /// workload is a valid partial measurement (edge_profiles may be a
-  /// prefix of region_edges) but must not be replayed as if complete.
+  /// Anytime measurement progress: `regions_measured` regions carry real
+  /// profiles. With a fired cancel token `measurement_cancelled` is set
+  /// and the other regions' profiles are zero apart from their centroid.
+  /// Regions are measured on threads, so the measured ones are a subset of
+  /// the regions, not a prefix. A cancelled workload is a valid partial
+  /// measurement (edge_profiles may be a prefix of region_edges) but must
+  /// not be replayed as if complete.
   std::size_t regions_measured = 0;
   bool measurement_cancelled = false;
 
@@ -87,12 +94,6 @@ struct Workload {
     for (const auto& r : regions) t.push_back(r.build_s);
     return t;
   }
-  std::vector<double> service_times() const {
-    std::vector<double> t;
-    t.reserve(regions.size());
-    for (const auto& r : regions) t.push_back(r.service_s());
-    return t;
-  }
   std::vector<geo::Vec3> centroids() const {
     std::vector<geo::Vec3> c;
     c.reserve(regions.size());
@@ -112,5 +113,53 @@ struct Workload {
     return s;
   }
 };
+
+/// What differs between measuring a PRM and an RRT workload: how adjacent
+/// regions are connected and how a region's migration payload is priced.
+struct WorkloadMeasure {
+  planner::PrmParams connect;  ///< connect_between parameters
+  std::size_t max_boundary_attempts = 4;  ///< per region-graph edge
+  /// Candidate band: region a's candidates toward its neighbour b are its
+  /// vertices within `band` of `boxes[b]`. With no boxes the band is
+  /// unbounded and every vertex of the region is a candidate.
+  std::vector<geo::Aabb> boxes;
+  double band = 0.0;
+  /// Payload bytes per vertex beyond its config, and per end of an
+  /// intra-region edge (on top of a fixed region descriptor).
+  std::uint64_t vertex_bytes = 0;
+  std::uint64_t edge_end_bytes = 0;
+  runtime::CostModel costs = runtime::CostModel::paper_fidelity();
+  /// Cooperative stop: see Workload::regions_measured.
+  const runtime::CancelToken* cancel = nullptr;
+};
+
+/// Measure `w`, whose regions (with their centroids), region_edges and
+/// bounds the caller has set. Runs `task` for every region through
+/// build_regions_anytime with one worker per hardware thread, then
+/// connects the pairs of `w.region_edges` in order through a union-find
+/// over the whole roadmap (so attempts between already-merged regions are
+/// skipped), one EdgeProfile per pair. Fills everything else in `w`.
+void measure_workload(const env::Environment& e, const RegionTask& task,
+                      const WorkloadMeasure& m, Workload& w);
+
+/// The replayed region-connection phase: each region-graph edge is
+/// executed by the owner of its first endpoint; edges whose endpoints live
+/// on different locations pay remote-access costs (region-graph lookup +
+/// roadmap vertex fetches). Ends with a barrier.
+struct RegionConnectionReplay {
+  double time_s = 0.0;
+  std::uint64_t remote_region_graph = 0;
+  std::uint64_t remote_roadmap = 0;
+};
+RegionConnectionReplay replay_region_connection(
+    const Workload& w, const loadbal::Assignment& owner, std::uint32_t procs,
+    const runtime::ClusterSpec& cluster);
+
+/// Roadmap nodes each of `procs` processors holds under `owner`.
+std::vector<std::uint64_t> nodes_per_processor(
+    const Workload& w, const loadbal::Assignment& owner, std::uint32_t procs);
+
+/// Coefficient of variation of per-processor counts.
+double cv_of_counts(const std::vector<std::uint64_t>& counts);
 
 }  // namespace pmpl::core

@@ -34,8 +34,9 @@ struct RrtWorkloadConfig {
 };
 
 /// Execute Algorithm 2's computation: grow every regional branch from the
-/// shared root, then connect adjacent branches (pruning cycles so the
-/// result stays a tree).
+/// shared root through the same region task as parallel_build_rrt, on one
+/// worker per hardware thread, then connect adjacent branches (pruning
+/// cycles so the result stays a forest).
 Workload build_rrt_workload(const env::Environment& e,
                             const RadialRegions& regions,
                             const cspace::Config& root,

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/fault_io.hpp"
 #include "util/rng.hpp"
 
 namespace pmpl::loadbal {
@@ -40,56 +41,6 @@ std::size_t count_tmp_residue() {
   }
   ::closedir(d);
   return n;
-}
-
-void append_json_plan(std::string& out, const runtime::FaultPlan& plan) {
-  char buf[128];
-  out += "{\"crashes\":[";
-  for (std::size_t i = 0; i < plan.crashes.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%s{\"rank\":%u,\"at_s\":%.6f}",
-                  i ? "," : "", plan.crashes[i].rank, plan.crashes[i].at_s);
-    out += buf;
-  }
-  out += "],\"pauses\":[";
-  for (std::size_t i = 0; i < plan.pauses.size(); ++i) {
-    std::snprintf(buf, sizeof buf,
-                  "%s{\"rank\":%u,\"from_s\":%.6f,\"until_s\":%.6f}",
-                  i ? "," : "", plan.pauses[i].rank, plan.pauses[i].from_s,
-                  plan.pauses[i].until_s);
-    out += buf;
-  }
-  out += "],\"links\":[";
-  for (std::size_t i = 0; i < plan.links.size(); ++i) {
-    std::snprintf(
-        buf, sizeof buf,
-        "%s{\"drop_prob\":%.3f,\"extra_delay_s\":%.6f,\"until_s\":%.6f}",
-        i ? "," : "", plan.links[i].drop_prob, plan.links[i].extra_delay_s,
-        plan.links[i].until_s);
-    out += buf;
-  }
-  out += "],\"tokens\":[";
-  for (std::size_t i = 0; i < plan.tokens.size(); ++i) {
-    std::snprintf(buf, sizeof buf, "%s{\"drop_prob\":%.3f,\"until_s\":%.6f}",
-                  i ? "," : "", plan.tokens[i].drop_prob,
-                  plan.tokens[i].until_s);
-    out += buf;
-  }
-  out += "],\"partitions\":[";
-  for (std::size_t i = 0; i < plan.partitions.size(); ++i) {
-    out += i ? "," : "";
-    out += "{\"ranks\":[";
-    for (std::size_t j = 0; j < plan.partitions[i].ranks.size(); ++j) {
-      std::snprintf(buf, sizeof buf, "%s%u", j ? "," : "",
-                    plan.partitions[i].ranks[j]);
-      out += buf;
-    }
-    std::snprintf(buf, sizeof buf, "],\"from_s\":%.6f,\"until_s\":%.6f}",
-                  plan.partitions[i].from_s, plan.partitions[i].until_s);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof buf, "],\"seed\":%llu}",
-                static_cast<unsigned long long>(plan.seed));
-  out += buf;
 }
 
 }  // namespace
@@ -292,7 +243,7 @@ bool write_chaos_report(const ChaosSoakResult& soak, const ChaosConfig& cfg,
                   static_cast<unsigned long long>(s.expected_roadmap));
     j += buf;
     j += "     \"error\": \"" + s.error + "\",\n     \"plan\": ";
-    append_json_plan(j, s.plan);
+    j += runtime::fault_plan_to_json(s.plan);
     j += i + 1 < soak.schedules.size() ? "},\n" : "}\n";
   }
   j += "  ]\n}\n";

@@ -32,6 +32,7 @@ inline constexpr std::uint32_t kAnyRank = 0xffffffffu;
 struct CrashFault {
   std::uint32_t rank = 0;
   double at_s = 0.0;
+  bool operator==(const CrashFault&) const = default;
 };
 
 /// `rank` executes `slowdown`x slower inside [from_s, until_s). Windows for
@@ -41,6 +42,7 @@ struct StragglerFault {
   double slowdown = 1.0;
   double from_s = 0.0;
   double until_s = std::numeric_limits<double>::infinity();
+  bool operator==(const StragglerFault&) const = default;
 };
 
 /// Messages from `from` to `to` (wildcards allowed) inside the window are
@@ -52,6 +54,7 @@ struct LinkFault {
   double extra_delay_s = 0.0;
   double from_s = 0.0;
   double until_s = std::numeric_limits<double>::infinity();
+  bool operator==(const LinkFault&) const = default;
 };
 
 /// Termination-detection tokens forwarded inside the window are lost with
@@ -60,6 +63,7 @@ struct TokenFault {
   double drop_prob = 0.0;
   double from_s = 0.0;
   double until_s = std::numeric_limits<double>::infinity();
+  bool operator==(const TokenFault&) const = default;
 };
 
 /// `rank` is frozen (SIGSTOP) inside [from_s, until_s) and resumes after —
@@ -71,6 +75,7 @@ struct PauseFault {
   std::uint32_t rank = 0;
   double from_s = 0.0;
   double until_s = std::numeric_limits<double>::infinity();
+  bool operator==(const PauseFault&) const = default;
 };
 
 /// Network partition: inside [from_s, until_s), messages crossing the cut
@@ -81,6 +86,7 @@ struct PartitionFault {
   std::vector<std::uint32_t> ranks;  ///< side A of the cut
   double from_s = 0.0;
   double until_s = std::numeric_limits<double>::infinity();
+  bool operator==(const PartitionFault&) const = default;
 
   bool separates(std::uint32_t from, std::uint32_t to) const noexcept {
     bool in_a = false, in_b = false;
@@ -101,6 +107,7 @@ struct FaultPlan {
   std::vector<PauseFault> pauses;
   std::vector<PartitionFault> partitions;
   std::uint64_t seed = 0xfa17ed5eedULL;  ///< dedicated drop-roll stream
+  bool operator==(const FaultPlan&) const = default;
 
   bool empty() const noexcept {
     return crashes.empty() && stragglers.empty() && links.empty() &&

@@ -1,5 +1,6 @@
 #include "runtime/fault_io.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -156,10 +157,23 @@ bool parse_fault_plan(const std::string& text, FaultPlan& out,
 
   FaultPlan plan;
   if (const Value* seed = root.find("seed")) {
-    if (!seed->is_number() || seed->as_number() < 0.0 ||
-        seed->as_number() != std::floor(seed->as_number()))
-      return ck.fail("seed", "must be a non-negative integer");
-    plan.seed = static_cast<std::uint64_t>(seed->as_number());
+    // Numbers are doubles, exact only below 2^53; the writer spells the
+    // seed as a string of decimal digits so every 64-bit seed round-trips.
+    bool ok = false;
+    if (seed->is_string()) {
+      const std::string& s = seed->as_string();
+      const auto [end, ec] =
+          std::from_chars(s.data(), s.data() + s.size(), plan.seed);
+      ok = ec == std::errc() && end == s.data() + s.size();
+    } else if (seed->is_number()) {
+      const double v = seed->as_number();
+      ok = v >= 0.0 && v == std::floor(v) && v < 0x1p64;
+      if (ok) plan.seed = static_cast<std::uint64_t>(v);
+    }
+    if (!ok)
+      return ck.fail("seed",
+                     "must be a non-negative 64-bit integer (a number or a "
+                     "string of decimal digits)");
   }
 
   const Value* entries = nullptr;
@@ -309,7 +323,7 @@ bool load_fault_plan(const std::string& path, FaultPlan& out,
 
 std::string fault_plan_to_json(const FaultPlan& plan) {
   std::ostringstream out;
-  out << "{\"seed\": " << plan.seed;
+  out << "{\"seed\": \"" << plan.seed << '"';
   out << ", \"crashes\": [";
   for (std::size_t i = 0; i < plan.crashes.size(); ++i) {
     const CrashFault& c = plan.crashes[i];

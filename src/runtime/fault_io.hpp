@@ -10,7 +10,8 @@
 /// errors too — a typoed "drop_porb" must not silently validate a plan
 /// that injects nothing.
 ///
-/// File format (all members optional; wildcard ranks spelled "any"):
+/// File format (all members optional; wildcard ranks spelled "any"; the
+/// seed is a number or, exact for every 64-bit value, a decimal string):
 ///   {
 ///     "seed": 123,
 ///     "crashes":    [{"rank": 2, "at_s": 0.002}],

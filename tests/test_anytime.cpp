@@ -256,6 +256,9 @@ core::Checkpoint sample_checkpoint() {
     s.stats.lp_steps = ++n;
     s.stats.rrt_extends = ++n;
     s.stats.rrt_extends_success = ++n;
+    s.sampling.samples_attempted = ++n;
+    s.sampling.samples_valid = ++n;
+    s.sampling.cd.queries = ++n;
     c.regions.push_back(std::move(s));
   }
   return c;
@@ -290,6 +293,7 @@ TEST(CheckpointIo, RoundTripPreservesEverything) {
       EXPECT_EQ(a.edges[j].v, b.edges[j].v);
       EXPECT_DOUBLE_EQ(a.edges[j].length, b.edges[j].length);
     }
+    expect_identical_stats(a.sampling, b.sampling);
     expect_identical_stats(a.stats, b.stats);
   }
   std::remove(path.c_str());

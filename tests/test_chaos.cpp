@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "runtime/fault_io.hpp"
 #include "loadbal/ws_engine.hpp"
 #include "loadbal/ws_rank.hpp"
+#include "util/rng.hpp"
 
 namespace pmpl {
 namespace {
@@ -150,6 +153,50 @@ TEST(ChaosPlan, DeterministicAndBounded) {
   // Different seeds diverge (probabilistically certain over 5 seeds).
   EXPECT_NE(runtime::fault_plan_to_json(loadbal::make_chaos_plan(cfg, 1)),
             runtime::fault_plan_to_json(loadbal::make_chaos_plan(cfg, 2)));
+}
+
+// A failure reproduces from the report alone: every run's "plan" in the
+// soak report parses back to the generated plan, field for field.
+TEST(ChaosPlan, ReportPlanParsesBackExactly) {
+  const loadbal::ChaosConfig cfg;
+  loadbal::ChaosSoakResult soak;
+  for (std::uint32_t i = 0; i < cfg.schedules; ++i) {
+    loadbal::ChaosScheduleResult s;
+    s.index = i;
+    s.schedule_seed = derive_seed(cfg.seed, i);
+    s.plan = loadbal::make_chaos_plan(cfg, s.schedule_seed);
+    soak.schedules.push_back(s);
+  }
+  const std::string path =
+      "/tmp/pmpl_chaos_report_" + std::to_string(::getpid()) + ".json";
+  ASSERT_TRUE(loadbal::write_chaos_report(soak, cfg, path));
+  std::ifstream in(path);
+  const std::string report((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  ::unlink(path.c_str());
+
+  // Each run's plan is the brace-balanced object after its "plan" key.
+  const std::string key = "\"plan\": ";
+  std::size_t at = report.find(key);
+  for (const auto& s : soak.schedules) {
+    ASSERT_NE(at, std::string::npos) << "run " << s.index;
+    const std::size_t begin = at + key.size();
+    std::size_t end = begin;
+    int depth = 0;
+    do {
+      if (report[end] == '{') ++depth;
+      if (report[end] == '}') --depth;
+      ++end;
+    } while (depth > 0 && end < report.size());
+    runtime::FaultPlan parsed;
+    std::string err;
+    ASSERT_TRUE(runtime::parse_fault_plan(report.substr(begin, end - begin),
+                                          parsed, err))
+        << "run " << s.index << ": " << err;
+    EXPECT_TRUE(parsed == s.plan) << "run " << s.index;
+    at = report.find(key, end);
+  }
+  EXPECT_EQ(at, std::string::npos);
 }
 
 // --- the end-to-end restart gate ---------------------------------------

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <tuple>
 
 #include "core/parallel_build.hpp"
 #include "core/prm_driver.hpp"
@@ -16,6 +17,7 @@
 #include "core/strategies.hpp"
 #include "env/builders.hpp"
 #include "graph/tree_utils.hpp"
+#include "util/io_status.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -358,16 +360,38 @@ TEST_F(PrmDriverTest, StrongScalingReducesTotalTime) {
   }
 }
 
-TEST_F(PrmDriverTest, PartitionerChoicesAllWork) {
-  PrmRunConfig cfg;
-  cfg.procs = 16;
-  cfg.strategy = Strategy::kRepartition;
-  for (const auto part :
-       {PrmRunConfig::Partitioner::kRcb, PrmRunConfig::Partitioner::kSfc,
-        PrmRunConfig::Partitioner::kGreedyLpt}) {
-    cfg.partitioner = part;
-    const auto r = simulate_prm_run(*workload_, cfg);
-    EXPECT_LT(r.cv_nodes_after, r.cv_nodes_before);
+// A measurement cut short by its deadline keeps whole regions only: each
+// region is either measured in full, identical to the uncut measurement,
+// or left empty. Regions run on threads, so which ones survive varies.
+TEST_F(PrmDriverTest, CancelledMeasurementKeepsWholeRegions) {
+  for (const double deadline_ms : {0.0, 2.0}) {
+    runtime::CancelToken token(runtime::Deadline::after_ms(deadline_ms));
+    PrmWorkloadConfig cfg;
+    cfg.total_attempts = 8192;
+    cfg.seed = 5;
+    cfg.cancel = &token;
+    const Workload cut = build_prm_workload(*env_, *grid_, cfg);
+    std::size_t measured = 0;
+    for (std::uint32_t r = 0; r < grid_->size(); ++r) {
+      const RegionProfile& p = cut.regions[r];
+      EXPECT_EQ(p.centroid, workload_->regions[r].centroid);
+      if (p.bytes == 0) {
+        EXPECT_TRUE(cut.region_vertices[r].empty()) << "region " << r;
+        EXPECT_EQ(p.service_s(), 0.0) << "region " << r;
+        continue;
+      }
+      ++measured;
+      EXPECT_EQ(p.samples, workload_->regions[r].samples) << "region " << r;
+      EXPECT_EQ(p.build_s, workload_->regions[r].build_s) << "region " << r;
+      EXPECT_EQ(p.bytes, workload_->regions[r].bytes) << "region " << r;
+    }
+    EXPECT_EQ(measured, cut.regions_measured);
+    EXPECT_EQ(cut.measurement_cancelled,
+              cut.edge_profiles.size() < cut.region_edges.size());
+    if (deadline_ms == 0.0) {
+      EXPECT_TRUE(cut.measurement_cancelled);
+      EXPECT_EQ(cut.regions_measured, 0u);
+    }
   }
 }
 
@@ -460,26 +484,103 @@ TEST_F(RrtDriverTest, DeterministicReplay) {
   EXPECT_EQ(a.assignment, b.assignment);
 }
 
-// --- parallel build -----------------------------------------------------
+// --- golden workloads ------------------------------------------------------
+// One small PRM and one small RRT workload, hashed over everything the
+// replay reads: every RegionProfile and EdgeProfile field, the per-region
+// vertex lists, and the roadmap as a vertex list plus a sorted edge set.
+// How the regions are executed (serially, on threads, in which order)
+// must not move these hashes; what they compute must.
 
-TEST(ParallelBuild, MatchesWorkloadRoadmapShape) {
-  const auto e = env::small_cube();
+/// FNV-1a over the bytes of each added value, in call order.
+struct FieldHash {
+  std::uint64_t h = kFnvOffset;
+  template <typename T>
+  void add(const T& v) {
+    h = fnv1a64(&v, sizeof v, h);
+  }
+  void add_counts(const runtime::WorkCounts& c) {
+    runtime::WorkCounts::for_each_field(
+        [&](const char*, auto field) { add(c.*field); });
+  }
+};
+
+std::uint64_t workload_hash(const Workload& w) {
+  FieldHash f;
+  f.add(static_cast<std::uint64_t>(w.regions.size()));
+  for (const RegionProfile& r : w.regions) {
+    f.add(r.sampling_s);
+    f.add(r.build_s);
+    f.add_counts(r.sampling_ops);
+    f.add_counts(r.build_ops);
+    f.add(r.samples);
+    f.add(r.bytes);
+    f.add(r.centroid.x);
+    f.add(r.centroid.y);
+    f.add(r.centroid.z);
+  }
+  f.add(static_cast<std::uint64_t>(w.edge_profiles.size()));
+  for (const EdgeProfile& ep : w.edge_profiles) {
+    f.add(ep.a);
+    f.add(ep.b);
+    f.add(ep.service_s);
+    f.add(ep.vertex_reads);
+    f.add(ep.bytes_touched);
+    f.add(ep.edges_added);
+  }
+  for (const auto& ids : w.region_vertices) {
+    f.add(static_cast<std::uint64_t>(ids.size()));
+    for (const graph::VertexId v : ids) f.add(v);
+  }
+  const planner::Roadmap& g = w.roadmap;
+  f.add(static_cast<std::uint64_t>(g.num_vertices()));
+  std::vector<std::tuple<graph::VertexId, graph::VertexId, double>> edges;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    f.add(g.vertex(v).region);
+    f.add(static_cast<std::uint64_t>(g.vertex(v).cfg.size()));
+    for (const double x : g.vertex(v).cfg) f.add(x);
+    for (const auto& he : g.edges_of(v))
+      if (v < he.to) edges.emplace_back(v, he.to, he.prop.length);
+  }
+  std::sort(edges.begin(), edges.end());
+  f.add(static_cast<std::uint64_t>(edges.size()));
+  for (const auto& [u, v, length] : edges) {
+    f.add(u);
+    f.add(v);
+    f.add(length);
+  }
+  return f.h;
+}
+
+TEST(GoldenWorkloads, Prm) {
+  const auto e = env::med_cube();
   const RegionGrid grid =
       RegionGrid::make_auto(e->space().position_bounds(), 64, false);
-  ParallelPrmConfig cfg;
-  cfg.total_attempts = 2048;
-  cfg.workers = 4;
-  cfg.seed = 31;
-  const auto par = parallel_build_prm(*e, grid, cfg);
-  // Same seeds, sequential reference: per-region sampling must agree.
-  PrmWorkloadConfig wcfg;
-  wcfg.total_attempts = 2048;
-  wcfg.seed = 31;
-  const auto seq = build_prm_workload(*e, grid, wcfg);
-  EXPECT_EQ(par.roadmap.num_vertices(), seq.roadmap.num_vertices());
-  for (std::uint32_t r = 0; r < grid.size(); ++r)
-    EXPECT_EQ(par.region_vertices[r].size(), seq.region_vertices[r].size());
+  PrmWorkloadConfig cfg;
+  cfg.total_attempts = 4096;
+  cfg.seed = 7;
+  const Workload w = build_prm_workload(*e, grid, cfg);
+  EXPECT_EQ(w.regions_measured, 64u);
+  EXPECT_EQ(w.roadmap.num_vertices(), 1889u);
+  EXPECT_EQ(w.roadmap.num_edges(), 1887u);
+  EXPECT_EQ(workload_hash(w), 0xd36e14b5e9b49c51ull);
 }
+
+TEST(GoldenWorkloads, Rrt) {
+  const auto e = env::mixed(0.30);
+  const RadialRegions regions({50, 50, 50}, 45.0, 64, 4, 81, false);
+  Xoshiro256ss rng(82);
+  const auto root = e->space().at_position({50, 50, 50}, rng);
+  RrtWorkloadConfig cfg;
+  cfg.total_nodes = 2048;
+  cfg.seed = 83;
+  const Workload w = build_rrt_workload(*e, regions, root, cfg);
+  EXPECT_EQ(w.regions_measured, 64u);
+  EXPECT_EQ(w.roadmap.num_vertices(), 1997u);
+  EXPECT_EQ(w.roadmap.num_edges(), 1996u);
+  EXPECT_EQ(workload_hash(w), 0x303b12fe945d4d24ull);
+}
+
+// --- parallel build -----------------------------------------------------
 
 TEST(ParallelBuild, WorkStealingStatsPopulated) {
   const auto e = env::med_cube();

@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "core/parallel_build.hpp"
 #include "core/parallel_build_rrt.hpp"
 #include "core/prm_driver.hpp"
 #include "core/rrt_driver.hpp"
@@ -287,50 +288,6 @@ TEST(Lifeline, HypercubeVictims) {
   for (const auto x : rv) EXPECT_LT(x, 10u);
 }
 
-// --- adaptive repartitioning gate --------------------------------------
-
-TEST(AdaptiveRepartitioning, SkipsWhenBalanced) {
-  // Free environment: the naive mapping is already balanced, so the gate
-  // must decline to migrate and the run must equal the NoLB assignment.
-  const auto e = env::free_env();
-  const core::RegionGrid grid =
-      core::RegionGrid::make_auto(e->space().position_bounds(), 512, false);
-  core::PrmWorkloadConfig wcfg;
-  wcfg.total_attempts = 8192;
-  wcfg.seed = 31;
-  const auto w = core::build_prm_workload(*e, grid, wcfg);
-  core::PrmRunConfig cfg;
-  cfg.procs = 64;
-  cfg.strategy = core::Strategy::kRepartition;
-  cfg.adaptive = true;
-  const auto r = core::simulate_prm_run(w, cfg);
-  EXPECT_TRUE(r.repartition_skipped);
-  EXPECT_EQ(r.phases.redistribution_s, 0.0);
-  EXPECT_EQ(r.assignment, core::naive_assignment(grid.size(), 64));
-}
-
-TEST(AdaptiveRepartitioning, MigratesWhenImbalanced) {
-  const auto e = env::med_cube();
-  const core::RegionGrid grid =
-      core::RegionGrid::make_auto(e->space().position_bounds(), 512, false);
-  core::PrmWorkloadConfig wcfg;
-  wcfg.total_attempts = 8192;
-  wcfg.seed = 32;
-  const auto w = core::build_prm_workload(*e, grid, wcfg);
-  core::PrmRunConfig cfg;
-  cfg.procs = 16;
-  cfg.strategy = core::Strategy::kRepartition;
-  cfg.adaptive = true;
-  const auto adaptive = core::simulate_prm_run(w, cfg);
-  EXPECT_FALSE(adaptive.repartition_skipped);
-  EXPECT_GT(adaptive.phases.redistribution_s, 0.0);
-  // And matches the unconditional run exactly.
-  cfg.adaptive = false;
-  const auto plain = core::simulate_prm_run(w, cfg);
-  EXPECT_EQ(adaptive.assignment, plain.assignment);
-  EXPECT_DOUBLE_EQ(adaptive.total_s, plain.total_s);
-}
-
 // --- samplers through the parallel workload builder ----------------------
 
 TEST(SamplersInWorkload, KindChangesRoadmap) {
@@ -348,6 +305,36 @@ TEST(SamplersInWorkload, KindChangesRoadmap) {
   // Gaussian keeps fewer nodes per attempt and costs more CD per node.
   EXPECT_LT(wg.roadmap.num_vertices(), wu.roadmap.num_vertices());
   EXPECT_GT(wg.roadmap.num_vertices(), 0u);
+}
+
+TEST(SamplersInWorkload, ThreadedBuildHonoursSampler) {
+  const auto e = env::med_cube();
+  const core::RegionGrid grid =
+      core::RegionGrid::make_auto(e->space().position_bounds(), 64, false);
+  core::ParallelPrmConfig uniform;
+  uniform.total_attempts = 2048;
+  uniform.workers = 4;
+  uniform.seed = 35;
+  core::ParallelPrmConfig gaussian = uniform;
+  gaussian.prm.sampler = planner::SamplerKind::kGaussian;
+  gaussian.prm.sampler_scale = 5.0;
+  const auto pu = core::parallel_build_prm(*e, grid, uniform);
+  const auto pg = core::parallel_build_prm(*e, grid, gaussian);
+
+  core::PrmWorkloadConfig wcfg;
+  wcfg.total_attempts = gaussian.total_attempts;
+  wcfg.prm = gaussian.prm;
+  wcfg.seed = gaussian.seed;
+  const auto wg = core::build_prm_workload(*e, grid, wcfg);
+
+  const auto vertices = [](const planner::Roadmap& g) {
+    std::vector<cspace::Config> v;
+    for (graph::VertexId i = 0; i < g.num_vertices(); ++i)
+      v.push_back(g.vertex(i).cfg);
+    return v;
+  };
+  EXPECT_NE(vertices(pg.roadmap), vertices(pu.roadmap));
+  EXPECT_EQ(vertices(pg.roadmap), vertices(wg.roadmap));
 }
 
 // --- lifeline strategy through the PRM driver -----------------------------

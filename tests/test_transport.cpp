@@ -288,6 +288,12 @@ TEST(FaultIo, RejectionsNameTheOffendingField) {
   EXPECT_FALSE(runtime::parse_fault_plan(
       R"({"partitions": [{"ranks": [0.5], "until_s": 1.0}]})", plan, err));
   EXPECT_NE(err.find("partitions[0].ranks[0]"), std::string::npos) << err;
+  // Seeds that are not a 64-bit integer, as a string or a number.
+  for (const char* bad : {R"({"seed": "12x"})", R"({"seed": "-1"})",
+                          R"({"seed": ""})", R"({"seed": 1e30})"}) {
+    EXPECT_FALSE(runtime::parse_fault_plan(bad, plan, err)) << bad;
+    EXPECT_NE(err.find("seed"), std::string::npos) << err;
+  }
   // Not JSON at all.
   EXPECT_FALSE(runtime::parse_fault_plan("not json", plan, err));
   EXPECT_FALSE(err.empty());
