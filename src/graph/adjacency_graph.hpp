@@ -86,6 +86,14 @@ class AdjacencyGraph {
     adjacency_.reserve(n);
   }
 
+  /// Release spare capacity of the vertex arrays and of every edge list,
+  /// for a graph that has stopped growing (a published snapshot).
+  void shrink_to_fit() {
+    vertices_.shrink_to_fit();
+    adjacency_.shrink_to_fit();
+    for (auto& adj : adjacency_) adj.shrink_to_fit();
+  }
+
  private:
   bool remove_half(VertexId from, VertexId to) {
     auto& adj = adjacency_[from];

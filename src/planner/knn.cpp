@@ -67,6 +67,16 @@ void KdTreeKnn::insert(graph::VertexId id, const cspace::Config& c) {
   if (buffered >= 32 && buffered * 2 >= indexed_) rebuild();
 }
 
+void KdTreeKnn::reserve(std::size_t n) {
+  ids_.reserve(n);
+  cfgs_.reserve(n);
+  pos_.reserve(n);
+  perm_.reserve(n);
+  px_.reserve(n);
+  py_.reserve(n);
+  pz_.reserve(n);
+}
+
 void KdTreeKnn::rebuild() {
   const std::size_t n = ids_.size();
   nodes_.clear();

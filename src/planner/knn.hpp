@@ -78,6 +78,10 @@ class NeighborFinder {
 
   virtual void insert(graph::VertexId id, const cspace::Config& c) = 0;
 
+  /// Make room for `n` points in total, so inserting a known number of
+  /// points grows no array by doubling.
+  virtual void reserve(std::size_t n) = 0;
+
   /// The k nearest stored configs to `q`, in canonical order. Fewer than k
   /// if the structure holds fewer points. The span aliases finder-owned
   /// scratch: it is invalidated by the next `nearest`/`nearest_batch`/
@@ -102,6 +106,11 @@ class BruteForceKnn final : public NeighborFinder {
   void insert(graph::VertexId id, const cspace::Config& c) override {
     ids_.push_back(id);
     configs_.push_back(c);
+  }
+
+  void reserve(std::size_t n) override {
+    ids_.reserve(n);
+    configs_.reserve(n);
   }
 
   std::span<const Neighbor> nearest(const cspace::Config& q, std::size_t k,
@@ -131,6 +140,7 @@ class KdTreeKnn final : public NeighborFinder {
       : space_(&space), leaf_size_(leaf_size) {}
 
   void insert(graph::VertexId id, const cspace::Config& c) override;
+  void reserve(std::size_t n) override;
 
   std::span<const Neighbor> nearest(const cspace::Config& q, std::size_t k,
                                     PlannerStats* stats = nullptr) override;

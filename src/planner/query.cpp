@@ -1,25 +1,77 @@
 #include "planner/query.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <array>
+#include <cassert>
+#include <cmath>
+#include <limits>
 
 #include "cspace/local_planner.hpp"
 #include "planner/knn.hpp"
 
 namespace pmpl::planner {
 
+namespace {
+
+constexpr double kInf = 1e300;  // "not reached" distance
+// A vertex that cannot reach the goal: its component holds no goal edge.
+constexpr double kNoGoal = std::numeric_limits<double>::infinity();
+// The landmark bound is a difference of two rounded Dijkstra sums; shrink it
+// by far more than their rounding error so it never overestimates.
+constexpr double kLandmarkShrink = 1.0 - 1e-9;
+
+// Open-set order: a min-heap on (f, vertex id). Breaking f ties by
+// ascending vertex id, as graph::astar does, makes expansion order
+// deterministic; without a landmark table the keys and pops are the ones
+// the metric-only search has always produced.
+bool open_after(const SearchScratch::OpenEntry& a,
+                const SearchScratch::OpenEntry& b) noexcept {
+  return a.f != b.f ? a.f > b.f : a.v > b.v;
+}
+
+/// True when some start edge and some goal edge land in one component.
+bool attachments_share_component(const LandmarkTable& lt,
+                                 std::span<const AttachEdge> start_edges,
+                                 std::span<const AttachEdge> goal_edges) {
+  for (const AttachEdge& a : start_edges)
+    for (const AttachEdge& b : goal_edges)
+      if (lt.component(a.to) == lt.component(b.to)) return true;
+  return false;
+}
+
+}  // namespace
+
 std::optional<std::vector<cspace::Config>> find_path_with_attachments(
     const env::Environment& e, const Roadmap& g, const cspace::Config& start,
     const cspace::Config& goal, std::span<const AttachEdge> start_edges,
-    std::span<const AttachEdge> goal_edges) {
+    std::span<const AttachEdge> goal_edges, const LandmarkTable* landmarks,
+    SearchScratch* scratch) {
+  SearchScratch local;
+  SearchScratch& sc = scratch != nullptr ? *scratch : local;
+  sc.expanded = 0;
   if (start_edges.empty() || goal_edges.empty()) return std::nullopt;
+  assert(landmarks == nullptr || landmarks->num_vertices() == g.num_vertices());
+  if (landmarks != nullptr &&
+      !attachments_share_component(*landmarks, start_edges, goal_edges))
+    return std::nullopt;
 
   // Virtual ids: n = start, n + 1 = goal. The overlay is two extra rows of
-  // the dist/prev arrays; the roadmap is only ever read.
+  // the per-vertex state; the roadmap is only ever read.
   const auto n = static_cast<graph::VertexId>(g.num_vertices());
   const graph::VertexId s = n;
   const graph::VertexId t = n + 1;
-  constexpr double kInf = 1e300;
+  if (sc.stamp.size() < n + 2u) {
+    sc.dist.resize(n + 2u);
+    sc.h.resize(n + 2u);
+    sc.prev.resize(n + 2u);
+    sc.stamp.resize(n + 2u, 0);
+  }
+  if (++sc.generation == 0) {  // wrapped: forget every stale stamp
+    std::fill(sc.stamp.begin(), sc.stamp.end(), 0u);
+    sc.generation = 1;
+  }
+  const std::uint32_t gen = sc.generation;
+  sc.open.clear();
 
   const auto& space = e.space();
   const auto cfg_of = [&](graph::VertexId v) -> const cspace::Config& {
@@ -27,33 +79,66 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
     if (v == t) return goal;
     return g.vertex(v).cfg;
   };
+
+  sc.goal_rows.clear();
+  if (landmarks != nullptr)
+    for (const AttachEdge& a : goal_edges)
+      sc.goal_rows.push_back(
+          {landmarks->component(a.to), a.length, landmarks->row(a.to)});
+  // ALT bound for roadmap vertex v; kNoGoal when v cannot reach the goal.
+  const auto landmark_bound = [&](graph::VertexId v) {
+    std::array<double, LandmarkTable::kLandmarks> best;
+    best.fill(kNoGoal);
+    const std::uint32_t cv = landmarks->component(v);
+    const double* dv = landmarks->row(v);
+    for (const SearchScratch::GoalRow& a : sc.goal_rows) {
+      if (a.component != cv) continue;
+      for (std::size_t l = 0; l < best.size(); ++l)
+        best[l] = std::min(best[l], std::abs(dv[l] - a.row[l]) + a.length);
+    }
+    const double bound = *std::max_element(best.begin(), best.end());
+    return bound == kNoGoal ? kNoGoal : bound * kLandmarkShrink;
+  };
   const auto heuristic = [&](graph::VertexId v) {
-    return v == t ? 0.0 : space.distance(cfg_of(v), goal);
+    if (v == t) return 0.0;
+    const double metric = space.distance(cfg_of(v), goal);
+    if (landmarks == nullptr || v == s) return metric;
+    return std::max(metric, landmark_bound(v));
   };
 
-  std::vector<double> dist(n + 2, kInf);
-  std::vector<graph::VertexId> prev(n + 2, graph::kInvalidVertex);
-  // (f = g + h, vertex): pair comparison breaks f ties by ascending vertex
-  // id, same as graph::astar — expansion order is deterministic.
-  using Entry = std::pair<double, graph::VertexId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
-
+  const auto push = [&](graph::VertexId v) {
+    sc.open.push_back({sc.dist[v] + sc.h[v], sc.dist[v], v});
+    std::push_heap(sc.open.begin(), sc.open.end(), open_after);
+  };
+  const auto touch = [&](graph::VertexId v) {
+    if (sc.stamp[v] == gen) return;
+    sc.stamp[v] = gen;
+    sc.dist[v] = kInf;
+    sc.prev[v] = graph::kInvalidVertex;
+    sc.h[v] = heuristic(v);  // once per vertex per search
+  };
   const auto relax = [&](graph::VertexId from, graph::VertexId to, double w) {
-    const double nd = dist[from] + w;
-    if (nd < dist[to]) {
-      dist[to] = nd;
-      prev[to] = from;
-      open.emplace(nd + heuristic(to), to);
+    touch(to);
+    const double nd = sc.dist[from] + w;
+    if (nd < sc.dist[to] && sc.h[to] != kNoGoal) {
+      sc.dist[to] = nd;
+      sc.prev[to] = from;
+      push(to);
     }
   };
 
-  dist[s] = 0.0;
-  open.emplace(heuristic(s), s);
-  while (!open.empty()) {
-    const auto [f, u] = open.top();
-    open.pop();
+  touch(s);
+  touch(t);
+  sc.dist[s] = 0.0;
+  push(s);
+  while (!sc.open.empty()) {
+    std::pop_heap(sc.open.begin(), sc.open.end(), open_after);
+    const SearchScratch::OpenEntry top = sc.open.back();
+    sc.open.pop_back();
+    const graph::VertexId u = top.v;
     if (u == t) break;
-    if (f - heuristic(u) > dist[u] + 1e-12) continue;  // stale entry
+    if (top.g > sc.dist[u]) continue;  // stale entry
+    ++sc.expanded;
     if (u == s) {
       for (const AttachEdge& a : start_edges) relax(s, a.to, a.length);
       continue;
@@ -65,9 +150,9 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
       if (a.to == u) relax(u, t, a.length);
   }
 
-  if (dist[t] >= kInf) return std::nullopt;
+  if (sc.dist[t] >= kInf) return std::nullopt;
   std::vector<graph::VertexId> vertices;
-  for (graph::VertexId v = t; v != graph::kInvalidVertex; v = prev[v])
+  for (graph::VertexId v = t; v != graph::kInvalidVertex; v = sc.prev[v])
     vertices.push_back(v);
   std::reverse(vertices.begin(), vertices.end());
 
@@ -101,6 +186,7 @@ std::optional<std::vector<cspace::Config>> query_roadmap(
   }
 
   auto finder = make_neighbor_finder(e.space(), /*exact=*/false);
+  finder->reserve(g.num_vertices());
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
     finder->insert(v, g.vertex(v).cfg);
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "env/environment.hpp"
+#include "planner/landmarks.hpp"
 #include "planner/roadmap.hpp"
 #include "planner/stats.hpp"
 
@@ -28,26 +29,70 @@ struct AttachEdge {
   double length = 0.0;
 };
 
+/// Reusable per-worker A* state. Per-vertex entries are valid only where
+/// `stamp` equals the current generation, so a search resets nothing up
+/// front: it bumps the generation and touches only the vertices it reaches.
+/// One instance serves any number of sequential searches (over roadmaps of
+/// any size); it must not be shared by concurrent searches.
+struct SearchScratch {
+  struct OpenEntry {
+    double f;  ///< g + h: the heap key, ties broken by ascending vertex id
+    double g;  ///< path cost when pushed; stale once dist[v] dropped below
+    graph::VertexId v;
+  };
+  struct GoalRow {
+    std::uint32_t component;
+    double length;      ///< attachment edge length into the goal
+    const double* row;  ///< landmark distances of the attached vertex
+  };
+
+  std::vector<double> dist;
+  std::vector<double> h;
+  std::vector<graph::VertexId> prev;
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t generation = 0;
+  std::vector<OpenEntry> open;
+  std::vector<GoalRow> goal_rows;
+  std::size_t expanded = 0;  ///< vertices expanded by the last search
+};
+
 /// A* over the roadmap plus a two-vertex overlay: virtual `start` connects
 /// into `g` via `start_edges`, virtual `goal` is reached from any vertex
-/// named in `goal_edges`. The roadmap is read-only; the overlay lives on
-/// this call's stack. Heuristic is the C-space metric distance to `goal`
-/// (admissible: edge lengths are metric lengths). Returns the configuration
-/// path start..goal, or nullopt when the overlay does not connect.
+/// named in `goal_edges`. The roadmap is read-only; the overlay lives in
+/// the search state. Returns the configuration path start..goal, or
+/// nullopt when the overlay does not connect.
+///
+/// The heuristic is the C-space metric distance to `goal` (admissible: edge
+/// lengths are metric lengths). With `landmarks` (built over this same `g`)
+/// it is the larger of that and the ALT bound
+///   max over landmarks l of min over goal edges a in v's component of
+///   |d_l(v) - d_l(a.to)| + a.length,
+/// which is admissible and consistent on the overlay graph; vertices whose
+/// component holds no goal edge are never queued, and when no start edge
+/// shares a component with any goal edge the call returns nullopt without
+/// searching. The table only prunes the search: the answer is the same
+/// shortest path. It can differ only when two paths cost exactly the same,
+/// where either heuristic may settle the tie its own way.
 ///
 /// Deterministic: ties in the open set break by ascending vertex id, and
 /// the attachment lists are consumed in the order given — so identical
 /// inputs produce bit-identical paths regardless of caller threading.
+/// `scratch` (nullptr: a temporary) carries state across calls only to
+/// avoid allocation and per-vertex resets.
 std::optional<std::vector<cspace::Config>> find_path_with_attachments(
     const env::Environment& e, const Roadmap& g, const cspace::Config& start,
     const cspace::Config& goal, std::span<const AttachEdge> start_edges,
-    std::span<const AttachEdge> goal_edges);
+    std::span<const AttachEdge> goal_edges,
+    const LandmarkTable* landmarks = nullptr,
+    SearchScratch* scratch = nullptr);
 
 /// Connect `start` and `goal` to the roadmap via local plans to their k
-/// nearest vertices, then run A* (metric heuristic). On success returns the
-/// configuration path start..goal. The roadmap is never mutated: start and
-/// goal attach through an overlay (`find_path_with_attachments`), so
-/// repeated or concurrent queries need no defensive copy.
+/// nearest vertices, then run A* (metric heuristic only: this is the
+/// reference answer the service's landmark-guided A* must match). On
+/// success returns the configuration path start..goal. The roadmap is never
+/// mutated: start and goal attach through an overlay
+/// (`find_path_with_attachments`), so repeated or concurrent queries need
+/// no defensive copy.
 std::optional<std::vector<cspace::Config>> query_roadmap(
     const env::Environment& e, const Roadmap& g, const cspace::Config& start,
     const cspace::Config& goal, std::size_t k_neighbors, double resolution,

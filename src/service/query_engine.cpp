@@ -29,6 +29,12 @@ constexpr graph::VertexId tag_vertex(std::uint64_t tag) noexcept {
   return static_cast<graph::VertexId>(tag & 0xffffffffu);
 }
 
+// Per-wave stage histograms, in pipeline order.
+constexpr const char* kStageAdmit = "service/stage_us/admit";
+constexpr const char* kStageKnn = "service/stage_us/knn";
+constexpr const char* kStageEdges = "service/stage_us/edges";
+constexpr const char* kStageAstar = "service/stage_us/astar";
+
 }  // namespace
 
 LatencyQuantiles summarize_latency(const runtime::Histogram& h) noexcept {
@@ -75,6 +81,7 @@ QueryEngine::QueryEngine(const env::Environment& e, SnapshotPool& pool,
   runtime::SchedulerOptions opts;
   opts.tracer = cfg_.tracer;
   sched_ = std::make_unique<runtime::Scheduler>(workers, opts);
+  search_scratch_.resize(sched_->size() + 1);
 
   // Pre-register every instrument so scrapes see a deterministic key set
   // from the first collection on, not one that grows with traffic.
@@ -86,6 +93,8 @@ QueryEngine::QueryEngine(const env::Environment& e, SnapshotPool& pool,
         "service/finder_rebuilds"})
     reg.counter(name);
   reg.histogram("service/latency_us");
+  for (const char* name : {kStageAdmit, kStageKnn, kStageEdges, kStageAstar})
+    reg.histogram(name);
   reg.gauge("service/epoch");
 }
 
@@ -101,8 +110,9 @@ void QueryEngine::ensure_finder(const RoadmapSnapshot& snap) {
   // The finder copies every configuration it indexes, so it stays valid
   // after the snapshot pin is dropped; it is rebuilt once per epoch and
   // amortized over every query answered against that epoch.
-  finder_ = planner::make_neighbor_finder(env_->space(), cfg_.exact_knn);
+  finder_ = planner::make_neighbor_finder(env_->space());
   const auto n = static_cast<graph::VertexId>(snap.roadmap.num_vertices());
+  finder_->reserve(n);
   for (graph::VertexId v = 0; v < n; ++v)
     finder_->insert(v, snap.roadmap.vertex(v).cfg);
   finder_epoch_ = snap.epoch;
@@ -158,7 +168,14 @@ std::vector<QueryResult> QueryEngine::run_batch(
   }
   const std::uint64_t epoch = snap->epoch;
   registry().set("service/epoch", static_cast<double>(epoch));
-  ensure_finder(*snap);
+
+  // Each call closes the running stage into its per-wave histogram.
+  double stage_t0 = t0;
+  const auto end_stage = [&](const char* histogram) {
+    const double now = now_s();
+    registry().observe(histogram, (now - stage_t0) * 1e6);
+    stage_t0 = now;
+  };
 
   runtime::TraceBuffer* admit_track =
       cfg_.tracer != nullptr ? cfg_.tracer->thread_track("service admit")
@@ -195,10 +212,13 @@ std::vector<QueryResult> QueryEngine::run_batch(
     kmax = std::max(kmax, q.k);
   }
 
+  end_stage(kStageAdmit);
+
   // Stage 1 — one batched k-NN pass for every live endpoint. All queries
   // share kmax; a query wanting fewer neighbors takes the prefix of its
   // result span (the canonical neighbor order makes the k-best set a
   // prefix of the kmax-best set, so this is exactly its own k-NN answer).
+  ensure_finder(*snap);
   std::vector<std::size_t> live;
   live.reserve(n);
   std::vector<cspace::Config> qcfgs;
@@ -209,8 +229,8 @@ std::vector<QueryResult> QueryEngine::run_batch(
     qcfgs.push_back(queries[i].start);
     qcfgs.push_back(queries[i].goal);
   }
-  if (live.empty()) return results;
-  finder_->nearest_batch(qcfgs, kmax, knn_scratch_, &st);
+  if (!live.empty()) finder_->nearest_batch(qcfgs, kmax, knn_scratch_, &st);
+  end_stage(kStageKnn);
 
   // Stage 2 — cross-query edge validation: every attachment candidate of
   // every live query flows through one speculative window, so the wide
@@ -282,6 +302,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
     if (!prep[i].alive && results[i].status == QueryStatus::kSolved)
       record(queries[i], results[i], t0);
   }
+  end_stage(kStageEdges);
 
   // Stage 3 — per-query A* fan-out onto scheduler workers. Each query
   // writes only its own slot, so any interleaving yields the same results.
@@ -310,7 +331,10 @@ std::vector<QueryResult> QueryEngine::run_batch(
           return;
         }
         auto path = planner::find_path_with_attachments(
-            *env_, g, q.start, q.goal, p.start_edges, p.goal_edges);
+            *env_, g, q.start, q.goal, p.start_edges, p.goal_edges,
+            &snap->landmarks,
+            &search_scratch_[static_cast<std::size_t>(
+                sched_->current_worker() + 1)]);
         if (path.has_value()) {
           r.status = QueryStatus::kSolved;
           r.path = std::move(*path);
@@ -327,6 +351,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
         record(q, r, t0);
       },
       wave);
+  end_stage(kStageAstar);
 
   return results;
 }

@@ -14,7 +14,9 @@
 ///    k-NN connections) of a wave validate through one EdgeBatchPlanner
 ///    window, so the wide validity lanes stay full across queries;
 ///  - the per-query A* searches fan out onto scheduler workers via
-///    parallel_for_cancellable.
+///    parallel_for_cancellable, guided by the snapshot's landmark table
+///    (built once per epoch by the publisher) and running in per-worker
+///    search scratch that is never reset wholesale.
 ///
 /// The roadmap is only read (overlay attach, planner/query.hpp), so any
 /// number of in-flight queries share one snapshot without synchronization.
@@ -75,13 +77,14 @@ struct QueryEngineConfig {
   std::size_t workers = 0;   ///< 0: hardware concurrency
   double resolution = 1.0;   ///< local-plan validation step
   std::size_t edge_window = 8;  ///< cross-query edge batching window
-  bool exact_knn = false;
   /// Metrics sink; nullptr = MetricsRegistry::global(). Published live:
-  ///   counters  service/queries_total, service/queries_solved,
-  ///             service/queries_unreachable, service/queries_invalid,
-  ///             service/deadline_missed, service/finder_rebuilds
-  ///   histogram service/latency_us (log2 buckets)
-  ///   gauges    service/epoch (snapshot answered against)
+  ///   counters   service/queries_total, service/queries_solved,
+  ///              service/queries_unreachable, service/queries_invalid,
+  ///              service/deadline_missed, service/finder_rebuilds
+  ///   histograms service/latency_us (per query),
+  ///              service/stage_us/{admit,knn,edges,astar} (per wave:
+  ///              wall time of each pipeline stage; log2 buckets)
+  ///   gauges     service/epoch (snapshot answered against)
   runtime::MetricsRegistry* metrics = nullptr;
   /// Tracing sink; nullptr disables. Each query emits an admission instant
   /// + flow arrow (category "query", correlation id from the query id) on
@@ -152,6 +155,9 @@ class QueryEngine {
   std::unique_ptr<planner::NeighborFinder> finder_;
   std::uint64_t finder_epoch_ = 0;
   planner::KnnBatch knn_scratch_;
+  // A* state, one per scheduler worker (index current_worker() + 1; slot 0
+  // serves a search that runs off the pool).
+  std::vector<planner::SearchScratch> search_scratch_;
 
   std::mutex queue_mutex_;
   std::vector<std::pair<std::uint64_t, QueryRequest>> queue_;

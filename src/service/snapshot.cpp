@@ -12,7 +12,8 @@ std::atomic<std::uint64_t> g_live_snapshots{0};
 }  // namespace
 
 RoadmapSnapshot::RoadmapSnapshot(planner::Roadmap g, std::uint64_t ep)
-    : roadmap(std::move(g)), epoch(ep) {
+    : roadmap(std::move(g)), landmarks(roadmap), epoch(ep) {
+  roadmap.shrink_to_fit();  // immutable from here on: drop growth slack
   g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -170,6 +171,7 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
       e, e.space().position_bounds(), attempts, rng, st, cancel);
   std::vector<graph::VertexId> fresh;
   fresh.reserve(samples.size());
+  next.reserve_vertices(next.num_vertices() + samples.size());
   for (const auto& c : samples) fresh.push_back(next.add_vertex({c, 0}));
 
   if (!fresh.empty()) {
@@ -178,6 +180,7 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
     // one batch; edge validation goes through the cross-edge window so the
     // wide validity lanes stay full across short or early-rejecting edges.
     auto finder = planner::make_neighbor_finder(e.space(), params.exact_knn);
+    finder->reserve(next.num_vertices());
     for (graph::VertexId v = 0;
          v < static_cast<graph::VertexId>(next.num_vertices()); ++v)
       finder->insert(v, next.vertex(v).cfg);

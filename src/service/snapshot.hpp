@@ -31,6 +31,7 @@
 #include <mutex>
 #include <string>
 
+#include "planner/landmarks.hpp"
 #include "planner/prm.hpp"
 #include "planner/roadmap.hpp"
 #include "runtime/cancel.hpp"
@@ -39,9 +40,12 @@
 namespace pmpl::service {
 
 /// One immutable published roadmap. Never mutated after publication; safe
-/// to read from any number of threads.
+/// to read from any number of threads. The constructor also builds the
+/// epoch's landmark table (planner/landmarks.hpp), so that cost lands on
+/// the publisher's thread once per epoch and never on a reader.
 struct RoadmapSnapshot {
   planner::Roadmap roadmap;
+  planner::LandmarkTable landmarks;  ///< over `roadmap`, for guided A*
   std::uint64_t epoch = 0;
 
   RoadmapSnapshot(planner::Roadmap g, std::uint64_t ep);

@@ -1,13 +1,16 @@
 // Tests for planner/: k-NN structures, sequential PRM, sequential RRT,
-// roadmap queries.
+// roadmap queries, landmark-guided A*.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "env/builders.hpp"
+#include "graph/shortest_path.hpp"
 #include "graph/tree_utils.hpp"
 #include "planner/knn.hpp"
+#include "planner/landmarks.hpp"
 #include "planner/prm.hpp"
 #include "planner/query.hpp"
 #include "planner/rrt.hpp"
@@ -427,6 +430,303 @@ TEST(Query, PathValidDetectsCollision) {
   const std::vector<Config> good{e->space().at_position({5, 5, 5}, rng),
                                  e->space().at_position({10, 5, 5}, rng)};
   EXPECT_TRUE(path_valid(*e, good, 1.0));
+}
+
+// --- landmark-guided A* --------------------------------------------------
+//
+// find_path_with_attachments with a LandmarkTable must return the same
+// path as the metric-only search (query_roadmap's reference) whenever the
+// shortest path is unique, which on a roadmap of real-valued edge lengths
+// is every query. Where paths cost exactly the same (the unit lattice
+// below) the two heuristics may settle the tie differently, so there only
+// the cost is pinned.
+
+bool same_path(const std::vector<Config>& a, const std::vector<Config>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (std::size_t d = 0; d < a[i].size(); ++d)
+      if (a[i][d] != b[i][d]) return false;  // bit-identical, not approx
+  }
+  return true;
+}
+
+/// A cyclic PRM roadmap (no same-component skipping) plus 24 islands of
+/// one to three random vertices chained by metric-length edges, so queries
+/// can start where the goal is out of reach.
+Roadmap cyclic_roadmap(const env::Environment& e, std::size_t attempts,
+                       std::uint64_t seed) {
+  PrmParams params;
+  params.k_neighbors = 8;
+  params.resolution = 0.5;
+  params.skip_same_component = false;
+  Prm prm(e, params);
+  prm.build(attempts, seed);
+  Roadmap g = prm.roadmap();
+  Xoshiro256ss rng(seed + 1);
+  for (int island = 0; island < 24; ++island) {
+    graph::VertexId prev = graph::kInvalidVertex;
+    for (int i = 0; i <= island % 3; ++i) {
+      const graph::VertexId v = g.add_vertex({e.space().sample(rng), 0});
+      if (prev != graph::kInvalidVertex)
+        g.add_edge(prev, v,
+                   {e.space().distance(g.vertex(prev).cfg, g.vertex(v).cfg)});
+      prev = v;
+    }
+  }
+  return g;
+}
+
+struct LandmarkSweep {
+  std::size_t queries = 0, solved = 0, island = 0, island_unreachable = 0;
+  std::uint64_t plain_expanded = 0, guided_expanded = 0;
+};
+
+/// `n` seeded overlay queries: both endpoints attach to their 8 nearest
+/// vertices with metric-length edges; every fourth query starts on a vertex
+/// outside the largest component and attaches only inside its island. Each query runs with and without the
+/// table, and the two answers must be bit-identical.
+LandmarkSweep sweep_landmark_queries(const env::Environment& e,
+                                     const Roadmap& g, std::size_t n,
+                                     std::uint64_t seed) {
+  const LandmarkTable table(g);
+  std::vector<std::size_t> comp_size(table.num_components(), 0);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+    ++comp_size[table.component(v)];
+  const auto largest = static_cast<std::uint32_t>(
+      std::max_element(comp_size.begin(), comp_size.end()) -
+      comp_size.begin());
+  std::vector<graph::VertexId> islanders;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+    if (table.component(v) != largest) islanders.push_back(v);
+
+  auto finder = make_neighbor_finder(e.space());
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+    finder->insert(v, g.vertex(v).cfg);
+  const auto attach = [&](const Config& c) {
+    std::vector<AttachEdge> out;
+    for (const Neighbor& nb : finder->nearest(c, 8))
+      out.push_back({nb.id, e.space().distance(c, g.vertex(nb.id).cfg)});
+    return out;
+  };
+
+  LandmarkSweep sw;
+  SearchScratch plain_scratch, guided_scratch;
+  Xoshiro256ss rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool on_island = !islanders.empty() && i % 4 == 0;
+    const graph::VertexId home =
+        on_island ? islanders[rng() % islanders.size()] : 0;
+    const Config start =
+        on_island ? g.vertex(home).cfg : e.space().sample(rng);
+    const Config goal = e.space().sample(rng);
+    auto se = attach(start);
+    const auto ge = attach(goal);
+    if (on_island)  // the start sees only its own island
+      std::erase_if(se, [&](const AttachEdge& a) {
+        return table.component(a.to) != table.component(home);
+      });
+    const auto plain = find_path_with_attachments(e, g, start, goal, se, ge,
+                                                  nullptr, &plain_scratch);
+    const auto guided = find_path_with_attachments(e, g, start, goal, se, ge,
+                                                   &table, &guided_scratch);
+    ++sw.queries;
+    sw.plain_expanded += plain_scratch.expanded;
+    sw.guided_expanded += guided_scratch.expanded;
+    if (on_island) ++sw.island;
+    EXPECT_EQ(plain.has_value(), guided.has_value()) << "query " << i;
+    if (plain.has_value() && guided.has_value()) {
+      ++sw.solved;
+      EXPECT_TRUE(same_path(*plain, *guided)) << "query " << i;
+    } else if (on_island) {
+      ++sw.island_unreachable;
+    }
+  }
+  return sw;
+}
+
+TEST(LandmarkTable, LabelsComponentsAndStoresGraphDistances) {
+  const auto e = env::maze_2d();
+  const Roadmap g = cyclic_roadmap(*e, 1500, 41);
+  const LandmarkTable table(g);
+  ASSERT_EQ(table.num_vertices(), g.num_vertices());
+  ASSERT_GT(table.num_components(), 1u) << "roadmap has no islands";
+  constexpr std::size_t L = LandmarkTable::kLandmarks;
+
+  // Landmark l of component c is the vertex of c at distance 0 in column
+  // l; the first one is c's lowest-id vertex (labels follow lowest ids).
+  std::vector<std::vector<graph::VertexId>> landmark(
+      table.num_components(),
+      std::vector<graph::VertexId>(L, graph::kInvalidVertex));
+  std::vector<graph::VertexId> lowest(table.num_components(),
+                                      graph::kInvalidVertex);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    const std::uint32_t c = table.component(v);
+    ASSERT_LT(c, table.num_components());
+    if (lowest[c] == graph::kInvalidVertex) {
+      lowest[c] = v;
+      if (c > 0) {
+        EXPECT_GT(v, lowest[c - 1]);
+      }
+    }
+    for (std::size_t l = 0; l < L; ++l) {
+      if (table.row(v)[l] == 0.0 && landmark[c][l] == graph::kInvalidVertex)
+        landmark[c][l] = v;
+    }
+  }
+  for (std::uint32_t c = 0; c < table.num_components(); ++c) {
+    EXPECT_EQ(landmark[c][0], lowest[c]);
+    for (std::size_t l = 0; l < L; ++l)
+      EXPECT_NE(landmark[c][l], graph::kInvalidVertex) << c << "/" << l;
+  }
+
+  // Rows hold Dijkstra distances to the vertex's own landmarks, and two
+  // vertices share a label exactly when they are connected.
+  const auto edge_len = std::function<double(const RoadmapEdge&)>(
+      [](const RoadmapEdge& ed) { return ed.length; });
+  Xoshiro256ss rng(42);
+  for (int probe = 0; probe < 40; ++probe) {
+    const auto v = static_cast<graph::VertexId>(rng() % g.num_vertices());
+    const std::uint32_t c = table.component(v);
+    for (std::size_t l = 0; l < L; ++l) {
+      const auto path = graph::dijkstra(g, landmark[c][l], v, edge_len);
+      ASSERT_TRUE(path.has_value());
+      EXPECT_DOUBLE_EQ(table.row(v)[l], path->cost);
+    }
+    const auto w = static_cast<graph::VertexId>(rng() % g.num_vertices());
+    EXPECT_EQ(table.component(v) == table.component(w),
+              graph::reachable(g, v, w));
+  }
+}
+
+TEST(LandmarkTable, DeterministicAndEmptySafe) {
+  const auto e = env::maze_2d();
+  const Roadmap g = cyclic_roadmap(*e, 800, 43);
+  const LandmarkTable a(g), b(g);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(a.component(v), b.component(v));
+    for (std::size_t l = 0; l < LandmarkTable::kLandmarks; ++l)
+      ASSERT_EQ(a.row(v)[l], b.row(v)[l]);
+  }
+  const LandmarkTable empty{Roadmap{}};
+  EXPECT_EQ(empty.num_vertices(), 0u);
+  EXPECT_EQ(empty.num_components(), 0u);
+}
+
+TEST(LandmarkAStar, BitIdenticalToMetricAStarOnMaze2d) {
+  const auto e = env::maze_2d();
+  const Roadmap g = cyclic_roadmap(*e, 3000, 44);
+  const auto sw = sweep_landmark_queries(*e, g, 2000, 45);
+  EXPECT_EQ(sw.queries, 2000u);
+  EXPECT_GT(sw.solved, 1000u);
+  EXPECT_GT(sw.island, 0u);
+  EXPECT_GT(sw.island_unreachable, 0u) << "no query started on an island";
+  // The table exists to prune: it must at least halve the expansions.
+  EXPECT_LT(2 * sw.guided_expanded, sw.plain_expanded);
+}
+
+TEST(LandmarkAStar, BitIdenticalToMetricAStarInSe3) {
+  const auto e = env::med_cube();
+  const Roadmap g = cyclic_roadmap(*e, 2500, 46);
+  const auto sw = sweep_landmark_queries(*e, g, 2000, 47);
+  EXPECT_EQ(sw.queries, 2000u);
+  EXPECT_GT(sw.solved, 1000u);
+  EXPECT_GT(sw.island, 0u);
+  EXPECT_LT(sw.guided_expanded, sw.plain_expanded);
+}
+
+TEST(LandmarkAStar, UnitLatticeTiesKeepTheShortestCost) {
+  // 12 x 12 lattice, unit edges: many shortest paths cost exactly the same.
+  const auto e = env::maze_2d();
+  constexpr int kSide = 12;
+  Roadmap g;
+  const auto id = [](int x, int y) {
+    return static_cast<graph::VertexId>(y * kSide + x);
+  };
+  for (int y = 0; y < kSide; ++y)
+    for (int x = 0; x < kSide; ++x)
+      g.add_vertex({Config{1.0 + x, 1.0 + y, 0.0}, 0});
+  for (int y = 0; y < kSide; ++y)
+    for (int x = 0; x < kSide; ++x) {
+      if (x + 1 < kSide) g.add_edge(id(x, y), id(x + 1, y), {1.0});
+      if (y + 1 < kSide) g.add_edge(id(x, y), id(x, y + 1), {1.0});
+    }
+  const LandmarkTable table(g);
+  Xoshiro256ss rng(48);
+  for (int q = 0; q < 200; ++q) {
+    const auto a = static_cast<graph::VertexId>(rng() % (kSide * kSide));
+    const auto b = static_cast<graph::VertexId>(rng() % (kSide * kSide));
+    const Config& start = g.vertex(a).cfg;
+    const Config& goal = g.vertex(b).cfg;
+    const std::vector<AttachEdge> se{{a, 0.0}}, ge{{b, 0.0}};
+    const auto plain = find_path_with_attachments(*e, g, start, goal, se, ge);
+    const auto guided =
+        find_path_with_attachments(*e, g, start, goal, se, ge, &table);
+    ASSERT_TRUE(plain.has_value());
+    ASSERT_TRUE(guided.has_value());
+    EXPECT_EQ(path_length(*e, *plain), path_length(*e, *guided)) << q;
+    EXPECT_EQ(guided->front(), start);
+    EXPECT_EQ(guided->back(), goal);
+  }
+}
+
+TEST(LandmarkAStar, DisjointIslandsAnswerUnreachableWithoutSearching) {
+  // Two 3-vertex islands; start attaches only to the first, goal only to
+  // the second.
+  const auto e = env::maze_2d();
+  Roadmap g;
+  for (int i = 0; i < 6; ++i) g.add_vertex({Config{2.0 + i, 2.0, 0.0}, 0});
+  g.add_edge(0, 1, {1.0});
+  g.add_edge(1, 2, {1.0});
+  g.add_edge(3, 4, {1.0});
+  g.add_edge(4, 5, {1.0});
+  const LandmarkTable table(g);
+  ASSERT_EQ(table.num_components(), 2u);
+  const Config start = g.vertex(0).cfg, goal = g.vertex(5).cfg;
+  const std::vector<AttachEdge> se{{0, 0.0}, {1, 1.0}}, ge{{5, 0.0}, {4, 1.0}};
+
+  SearchScratch plain_scratch, guided_scratch;
+  EXPECT_FALSE(find_path_with_attachments(*e, g, start, goal, se, ge, nullptr,
+                                          &plain_scratch)
+                   .has_value());
+  EXPECT_GT(plain_scratch.expanded, 0u);
+  EXPECT_FALSE(find_path_with_attachments(*e, g, start, goal, se, ge, &table,
+                                          &guided_scratch)
+                   .has_value());
+  EXPECT_EQ(guided_scratch.expanded, 0u);
+
+  // One goal edge into the start's island: reachable again, same answer.
+  const std::vector<AttachEdge> ge2{{5, 0.0}, {2, 3.0}};
+  const auto plain = find_path_with_attachments(*e, g, start, goal, se, ge2);
+  const auto guided =
+      find_path_with_attachments(*e, g, start, goal, se, ge2, &table);
+  ASSERT_TRUE(plain.has_value());
+  ASSERT_TRUE(guided.has_value());
+  EXPECT_TRUE(same_path(*plain, *guided));
+}
+
+TEST(LandmarkAStar, ScratchReuseAcrossRoadmapsMatchesFreshScratch) {
+  const auto e = env::maze_2d();
+  const Roadmap small = cyclic_roadmap(*e, 600, 49);
+  const Roadmap large = cyclic_roadmap(*e, 2000, 50);
+  const LandmarkTable ts(small), tl(large);
+  SearchScratch shared;
+  Xoshiro256ss rng(51);
+  for (int q = 0; q < 60; ++q) {
+    const Roadmap& g = q % 2 == 0 ? small : large;
+    const LandmarkTable& t = q % 2 == 0 ? ts : tl;
+    const auto a = static_cast<graph::VertexId>(rng() % g.num_vertices());
+    const auto b = static_cast<graph::VertexId>(rng() % g.num_vertices());
+    const std::vector<AttachEdge> se{{a, 0.0}}, ge{{b, 0.0}};
+    const auto fresh = find_path_with_attachments(
+        *e, g, g.vertex(a).cfg, g.vertex(b).cfg, se, ge, &t);
+    const auto reused = find_path_with_attachments(
+        *e, g, g.vertex(a).cfg, g.vertex(b).cfg, se, ge, &t, &shared);
+    ASSERT_EQ(fresh.has_value(), reused.has_value()) << q;
+    if (fresh.has_value()) {
+      EXPECT_TRUE(same_path(*fresh, *reused)) << q;
+    }
+  }
 }
 
 // --- RRT ---------------------------------------------------------------

@@ -588,5 +588,83 @@ TEST_F(ServiceFixture, ConcurrentBatchesAgainstChurningPoolStayValid) {
   EXPECT_GT(solved, 0u);
 }
 
+TEST_F(ServiceFixture, StageHistogramsObserveEveryWave) {
+  runtime::MetricsRegistry metrics;
+  service::QueryEngineConfig cfg;
+  cfg.workers = 2;
+  cfg.resolution = params.resolution;
+  cfg.metrics = &metrics;
+  service::QueryEngine engine(*e, pool, cfg);
+  const char* stages[] = {"service/stage_us/admit", "service/stage_us/knn",
+                          "service/stage_us/edges", "service/stage_us/astar"};
+  // Pre-registered: present before any traffic.
+  for (const char* name : stages)
+    EXPECT_NE(metrics.to_json().find(std::string("\"") + name + "\""),
+              std::string::npos)
+        << "missing metrics key: " << name;
+
+  const auto reqs = make_requests(8, 31);
+  for (int wave = 0; wave < 3; ++wave) engine.run_batch(reqs);
+  for (const char* name : stages)
+    EXPECT_EQ(metrics.histogram(name).count(), 3u) << name;
+  EXPECT_GT(metrics.histogram("service/stage_us/astar").sum(), 0.0);
+}
+
+TEST_F(ServiceFixture, TwoEnginesShareOnePoolUnderChurn) {
+  // Two engines (each with its own finder, scheduler and search scratch)
+  // read one pool while a publisher keeps swapping epochs; every snapshot
+  // carries the landmark table the publisher built. Answers of the two
+  // engines against the same epoch must be bit-identical, and every solved
+  // path must be valid. TSan covers the shared snapshot reads.
+  service::QueryEngineConfig cfg;
+  cfg.workers = 2;
+  cfg.resolution = params.resolution;
+  runtime::MetricsRegistry metrics_a, metrics_b;
+  cfg.metrics = &metrics_a;
+  service::QueryEngine a(*e, pool, cfg);
+  cfg.metrics = &metrics_b;
+  service::QueryEngine b(*e, pool, cfg);
+
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    std::uint64_t seed = 3000;
+    while (!stop.load(std::memory_order_acquire))
+      service::densify_and_publish(pool, *e, params, 40, seed++);
+  });
+
+  const auto reqs = make_requests(6, 77);
+  std::size_t solved = 0;
+  for (int wave = 0; wave < 6; ++wave) {
+    std::vector<service::QueryResult> ra;
+    std::thread ta([&] { ra = a.run_batch(reqs); });
+    std::vector<service::QueryResult> rb = b.run_batch(reqs);
+    ta.join();
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      for (const service::QueryResult* r : {&ra[i], &rb[i]}) {
+        if (r->status != service::QueryStatus::kSolved) continue;
+        ++solved;
+        EXPECT_LE(r->epoch, pool.published_total());
+        EXPECT_TRUE(planner::path_valid(*e, r->path, params.resolution));
+      }
+      if (ra[i].epoch != rb[i].epoch) continue;
+      EXPECT_EQ(ra[i].status, rb[i].status) << "wave " << wave << " q " << i;
+      EXPECT_TRUE(same_path(ra[i].path, rb[i].path))
+          << "wave " << wave << " q " << i;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  publisher.join();
+  EXPECT_GT(solved, 0u);
+  // Same-epoch pairs are likely but not guaranteed under churn; after the
+  // publisher stops, both engines answer the final epoch.
+  const auto fa = a.run_batch(reqs);
+  const auto fb = b.run_batch(reqs);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_EQ(fa[i].epoch, fb[i].epoch);
+    EXPECT_EQ(fa[i].status, fb[i].status);
+    EXPECT_TRUE(same_path(fa[i].path, fb[i].path)) << "q " << i;
+  }
+}
+
 }  // namespace
 }  // namespace pmpl

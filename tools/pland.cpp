@@ -182,6 +182,36 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(pool.reclaimed_total()),
               static_cast<unsigned long long>(pool.live_slots()));
 
+  // Where the wave time went, from the engine's per-wave stage histograms
+  // (every wave observes all four).
+  const char* const stages[] = {"admit", "knn", "edges", "astar"};
+  double stage_us[4];
+  double total_us = 0.0;
+  std::uint64_t waves = 0;
+  for (int i = 0; i < 4; ++i) {
+    const auto& h =
+        metrics.histogram(std::string("service/stage_us/") + stages[i]);
+    stage_us[i] = h.sum();
+    total_us += h.sum();
+    waves = h.count();
+  }
+  std::printf("stages, mean us per wave over %llu waves:",
+              static_cast<unsigned long long>(waves));
+  for (int i = 0; i < 4; ++i)
+    std::printf(" %s %.0f", stages[i],
+                waves > 0 ? stage_us[i] / static_cast<double>(waves) : 0.0);
+  std::printf(" (astar %.0f%%)\n",
+              total_us > 0.0 ? 100.0 * stage_us[3] / total_us : 0.0);
+  if (const service::SnapshotRef cur = pool.acquire()) {
+    const planner::LandmarkTable& lt = cur->landmarks;
+    std::printf("landmarks, epoch %llu: %zu per component, %zu components, "
+                "%.1f KiB, built in %.2f ms\n",
+                static_cast<unsigned long long>(cur->epoch),
+                planner::LandmarkTable::kLandmarks, lt.num_components(),
+                static_cast<double>(lt.bytes()) / 1024.0,
+                lt.build_seconds() * 1e3);
+  }
+
   if (!metrics_path.empty()) {
     if (std::FILE* f = std::fopen(metrics_path.c_str(), "w")) {
       std::fprintf(f, "%s\n", metrics.to_json().c_str());
