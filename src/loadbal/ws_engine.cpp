@@ -1,8 +1,9 @@
 #include "loadbal/ws_engine.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "loadbal/ws_rank.hpp"
 #include "runtime/des.hpp"
@@ -17,6 +18,10 @@ using runtime::Frame;
 using runtime::FrameType;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// What a calendar event does; its argument is a rank, except for a
+/// delivery, whose argument is the slot its frame is parked in.
+enum class Ev : std::uint32_t { kCrash, kDelivery, kWake, kRegionEnd };
 
 /// The virtual-time driver: p WsRank cores over the DES transport, plus
 /// what only a god view can tally — crashes and straggler stretch from
@@ -39,10 +44,8 @@ class DesDriver final : public WsLink {
     rank_cfg_.trace_prefix = config.trace_prefix;
     rank_cfg_.trace_capacity = config.trace_capacity;
     std::vector<std::vector<std::uint32_t>> queues(p);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      assert(initial[i] < p);
+    for (std::size_t i = 0; i < items.size(); ++i)
       queues[initial[i]].push_back(static_cast<std::uint32_t>(i));
-    }
     // Reserved, not touched: never copied on growth in a typical replay.
     wires_.reserve(16 * std::size_t{p});
     cores_.reserve(p);
@@ -59,7 +62,7 @@ class DesDriver final : public WsLink {
     result_.completion_s.assign(items.size(), -1.0);
     reexec_pending_.assign(items.size(), false);
   }
-  // The cores and the calendar's events hold `this`.
+  // The cores hold `this`.
   DesDriver(const DesDriver&) = delete;
   DesDriver& operator=(const DesDriver&) = delete;
 
@@ -68,15 +71,16 @@ class DesDriver final : public WsLink {
       cores_[r].start();
       after(r);
     }
-    for (const auto& c : inject_.plan().crashes) {
-      if (c.rank >= p_) continue;
-      sim_.schedule_at(c.at_s, [this, r = c.rank] {
-        if (terminated_ || !alive_[r]) return;
-        ++result_.faults.crashes;
-        take_down(r);
-      });
-    }
-    sim_.run();
+    for (const auto& c : inject_.plan().crashes)
+      if (c.rank < p_) sim_.schedule_at(c.at_s, Ev::kCrash, c.rank);
+    sim_.run([this](Ev kind, std::uint32_t arg) {
+      switch (kind) {
+        case Ev::kCrash: return on_crash(arg);
+        case Ev::kDelivery: return on_delivery(arg);
+        case Ev::kWake: return on_wake(arg);
+        case Ev::kRegionEnd: return end_region(arg);
+      }
+    });
     result_.hit_event_limit = sim_.hit_event_limit();
     result_.terminated = terminated_;
     // The calendar drained without detection (every rank crashed): fall
@@ -128,7 +132,7 @@ class DesDriver final : public WsLink {
         t->instant_at("drop", sim_.now(), f.to);
       return true;
     }
-    sim_.schedule_in(*delay, [this, slot = park(f)] { on_delivery(slot); });
+    sim_.schedule_in(*delay, Ev::kDelivery, park(f));
     return true;
   }
 
@@ -155,8 +159,7 @@ class DesDriver final : public WsLink {
   };
   static constexpr std::uint32_t kNoParcel = ~0u;
 
-  /// Store `f` until delivery; the delivery event then captures only the
-  /// slot and stays inside std::function's inline buffer.
+  /// Store `f` until delivery; the delivery event carries only the slot.
   std::uint32_t park(const Frame& f) {
     Wire w{f.a, f.b, f.c, f.from, f.to, kNoParcel, f.type};
     if (!f.items.empty()) {
@@ -198,6 +201,12 @@ class DesDriver final : public WsLink {
     return slot;
   }
 
+  void on_crash(std::uint32_t r) {
+    if (terminated_ || !alive_[r]) return;
+    ++result_.faults.crashes;
+    take_down(r);
+  }
+
   void on_delivery(std::uint32_t slot) {
     const Frame f = unpark(slot);
     if (terminated_) return;
@@ -232,7 +241,7 @@ class DesDriver final : public WsLink {
     const double w = std::max(core.next_wakeup(), sim_.now());
     if (w < wake_at_[r]) {
       wake_at_[r] = w;
-      sim_.schedule_at(w, [this, r] { on_wake(r); });
+      sim_.schedule_at(w, Ev::kWake, r);
     }
   }
 
@@ -255,7 +264,7 @@ class DesDriver final : public WsLink {
       if (runtime::TraceBuffer* t = trace(r))
         t->instant_at("straggle", sim_.now(),
                       static_cast<std::uint64_t>((service - nominal) * 1e6));
-    sim_.schedule_in(service, [this, r] { end_region(r); });
+    sim_.schedule_in(service, Ev::kRegionEnd, r);
   }
 
   void end_region(std::uint32_t r) {
@@ -295,7 +304,7 @@ class DesDriver final : public WsLink {
   runtime::FaultInjector inject_;
   const WsTimers timers_;
   WsRankConfig rank_cfg_;
-  runtime::Simulator sim_;
+  runtime::EventCalendar<Ev> sim_;
   WsResult result_;
   runtime::DesTransport net_{config_.cluster, inject_, result_.faults};
   std::vector<WsRank> cores_;
@@ -317,8 +326,21 @@ class DesDriver final : public WsLink {
 WsResult simulate_work_stealing(std::span<const WsItem> items,
                                 std::span<const std::uint32_t> initial,
                                 std::uint32_t p, const WsConfig& config) {
-  assert(p > 0);
-  assert(items.size() == initial.size());
+  // Checked in every build: a bad `initial` would index past the queues.
+  if (p == 0)
+    throw std::invalid_argument("simulate_work_stealing: p must be > 0");
+  if (items.size() != initial.size())
+    throw std::invalid_argument(
+        "simulate_work_stealing: items and initial differ in size");
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (initial[i] >= p)
+      throw std::invalid_argument("simulate_work_stealing: initial[" +
+                                  std::to_string(i) + "] is not a rank < p");
+    if (!std::isfinite(items[i].service_s) || items[i].service_s < 0.0)
+      throw std::invalid_argument("simulate_work_stealing: items[" +
+                                  std::to_string(i) +
+                                  "].service_s is not finite and >= 0");
+  }
   return DesDriver(items, initial, p, config).run();
 }
 

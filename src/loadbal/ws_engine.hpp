@@ -114,6 +114,8 @@ struct WsResult {
 
 /// Simulate work stealing of `items` initially distributed by `initial`
 /// (item -> location) across `p` locations. Deterministic per config seed.
+/// Throws std::invalid_argument when `p` is 0, `initial` is not one rank
+/// below `p` per item, or a service time is negative or not finite.
 WsResult simulate_work_stealing(std::span<const WsItem> items,
                                 std::span<const std::uint32_t> initial,
                                 std::uint32_t p, const WsConfig& config);

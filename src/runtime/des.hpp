@@ -2,43 +2,60 @@
 /// \file des.hpp
 /// Discrete-event simulator core.
 ///
-/// A minimal event calendar: callbacks scheduled at absolute simulated
-/// times, executed in (time, insertion) order. The work-stealing engine and
-/// the bulk-synchronous phase models run on top of this. Determinism: ties
-/// break by insertion sequence, so a run is a pure function of its inputs.
+/// A minimal typed event calendar: (kind, arg) events scheduled at
+/// absolute simulated times, executed in (time, insertion) order by one
+/// handler that dispatches on the kind. The work-stealing engine
+/// (loadbal/ws_engine.cpp) runs on top of this; the bulk-synchronous phase
+/// models are closed-form and need no calendar. Determinism: ties break by
+/// insertion sequence, so a run is a pure function of its inputs.
+///
+/// Events are plain 24-byte records rather than closures: the binary heap
+/// moves them by plain copies, and an event's payload is one 32-bit
+/// argument — a rank, or a slot the caller parks larger state in.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <functional>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 namespace pmpl::runtime {
 
-/// Event calendar with monotonically advancing simulated time.
-class Simulator {
- public:
-  using Callback = std::function<void()>;
+/// Event calendar with monotonically advancing simulated time. `Kind` is
+/// the caller's enumeration of event kinds (at most 32 bits wide).
+template <typename Kind>
+class EventCalendar {
+  static_assert(std::is_trivially_copyable_v<Kind> &&
+                    sizeof(Kind) <= sizeof(std::uint32_t),
+                "an event kind is a small enumeration");
 
+ public:
   /// Current simulated time (seconds).
   double now() const noexcept { return now_; }
 
-  /// Schedule `fn` at absolute time `t` (clamped to now — no time travel).
-  void schedule_at(double t, Callback fn) {
-    heap_.push_back(Event{t < now_ ? now_ : t, seq_++, std::move(fn)});
+  /// Schedule (`kind`, `arg`) at absolute time `t`, clamped to now — no
+  /// time travel, and a NaN time runs now rather than corrupting the heap
+  /// order. Every stored time is therefore >= +0 (`+ 0.0` turns -0 into
+  /// +0) and never NaN, which is what lets Later compare bit patterns.
+  void schedule_at(double t, Kind kind, std::uint32_t arg) {
+    const double at = (!(t >= now_) ? now_ : t) + 0.0;
+    heap_.push_back(Event{at, seq_++, kind, arg});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  /// Schedule `fn` `delay` seconds from now.
-  void schedule_in(double delay, Callback fn) {
-    schedule_at(now_ + (delay < 0.0 ? 0.0 : delay), std::move(fn));
+  /// Schedule (`kind`, `arg`) `delay` seconds from now.
+  void schedule_in(double delay, Kind kind, std::uint32_t arg) {
+    schedule_at(now_ + (delay < 0.0 ? 0.0 : delay), kind, arg);
   }
 
   /// Run until the calendar is empty (or `max_events` processed as a
   /// runaway backstop — check hit_event_limit() afterwards: a capped run
-  /// left events pending and any derived makespan is bogus). Returns the
-  /// number of events processed.
-  std::uint64_t run(std::uint64_t max_events = 500'000'000ULL) {
+  /// left events pending and any derived makespan is bogus), calling
+  /// `handle(kind, arg)` for each event with now() at its time. Handlers
+  /// may schedule more events. Returns the number of events processed.
+  template <typename Handler>
+  std::uint64_t run(Handler&& handle,
+                    std::uint64_t max_events = 500'000'000ULL) {
     hit_event_limit_ = false;
     std::uint64_t processed = 0;
     while (!heap_.empty()) {
@@ -47,11 +64,11 @@ class Simulator {
         break;
       }
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Event ev = std::move(heap_.back());
+      const Event ev = heap_.back();
       heap_.pop_back();
       now_ = ev.time;
       ++processed;
-      ev.fn();
+      handle(ev.kind, ev.arg);
     }
     events_processed_ += processed;
     return processed;
@@ -69,16 +86,24 @@ class Simulator {
   struct Event {
     double time;
     std::uint64_t seq;
-    Callback fn;
+    Kind kind;
+    std::uint32_t arg;
   };
+  static_assert(sizeof(Event) == 24 && std::is_trivially_copyable_v<Event>);
+
   /// Heap comparator: the "largest" element (the heap front) is the
-  /// earliest (time, seq) — an explicit std::push_heap/std::pop_heap
-  /// binary heap, so events move out by value instead of through the
-  /// const_cast a std::priority_queue::top() would force.
+  /// earliest (time, seq). Non-negative doubles order as their bit
+  /// patterns do, so (time, seq) compares as one 128-bit integer, without
+  /// the branch on equal times that mispredicts in a busy calendar.
   struct Later {
+    static unsigned __int128 key(const Event& e) noexcept {
+      return (static_cast<unsigned __int128>(
+                  std::bit_cast<std::uint64_t>(e.time))
+              << 64) |
+             e.seq;
+    }
     bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return key(a) > key(b);
     }
   };
 

@@ -20,10 +20,10 @@
 ///
 /// Timestamps are plain `double` seconds. Thread tracks stamp wall time
 /// against the Tracer's epoch (Tracer::now_s); DES tracks stamp *virtual*
-/// time (Simulator::now), so a simulated cluster run exports a real Gantt
-/// chart. The exporter writes Chrome trace-event JSON loadable in Perfetto
-/// or chrome://tracing: one track ("thread") per TraceBuffer, span
-/// begin/end pairs, instant events and counter samples.
+/// time (EventCalendar::now), so a simulated cluster run exports a real
+/// Gantt chart. The exporter writes Chrome trace-event JSON loadable in
+/// Perfetto or chrome://tracing: one track ("thread") per TraceBuffer,
+/// span begin/end pairs, instant events and counter samples.
 
 #include <atomic>
 #include <chrono>

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <numeric>
 #include <chrono>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "loadbal/bulk_sync.hpp"
@@ -20,6 +22,7 @@
 #include "loadbal/ws_engine.hpp"
 #include "loadbal/ws_rank.hpp"
 #include "loadbal/ws_threaded.hpp"
+#include "util/io_status.hpp"
 #include "util/rng.hpp"
 
 namespace pmpl::loadbal {
@@ -519,6 +522,96 @@ TEST(WsEngine, TokenRoundsCounted) {
   const Assignment initial(32, 0);
   const auto r = simulate_work_stealing(items, initial, 4, {});
   EXPECT_GE(r.token_rounds, 1u);
+}
+
+TEST(WsEngine, RejectsZeroLocations) {
+  const auto items = uniform_items(4, 1e-3);
+  const Assignment initial(4, 0);
+  EXPECT_THROW(simulate_work_stealing(items, initial, 0, {}),
+               std::invalid_argument);
+}
+
+TEST(WsEngine, RejectsMismatchedAssignment) {
+  const auto items = uniform_items(4, 1e-3);
+  const Assignment initial(3, 0);
+  EXPECT_THROW(simulate_work_stealing(items, initial, 2, {}),
+               std::invalid_argument);
+}
+
+TEST(WsEngine, RejectsAssignmentOutOfRange) {
+  const auto items = uniform_items(4, 1e-3);
+  const Assignment initial{0, 1, 2, 1};  // rank 2 of p = 2
+  EXPECT_THROW(simulate_work_stealing(items, initial, 2, {}),
+               std::invalid_argument);
+}
+
+TEST(WsEngine, RejectsBadServiceTimes) {
+  const Assignment initial(4, 0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1e-3}) {
+    auto items = uniform_items(4, 1e-3);
+    items[2].service_s = bad;
+    EXPECT_THROW(simulate_work_stealing(items, initial, 2, {}),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+// --- golden DES replay -----------------------------------------------------
+
+/// Folds everything a replay decides into one FNV-1a hash: the event
+/// count, the makespan's bits, the protocol counters, who ran each region
+/// and when.
+std::uint64_t replay_hash(const WsResult& r, std::uint64_t h) {
+  const auto mix = [&h](const auto& v) { h = fnv1a64(&v, sizeof v, h); };
+  mix(r.events);
+  mix(std::bit_cast<std::uint64_t>(r.makespan_s));
+  mix(r.steal_requests);
+  mix(r.steal_grants);
+  mix(r.steal_denies);
+  mix(r.token_rounds);
+  for (const std::uint32_t owner : r.final_owner) mix(owner);
+  for (const double c : r.completion_s) mix(std::bit_cast<std::uint64_t>(c));
+  return h;
+}
+
+TEST(GoldenDes, SweepIsEventForEventIdentical) {
+  // A fixed bimodal table: every eighth region is 20x the rest.
+  std::vector<WsItem> items(256);
+  for (std::size_t i = 0; i < items.size(); ++i)
+    items[i] = {i % 8 == 0 ? 4e-3 : 2e-4, 1024 + 16 * (i % 5)};
+  const auto block = [&](std::uint32_t p) {
+    Assignment a(items.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+      a[i] = static_cast<std::uint32_t>(i * p / a.size());
+    return a;
+  };
+  std::uint64_t h = kFnvOffset;
+  for (const std::uint32_t p : {4u, 48u, 192u, 768u, 3072u}) {
+    for (const StealPolicyKind policy :
+         {StealPolicyKind::kRandK, StealPolicyKind::kDiffusive,
+          StealPolicyKind::kHybrid}) {
+      WsConfig cfg;
+      cfg.policy = policy;
+      cfg.seed = 11;
+      const auto r = simulate_work_stealing(items, block(p), p, cfg);
+      ASSERT_TRUE(r.terminated && !r.hit_event_limit) << p;
+      h = replay_hash(r, h);
+    }
+  }
+  // Crash events and every fault draw (drops, extra delay, token loss).
+  WsConfig cfg;
+  cfg.seed = 11;
+  cfg.faults.crash(5, 1e-3).lossy_links(0.1, 1e-5).lose_tokens(0.3);
+  const auto r = simulate_work_stealing(items, block(64), 64, cfg);
+  ASSERT_TRUE(r.terminated && !r.hit_event_limit);
+  EXPECT_EQ(r.faults.crashes, 1u);
+  EXPECT_GT(r.faults.messages_dropped, 0u);
+  EXPECT_GT(r.faults.tokens_lost, 0u);
+  h = replay_hash(r, h);
+  // Any change to the calendar's event order, the protocol or the fault
+  // draws moves this constant; a faster calendar must not.
+  EXPECT_EQ(h, 0xf285a4d9ae0c7b97ull) << std::hex << h;
 }
 
 // --- bulk-synchronous model ---------------------------------------------

@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -27,69 +29,147 @@ namespace {
 
 // --- DES ----------------------------------------------------------------
 
+/// Test event kinds: record the argument, or (from inside the handler)
+/// schedule more events.
+enum class TestEv : std::uint32_t { kRecord, kSpawn };
+using Calendar = EventCalendar<TestEv>;
+
 TEST(Des, ExecutesInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule_at(3.0, [&] { order.push_back(3); });
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  sim.schedule_at(2.0, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  Calendar sim;
+  std::vector<std::uint32_t> order;
+  sim.schedule_at(3.0, TestEv::kRecord, 3);
+  sim.schedule_at(1.0, TestEv::kRecord, 1);
+  sim.schedule_at(2.0, TestEv::kRecord, 2);
+  sim.run([&](TestEv, std::uint32_t arg) { order.push_back(arg); });
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
 
 TEST(Des, TiesBreakByInsertionOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i)
-    sim.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  sim.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  Calendar sim;
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t i = 0; i < 10; ++i)
+    sim.schedule_at(1.0, TestEv::kRecord, i);
+  sim.run([&](TestEv, std::uint32_t arg) { order.push_back(arg); });
+  ASSERT_EQ(order.size(), 10u);
+  for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(Des, CallbacksCanSchedule) {
-  Simulator sim;
+  Calendar sim;
   int depth = 0;
-  std::function<void()> recurse = [&] {
-    if (++depth < 5) sim.schedule_in(1.0, recurse);
-  };
-  sim.schedule_at(0.0, recurse);
-  const auto n = sim.run();
+  sim.schedule_at(0.0, TestEv::kSpawn, 0);
+  const auto n = sim.run([&](TestEv, std::uint32_t) {
+    if (++depth < 5) sim.schedule_in(1.0, TestEv::kSpawn, 0);
+  });
   EXPECT_EQ(n, 5u);
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
 }
 
 TEST(Des, NoTimeTravel) {
-  Simulator sim;
+  Calendar sim;
   double seen = -1.0;
-  sim.schedule_at(5.0, [&] {
-    sim.schedule_at(1.0, [&] { seen = sim.now(); });  // in the past: clamped
+  sim.schedule_at(5.0, TestEv::kSpawn, 0);
+  sim.run([&](TestEv kind, std::uint32_t) {
+    if (kind == TestEv::kSpawn)
+      sim.schedule_at(1.0, TestEv::kRecord, 0);  // in the past: clamped
+    else
+      seen = sim.now();
   });
-  sim.run();
   EXPECT_DOUBLE_EQ(seen, 5.0);
 }
 
 TEST(Des, NegativeDelayClamped) {
-  Simulator sim;
-  sim.schedule_in(-3.0, [] {});
-  sim.run();
+  Calendar sim;
+  sim.schedule_in(-3.0, TestEv::kRecord, 0);
+  sim.run([](TestEv, std::uint32_t) {});
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
 }
 
+TEST(Des, NanTimeRunsNowAndKeepsTimeOrder) {
+  Calendar sim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Enough events that a NaN key in the heap would scramble the order.
+  for (std::uint32_t i = 1; i <= 32; ++i)
+    sim.schedule_at(static_cast<double>((i * 7) % 32 + 1), TestEv::kRecord,
+                    (i * 7) % 32 + 1);
+  sim.schedule_at(2.0, TestEv::kSpawn, 0);
+  std::vector<std::uint32_t> order;
+  std::vector<double> times;
+  sim.run([&](TestEv kind, std::uint32_t arg) {
+    if (kind == TestEv::kSpawn) {
+      sim.schedule_at(nan, TestEv::kRecord, 100);
+      sim.schedule_in(nan, TestEv::kRecord, 101);
+      return;
+    }
+    order.push_back(arg);
+    times.push_back(sim.now());
+  });
+  ASSERT_EQ(order.size(), 34u);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+  EXPECT_FALSE(std::any_of(times.begin(), times.end(),
+                           [](double t) { return std::isnan(t); }));
+  // The NaN events ran at t = 2, right after the spawner, in FIFO order.
+  const auto at = std::find(order.begin(), order.end(), 100u);
+  ASSERT_NE(at, order.end());
+  EXPECT_EQ(*(at + 1), 101u);
+  EXPECT_DOUBLE_EQ(times[at - order.begin()], 2.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 32.0);
+}
+
+TEST(Des, MatchesStableSortAcrossMagnitudes) {
+  // The heap compares time bit patterns: check that order against a
+  // stable sort over zeros of both signs, subnormals, huge values,
+  // infinity and many ties.
+  const double times[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          1e-300,
+                          1e-9,
+                          0.5,
+                          1.0,
+                          1.0 + 1e-15,
+                          3e8,
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::infinity()};
+  Calendar sim;
+  std::vector<std::pair<double, std::uint32_t>> expected;
+  std::uint64_t x = 12345;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const double t = times[(x >> 33) % std::size(times)];
+    sim.schedule_at(t, TestEv::kRecord, i);
+    expected.emplace_back(t, i);
+  }
+  std::stable_sort(
+      expected.begin(), expected.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::uint32_t> order;
+  sim.run([&](TestEv, std::uint32_t arg) { order.push_back(arg); });
+  ASSERT_EQ(order.size(), expected.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    ASSERT_EQ(order[i], expected[i].second) << "position " << i;
+  EXPECT_EQ(sim.now(), std::numeric_limits<double>::infinity());
+}
+
 TEST(Des, EventCapStopsRunaway) {
-  Simulator sim;
-  std::function<void()> forever = [&] { sim.schedule_in(1.0, forever); };
-  sim.schedule_at(0.0, forever);
-  const auto n = sim.run(1000);
+  Calendar sim;
+  sim.schedule_at(0.0, TestEv::kSpawn, 0);
+  const auto n = sim.run(
+      [&](TestEv, std::uint32_t) { sim.schedule_in(1.0, TestEv::kSpawn, 0); },
+      1000);
   EXPECT_EQ(n, 1000u);
   EXPECT_TRUE(sim.hit_event_limit());  // capped with work still pending
   EXPECT_FALSE(sim.empty());
 }
 
 TEST(Des, DrainedRunClearsEventLimitFlag) {
-  Simulator sim;
-  sim.schedule_at(1.0, [] {});
-  sim.run(1000);
+  Calendar sim;
+  sim.schedule_at(1.0, TestEv::kRecord, 0);
+  sim.schedule_at(2.0, TestEv::kRecord, 0);
+  sim.run([](TestEv, std::uint32_t) {}, 1);
+  ASSERT_TRUE(sim.hit_event_limit());
+  sim.run([](TestEv, std::uint32_t) {}, 1000);
   EXPECT_FALSE(sim.hit_event_limit());
   EXPECT_TRUE(sim.empty());
 }
