@@ -42,6 +42,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "core/prm_driver.hpp"
@@ -83,11 +84,13 @@ std::vector<std::uint32_t> spread_ranks(std::uint32_t p, std::uint32_t n) {
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const auto e = make_env(args.get("env", "med-cube"));
-  const auto procs = static_cast<std::uint32_t>(args.get_i64("procs", 128));
+  constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  const auto procs =
+      static_cast<std::uint32_t>(args.get_i64("procs", 128, 1, kMaxU32));
   const auto regions =
-      static_cast<std::uint32_t>(args.get_i64("regions", 8000));
+      static_cast<std::uint32_t>(args.get_i64("regions", 8000, 1, kMaxU32));
   const auto attempts =
-      static_cast<std::size_t>(args.get_i64("attempts", 1 << 17));
+      static_cast<std::size_t>(args.get_i64("attempts", 1 << 17, 1));
   const auto seed = static_cast<std::uint64_t>(args.get_i64("seed", 1));
   const auto cluster = args.get("machine", "hopper") == "opteron"
                            ? runtime::ClusterSpec::opteron_cluster()
@@ -110,16 +113,17 @@ int main(int argc, char** argv) {
 
   // Ad-hoc fault flags: crashes land relative to the fault-free makespan,
   // so the plan itself is built after the fault-free replays below.
-  auto crashes = static_cast<std::uint32_t>(args.get_i64("crashes", 0));
-  const double crash_frac = args.get_f64("crash-frac", 0.0);
+  auto crashes =
+      static_cast<std::uint32_t>(args.get_i64("crashes", 0, 0, kMaxU32));
+  const double crash_frac = args.get_f64("crash-frac", 0.0, 0.0, 1.0);
   if (crash_frac > 0.0)
     crashes = std::max(crashes, static_cast<std::uint32_t>(
                                     crash_frac * static_cast<double>(procs)));
   const auto stragglers =
-      static_cast<std::uint32_t>(args.get_i64("straggle", 0));
+      static_cast<std::uint32_t>(args.get_i64("straggle", 0, 0, kMaxU32));
   const double straggle_factor = args.get_f64("straggle-factor", 4.0);
-  const double drop = args.get_f64("drop", 0.0);
-  const double token_drop = args.get_f64("token-drop", 0.0);
+  const double drop = args.get_f64("drop", 0.0, 0.0, 1.0);
+  const double token_drop = args.get_f64("token-drop", 0.0, 0.0, 1.0);
   const auto fault_seed = static_cast<std::uint64_t>(
       args.get_i64("fault-seed", 0xfa17ed5eedLL));
 

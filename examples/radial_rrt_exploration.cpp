@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "core/rrt_driver.hpp"
 #include "env/builders.hpp"
@@ -23,10 +24,13 @@ using namespace pmpl;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   const auto regions =
-      static_cast<std::uint32_t>(args.get_i64("regions", 512));
-  const auto nodes = static_cast<std::size_t>(args.get_i64("nodes", 10000));
-  const auto procs = static_cast<std::uint32_t>(args.get_i64("procs", 16));
+      static_cast<std::uint32_t>(args.get_i64("regions", 512, 1, kMaxU32));
+  const auto nodes =
+      static_cast<std::size_t>(args.get_i64("nodes", 10000, 1));
+  const auto procs =
+      static_cast<std::uint32_t>(args.get_i64("procs", 16, 1, kMaxU32));
   const auto seed = static_cast<std::uint64_t>(args.get_i64("seed", 3));
 
   const auto e = env::mixed(0.60);

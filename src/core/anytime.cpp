@@ -9,6 +9,7 @@
 #include <tuple>
 #include <utility>
 
+#include "geometry/intersect.hpp"
 #include "loadbal/partition.hpp"
 #include "runtime/scheduler.hpp"
 #include "util/state_file.hpp"
@@ -289,25 +290,51 @@ RegionBuildResult build_regions_anytime(std::size_t num_regions,
   return result;
 }
 
-ConnectPhase connect_whole_regions(
+ConnectPhase connect_regions(
     const env::Environment& e,
     std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacency,
-    const RegionPipeline& pipeline) {
-  return [&e, adjacency = std::move(adjacency),
-          pipeline](RegionBuildResult& merged) {
+    const RegionPipeline& pipeline, PairObserver on_pair) {
+  return [&e, adjacency = std::move(adjacency), pipeline,
+          on_pair = std::move(on_pair)](RegionBuildResult& merged) {
+    const RegionConnect& rc = pipeline.connect;
     const runtime::CancelToken* cancel = pipeline.anytime.cancel;
     runtime::Tracer* tracer = pipeline.tracer;
-    graph::UnionFind cc;
-    if (pipeline.acyclic) cc = components_of(merged.roadmap);
     runtime::TraceBuffer* tb =
         tracer ? tracer->thread_track(pipeline.connect_track) : nullptr;
+    graph::UnionFind cc;
+    if (rc.params.skip_same_component) cc = components_of(merged.roadmap);
+
+    // Region `r`'s vertices that take part in connecting it to `other`:
+    // the only data fetched remotely when the neighbour lives elsewhere.
+    std::vector<graph::VertexId> band_a, band_b;
+    const auto candidates = [&](std::uint32_t r, std::uint32_t other,
+                                std::vector<graph::VertexId>& out)
+        -> std::span<const graph::VertexId> {
+      const auto& ids = merged.region_vertices[r];
+      if (rc.boxes.empty()) return ids;
+      out.clear();
+      const double band2 = rc.band * rc.band;
+      for (const graph::VertexId v : ids) {
+        const geo::Vec3 p = e.space().position(merged.roadmap.vertex(v).cfg);
+        if (geo::distance2(p, rc.boxes[other]) <= band2) out.push_back(v);
+      }
+      return out;
+    };
+
     for (const auto& [a, b] : adjacency) {
       if (runtime::stop_requested(cancel)) return false;
       runtime::TraceSpan span(tracer, tb, "edge_connect", a);
-      planner::connect_between(e, merged.roadmap, merged.region_vertices[a],
-                               merged.region_vertices[b], pipeline.connect,
-                               merged.stats, pipeline.acyclic ? &cc : nullptr,
-                               pipeline.max_boundary_attempts, cancel);
+      PairConnection pair;
+      pair.a = a;
+      pair.b = b;
+      pair.near_b = candidates(b, a, band_b);
+      pair.edges_added = planner::connect_between(
+          e, merged.roadmap, candidates(a, b, band_a), pair.near_b, rc.params,
+          pair.stats, rc.params.skip_same_component ? &cc : nullptr,
+          rc.max_attempts, cancel);
+      merged.stats += pair.stats;
+      if (runtime::stop_requested(cancel)) return false;
+      if (on_pair) on_pair(merged.roadmap, pair);
     }
     return true;
   };

@@ -18,9 +18,10 @@
 ///  - a `DegradationReport` of what was actually delivered.
 ///
 /// The builders supply their region task, their configuration fingerprint
-/// and their connection phase: the threaded builders connect whole regions
-/// (`connect_whole_regions`), the workload builders measure every pair
-/// (core/profile.hpp). Per-region RNG streams make
+/// and how adjacent regions are connected (`RegionConnect`); all four
+/// connect through `connect_regions`, and the workload builders record an
+/// `EdgeProfile` per pair on the way (core/profile.hpp). Per-region RNG
+/// streams make
 /// each region's output independent of placement and stealing, so a build
 /// resumed from any checkpoint finishes bit-identical to an uninterrupted
 /// one.
@@ -28,12 +29,14 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "env/environment.hpp"
+#include "geometry/shapes.hpp"
 #include "graph/union_find.hpp"
 #include "loadbal/ws_threaded.hpp"
 #include "planner/prm.hpp"
@@ -127,8 +130,22 @@ inline std::uint64_t fp_mix(std::uint64_t h, std::string_view s) noexcept {
 /// A builder fingerprint's start: the environment's name and bounds.
 std::uint64_t fp_environment(const env::Environment& e);
 
-/// A builder's part of the pipeline, besides its region task and its
-/// connection phase.
+/// How adjacent regions are connected after the merge (connect_regions).
+struct RegionConnect {
+  /// connect_between parameters. With skip_same_component a union-find
+  /// over the merged roadmap skips attempts between vertices that are
+  /// already connected, so connection never closes a cycle (a forest of
+  /// branches stays a forest); without it every candidate is tried.
+  planner::PrmParams params;
+  std::size_t max_attempts = 16;  ///< local plans per region pair
+  /// Candidate band: region a's candidates toward its neighbour b are its
+  /// vertices within `band` of `boxes[b]`. With no boxes the band is
+  /// unbounded and every vertex of the region is a candidate.
+  std::vector<geo::Aabb> boxes;
+  double band = 0.0;
+};
+
+/// A builder's part of the pipeline, besides its region task.
 struct RegionPipeline {
   std::uint32_t kind = kCheckpointKindPrm;  ///< checkpoint payload kind
   /// Everything that shapes the roadmap; worker count excluded, since the
@@ -138,18 +155,13 @@ struct RegionPipeline {
   std::uint32_t workers = 4;
   AnytimeOptions anytime;
   /// Tracing sink; nullptr disables. Each region task runs inside a
-  /// `task_span` span (arg = region id) on its worker's track; with
-  /// connect_whole_regions, each adjacency pair records an edge_connect
-  /// span on the `connect_track` track of the calling thread.
+  /// `task_span` span (arg = region id) on its worker's track, and each
+  /// adjacency pair of connect_regions records an edge_connect span on the
+  /// `connect_track` track of the calling thread.
   runtime::Tracer* tracer = nullptr;
   const char* task_span = "region";
-  /// The rest is read by connect_whole_regions only.
   const char* connect_track = "region-connect";
-  planner::PrmParams connect;  ///< connect_between parameters
-  std::size_t max_boundary_attempts = 16;
-  /// Connect through a union-find over the merged roadmap, so connection
-  /// never closes a cycle (a forest of branches stays a forest).
-  bool acyclic = false;
+  RegionConnect connect;
 };
 
 /// Builds one region into `local`, which starts empty: its vertex ids are
@@ -197,12 +209,28 @@ RegionBuildResult build_regions_anytime(std::size_t num_regions,
 /// The connected components of `g`, as a union-find over its vertices.
 graph::UnionFind components_of(const planner::Roadmap& g);
 
-/// The threaded builders' connection phase: connect_between over all
-/// vertices of both regions of every pair in `adjacency`, with the
-/// connection parameters, cancel token and tracer of `pipeline`.
-ConnectPhase connect_whole_regions(
+/// One adjacent pair after its connection attempts.
+struct PairConnection {
+  std::uint32_t a = 0, b = 0;  ///< region ids, as listed in the adjacency
+  std::span<const graph::VertexId> near_b;  ///< b's band candidates
+  std::size_t edges_added = 0;
+  planner::PlannerStats stats;  ///< the pair's k-NN and local plans
+};
+
+/// Called once per pair that ran to the end, in adjacency order, with the
+/// roadmap the pair's edges went into.
+using PairObserver =
+    std::function<void(const planner::Roadmap&, const PairConnection&)>;
+
+/// The connection phase of every builder: for each pair of `adjacency` in
+/// order, connect_between over the band candidates of both regions, as
+/// `pipeline.connect` configures, adding the work to the merge's stats.
+/// One cancellation rule: the token of `pipeline.anytime` is polled before
+/// each pair and between a pair's local plans; a pair cut short reports
+/// nothing to `on_pair`, and the phase returns false.
+ConnectPhase connect_regions(
     const env::Environment& e,
     std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacency,
-    const RegionPipeline& pipeline);
+    const RegionPipeline& pipeline, PairObserver on_pair = {});
 
 }  // namespace pmpl::core

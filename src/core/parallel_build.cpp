@@ -20,7 +20,6 @@ std::uint64_t prm_fingerprint(const env::Environment& e,
   h = fp_mix(h, static_cast<std::uint64_t>(config.prm.k_neighbors));
   h = fp_mix(h, config.prm.resolution);
   h = fp_mix(h, static_cast<std::uint64_t>(config.prm.skip_same_component));
-  h = fp_mix(h, static_cast<std::uint64_t>(config.prm.exact_knn));
   h = fp_mix(h, static_cast<std::uint64_t>(config.prm.sampler));
   h = fp_mix(h, config.prm.sampler_scale);
   h = fp_mix(h, static_cast<std::uint64_t>(config.max_boundary_attempts));
@@ -67,11 +66,13 @@ RegionBuildResult parallel_build_prm(const env::Environment& e,
   pipeline.tracer = config.tracer;
   pipeline.task_span = "region";
   pipeline.connect_track = "region-connect";
-  pipeline.connect = config.prm;
-  pipeline.max_boundary_attempts = config.max_boundary_attempts;
+  pipeline.connect.params = config.prm;
+  // Whole-region connection keeps every edge it finds, cycles included.
+  pipeline.connect.params.skip_same_component = false;
+  pipeline.connect.max_attempts = config.max_boundary_attempts;
   return build_regions_anytime(
       grid.size(), pipeline, prm_region_task(e, grid, config),
-      connect_whole_regions(e, grid.adjacency_edges(), pipeline));
+      connect_regions(e, grid.adjacency_edges(), pipeline));
 }
 
 }  // namespace pmpl::core

@@ -22,7 +22,6 @@ std::uint64_t rrt_fingerprint(const env::Environment& e,
   h = fp_mix(h, config.rrt.resolution);
   h = fp_mix(h, static_cast<std::uint64_t>(config.rrt.max_nodes));
   h = fp_mix(h, static_cast<std::uint64_t>(config.rrt.max_iterations));
-  h = fp_mix(h, static_cast<std::uint64_t>(config.rrt.exact_knn));
   h = fp_mix(h, static_cast<std::uint64_t>(config.iteration_factor));
   h = fp_mix(h, static_cast<std::uint64_t>(config.max_boundary_attempts));
   h = fp_mix(h, config.cone_overlap);
@@ -71,13 +70,13 @@ RegionBuildResult parallel_build_rrt(const env::Environment& e,
   pipeline.tracer = config.tracer;
   pipeline.task_span = "branch";
   pipeline.connect_track = "branch-connect";
-  pipeline.connect.resolution = config.rrt.resolution;
-  pipeline.connect.skip_same_component = true;
-  pipeline.max_boundary_attempts = config.max_boundary_attempts;
-  pipeline.acyclic = true;  // branch connection never closes a cycle
+  pipeline.connect.params.resolution = config.rrt.resolution;
+  // Branch connection never closes a cycle.
+  pipeline.connect.params.skip_same_component = true;
+  pipeline.connect.max_attempts = config.max_boundary_attempts;
   return build_regions_anytime(
       regions.size(), pipeline, rrt_region_task(e, regions, root, config),
-      connect_whole_regions(e, regions.adjacency_edges(), pipeline));
+      connect_regions(e, regions.adjacency_edges(), pipeline));
 }
 
 }  // namespace pmpl::core

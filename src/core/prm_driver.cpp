@@ -1,8 +1,8 @@
 #include "core/prm_driver.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/parallel_build.hpp"
 #include "core/region_weight.hpp"
@@ -27,14 +27,15 @@ Workload build_prm_workload(const env::Environment& e, const RegionGrid& grid,
   task.anytime.cancel = config.cancel;
 
   WorkloadMeasure m;
-  m.connect = config.prm;
-  m.max_boundary_attempts = config.max_boundary_attempts;
+  m.connect.params = config.prm;
+  m.connect.max_attempts = config.max_boundary_attempts;
   // Candidate band: a third of a cell — only samples this close to the
   // shared face participate in boundary connection.
   const geo::Vec3 cell = grid.cell_box(0).size();
-  m.band = std::max({cell.x, cell.y, cell.z}) / 3.0;
-  m.boxes.reserve(nr);
-  for (std::uint32_t r = 0; r < nr; ++r) m.boxes.push_back(grid.cell_box(r));
+  m.connect.band = std::max({cell.x, cell.y, cell.z}) / 3.0;
+  m.connect.boxes.reserve(nr);
+  for (std::uint32_t r = 0; r < nr; ++r)
+    m.connect.boxes.push_back(grid.cell_box(r));
   m.vertex_bytes = 8;     // vertex id
   m.edge_end_bytes = 12;  // edge record
   m.costs = config.costs;
@@ -49,7 +50,8 @@ loadbal::Assignment naive_assignment(std::size_t regions,
 }
 
 PrmRunResult simulate_prm_run(const Workload& w, const PrmRunConfig& config) {
-  assert(config.procs > 0);
+  if (config.procs == 0)
+    throw std::invalid_argument("simulate_prm_run: procs must be > 0");
   const std::size_t nr = w.regions.size();
   PrmRunResult out;
 

@@ -100,7 +100,8 @@ struct PrmRunResult {
   double straggler_delay_s = 0.0;
 };
 
-/// Replay `workload` under `config`.
+/// Replay `workload` under `config`. Throws std::invalid_argument when
+/// `config.procs` is 0 (checked in every build).
 PrmRunResult simulate_prm_run(const Workload& workload,
                               const PrmRunConfig& config);
 

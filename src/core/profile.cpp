@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "cspace/config.hpp"
-#include "geometry/intersect.hpp"
 #include "loadbal/bulk_sync.hpp"
 #include "util/stats.hpp"
 
@@ -15,49 +14,25 @@ void measure_workload(const env::Environment& e, const RegionTask& task,
   RegionPipeline pipeline;
   pipeline.workers = std::max(1u, std::thread::hardware_concurrency());
   pipeline.anytime.cancel = m.cancel;
+  pipeline.connect = m.connect;
 
-  // Region `r`'s vertices that take part in connecting it to `other` — the
-  // only data fetched remotely when the neighbour lives on another
-  // location.
-  const auto candidates = [&](const RegionBuildResult& merged,
-                              std::uint32_t r, std::uint32_t other) {
-    const auto& ids = merged.region_vertices[r];
-    if (m.boxes.empty()) return ids;
-    std::vector<graph::VertexId> out;
-    const double band2 = m.band * m.band;
-    for (const graph::VertexId v : ids) {
-      const geo::Vec3 p = e.space().position(merged.roadmap.vertex(v).cfg);
-      if (geo::distance2(p, m.boxes[other]) <= band2) out.push_back(v);
-    }
-    return out;
+  w.edge_profiles.reserve(w.region_edges.size());
+  const auto profile_pair = [&](const planner::Roadmap& g,
+                                const PairConnection& pair) {
+    EdgeProfile ep;
+    ep.a = pair.a;
+    ep.b = pair.b;
+    ep.edges_added = static_cast<std::uint32_t>(pair.edges_added);
+    ep.service_s = m.costs.seconds(to_work_counts(pair.stats));
+    // The executor fetches the neighbour region's candidates.
+    ep.vertex_reads = static_cast<std::uint32_t>(pair.near_b.size());
+    for (const graph::VertexId v : pair.near_b)
+      ep.bytes_touched += cspace::config_bytes(g.vertex(v).cfg);
+    w.edge_profiles.push_back(ep);
   };
-
   RegionBuildResult built = build_regions_anytime(
-      w.regions.size(), pipeline, task, [&](RegionBuildResult& merged) {
-        graph::UnionFind components = components_of(merged.roadmap);
-        w.edge_profiles.reserve(w.region_edges.size());
-        for (const auto& [a, b] : w.region_edges) {
-          if (runtime::stop_requested(m.cancel)) return false;
-          const auto near_a = candidates(merged, a, b);
-          const auto near_b = candidates(merged, b, a);
-          planner::PlannerStats stats;
-          EdgeProfile ep;
-          ep.a = a;
-          ep.b = b;
-          ep.edges_added = static_cast<std::uint32_t>(planner::connect_between(
-              e, merged.roadmap, near_a, near_b, m.connect, stats,
-              &components, m.max_boundary_attempts));
-          ep.service_s = m.costs.seconds(to_work_counts(stats));
-          // The executor fetches the neighbour region's candidates.
-          ep.vertex_reads = static_cast<std::uint32_t>(near_b.size());
-          for (const graph::VertexId v : near_b)
-            ep.bytes_touched +=
-                cspace::config_bytes(merged.roadmap.vertex(v).cfg);
-          w.edge_profiles.push_back(ep);
-          merged.stats += stats;
-        }
-        return true;
-      });
+      w.regions.size(), pipeline, task,
+      connect_regions(e, w.region_edges, pipeline, profile_pair));
 
   w.roadmap = std::move(built.roadmap);
   w.region_vertices = std::move(built.region_vertices);

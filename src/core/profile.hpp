@@ -117,13 +117,7 @@ struct Workload {
 /// What differs between measuring a PRM and an RRT workload: how adjacent
 /// regions are connected and how a region's migration payload is priced.
 struct WorkloadMeasure {
-  planner::PrmParams connect;  ///< connect_between parameters
-  std::size_t max_boundary_attempts = 4;  ///< per region-graph edge
-  /// Candidate band: region a's candidates toward its neighbour b are its
-  /// vertices within `band` of `boxes[b]`. With no boxes the band is
-  /// unbounded and every vertex of the region is a candidate.
-  std::vector<geo::Aabb> boxes;
-  double band = 0.0;
+  RegionConnect connect;  ///< how each region-graph edge is connected
   /// Payload bytes per vertex beyond its config, and per end of an
   /// intra-region edge (on top of a fixed region descriptor).
   std::uint64_t vertex_bytes = 0;
@@ -136,9 +130,8 @@ struct WorkloadMeasure {
 /// Measure `w`, whose regions (with their centroids), region_edges and
 /// bounds the caller has set. Runs `task` for every region through
 /// build_regions_anytime with one worker per hardware thread, then
-/// connects the pairs of `w.region_edges` in order through a union-find
-/// over the whole roadmap (so attempts between already-merged regions are
-/// skipped), one EdgeProfile per pair. Fills everything else in `w`.
+/// connects the pairs of `w.region_edges` through connect_regions, one
+/// EdgeProfile per pair. Fills everything else in `w`.
 void measure_workload(const env::Environment& e, const RegionTask& task,
                       const WorkloadMeasure& m, Workload& w);
 

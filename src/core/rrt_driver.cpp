@@ -1,8 +1,8 @@
 #include "core/rrt_driver.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/parallel_build_rrt.hpp"
 #include "core/region_weight.hpp"
@@ -64,9 +64,9 @@ Workload build_rrt_workload(const env::Environment& e,
   // component: skipping same-component attempts keeps the result a forest
   // (the "prune" of Algorithm 2 realized as prune-before-insert).
   WorkloadMeasure m;
-  m.connect.resolution = config.rrt.resolution;
-  m.connect.skip_same_component = true;
-  m.max_boundary_attempts = config.max_boundary_attempts;
+  m.connect.params.resolution = config.rrt.resolution;
+  m.connect.params.skip_same_component = true;
+  m.connect.max_attempts = config.max_boundary_attempts;
   m.vertex_bytes = 20;  // tree-node record beyond its config
   m.costs = config.costs;
   m.cancel = config.cancel;
@@ -77,7 +77,8 @@ Workload build_rrt_workload(const env::Environment& e,
 RrtRunResult simulate_rrt_run(const Workload& w, const env::Environment& e,
                               const RadialRegions& regions,
                               const RrtRunConfig& config) {
-  assert(config.procs > 0);
+  if (config.procs == 0)
+    throw std::invalid_argument("simulate_rrt_run: procs must be > 0");
   const std::size_t nr = w.regions.size();
   RrtRunResult out;
 

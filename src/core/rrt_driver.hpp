@@ -72,7 +72,8 @@ struct RrtRunResult {
 };
 
 /// Replay `workload` under `config`. The environment is needed again only
-/// for the k-rays probe (kRepartition).
+/// for the k-rays probe (kRepartition). Throws std::invalid_argument when
+/// `config.procs` is 0 (checked in every build).
 RrtRunResult simulate_rrt_run(const Workload& workload,
                               const env::Environment& e,
                               const RadialRegions& regions,

@@ -204,8 +204,7 @@ std::span<const Neighbor> KdTreeKnn::nearest(const cspace::Config& q,
 }
 
 std::unique_ptr<NeighborFinder> make_neighbor_finder(
-    const cspace::CSpace& space, bool exact) {
-  if (exact) return std::make_unique<BruteForceKnn>(space);
+    const cspace::CSpace& space) {
   return std::make_unique<KdTreeKnn>(space);
 }
 

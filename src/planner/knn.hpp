@@ -193,8 +193,9 @@ class KdTreeKnn final : public NeighborFinder {
   std::vector<Visit> stack_;
 };
 
-/// Factory: kd-tree by default, brute force for exactness-sensitive users.
+/// The planners' finder: a kd-tree (exact, see above). BruteForceKnn is
+/// the reference it is checked against.
 std::unique_ptr<NeighborFinder> make_neighbor_finder(
-    const cspace::CSpace& space, bool exact = false);
+    const cspace::CSpace& space);
 
 }  // namespace pmpl::planner

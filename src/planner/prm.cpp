@@ -33,74 +33,43 @@ std::vector<cspace::Config> sample_region_with(const Sampler& sampler,
   return valid;
 }
 
-void connect_within(const env::Environment& e, Roadmap& g,
-                    std::span<const graph::VertexId> ids,
-                    const PrmParams& params, PlannerStats& stats,
-                    graph::UnionFind* cc,
-                    const runtime::CancelToken* cancel) {
-  if (ids.size() < 2) return;
-  auto finder = make_neighbor_finder(e.space(), params.exact_knn);
-  for (graph::VertexId id : ids) finder->insert(id, g.vertex(id).cfg);
-
-  // Batch every k-NN query up front. The finder holds all of `ids` and is
-  // never mutated during the connection loop, so batched results are
-  // identical to interleaved per-vertex queries — and the batch reuses one
-  // result buffer instead of allocating a neighbor vector per vertex.
+void connect_to_nearest(const env::Environment& e, Roadmap& g,
+                        NeighborFinder& finder,
+                        std::span<const graph::VertexId> from,
+                        const PrmParams& params, PlannerStats& stats,
+                        graph::UnionFind* cc,
+                        const runtime::CancelToken* cancel) {
+  // Batch every k-NN query up front. The finder is never mutated during
+  // the connection loop, so batched results are identical to interleaved
+  // per-vertex queries, and the batch reuses one result buffer.
   std::vector<cspace::Config> qcfgs;
-  qcfgs.reserve(ids.size());
-  for (graph::VertexId id : ids) qcfgs.push_back(g.vertex(id).cfg);
+  qcfgs.reserve(from.size());
+  for (graph::VertexId id : from) qcfgs.push_back(g.vertex(id).cfg);
   KnnBatch batch;
-  // k+1 because the query point itself is in the structure.
-  finder->nearest_batch(qcfgs, params.k_neighbors + 1, batch, &stats);
+  // k+1 because the query point itself may be in the structure.
+  finder.nearest_batch(qcfgs, params.k_neighbors + 1, batch, &stats);
 
-  if (!params.batch_edges) {
-    const cspace::LocalPlanner lp(e.space(), e.validity(), params.resolution);
-    for (std::size_t qi = 0; qi < ids.size(); ++qi) {
-      const graph::VertexId id = ids[qi];
-      if (runtime::stop_requested(cancel)) return;
-      for (const Neighbor& n : batch.of(qi)) {
-        if (n.id == id) continue;
-        if (g.has_edge(id, n.id)) continue;
-        if (params.skip_same_component && cc != nullptr &&
-            cc->connected(id, n.id))
-          continue;
-        ++stats.lp_attempts;
-        const auto r =
-            lp.plan(g.vertex(id).cfg, g.vertex(n.id).cfg, &stats.cd);
-        stats.lp_steps += r.steps_checked;
-        if (r.success) {
-          ++stats.lp_success;
-          g.add_edge(id, n.id, {r.length});
-          if (cc != nullptr) cc->unite(id, n.id);
-        }
-      }
-    }
-    return;
-  }
+  const auto skip = [&](graph::VertexId a, graph::VertexId b) {
+    return g.has_edge(a, b) ||
+           (params.skip_same_component && cc != nullptr && cc->connected(a, b));
+  };
 
-  // Cross-edge batching: admit candidate edges into a small speculative
-  // window and commit results strictly in admission order. The admission
-  // precondition (no existing edge / not already connected) is monotone —
-  // edges are only ever added — so a candidate skipped at admission would
-  // also be skipped sequentially; a candidate admitted speculatively is
-  // RE-checked at commit against the fully caught-up graph, and a stale
-  // result is discarded without touching any counter. Roadmap and stats
-  // are therefore bit-identical to the sequential loop above; the
-  // speculation cost shows up only in narrow_tests/bvh_nodes, which count
-  // work actually performed.
-  cspace::EdgeBatchPlanner ebp(e.space(), e.validity(), params.resolution,
-                               params.edge_window);
+  // Admit candidate edges into a small speculative window and commit
+  // results strictly in admission order. The admission precondition is
+  // monotone (edges are only ever added), so a candidate skipped at
+  // admission would also be skipped by a one-plan-per-candidate loop; an
+  // admitted candidate is re-checked at commit against the caught-up
+  // graph, and a stale result is discarded without touching any counter.
+  cspace::EdgeBatchPlanner ebp(e.space(), e.validity(), params.resolution);
   const auto commit_one = [&] {
     const auto out = ebp.next(&stats.cd);
     const auto a = static_cast<graph::VertexId>(out.tag >> 32);
     const auto b = static_cast<graph::VertexId>(out.tag & 0xffffffffu);
-    if (g.has_edge(a, b)) return;
-    if (params.skip_same_component && cc != nullptr && cc->connected(a, b))
-      return;
+    if (skip(a, b)) return;
     ++stats.lp_attempts;
     stats.lp_steps += out.result.steps_checked;
-    // EdgeBatchPlanner drops queries (speculation must not count); the
-    // sequential path issues exactly one query per checked step, so the
+    // EdgeBatchPlanner drops queries (speculation must not count); a
+    // LocalPlanner::plan issues exactly one query per checked step, so the
     // committed edge's semantic count is reconstructed here.
     stats.cd.queries += out.result.steps_checked;
     if (out.result.success) {
@@ -110,23 +79,29 @@ void connect_within(const env::Environment& e, Roadmap& g,
     }
   };
 
-  for (std::size_t qi = 0; qi < ids.size(); ++qi) {
-    const graph::VertexId id = ids[qi];
+  for (std::size_t qi = 0; qi < from.size(); ++qi) {
+    const graph::VertexId id = from[qi];
     if (runtime::stop_requested(cancel)) break;
     for (const Neighbor& n : batch.of(qi)) {
-      if (n.id == id) continue;
-      if (g.has_edge(id, n.id)) continue;
-      if (params.skip_same_component && cc != nullptr &&
-          cc->connected(id, n.id))
-        continue;
+      if (n.id == id || skip(id, n.id)) continue;
       if (!ebp.can_admit()) commit_one();
       ebp.admit(g.vertex(id).cfg, g.vertex(n.id).cfg,
                 (static_cast<std::uint64_t>(id) << 32) | n.id);
     }
   }
-  // Drain the window (on cancel this is the bounded overrun: at most
-  // edge_window already-admitted local plans finish).
+  // Drain the window (on cancel this is the bounded overrun).
   while (ebp.pending()) commit_one();
+}
+
+void connect_within(const env::Environment& e, Roadmap& g,
+                    std::span<const graph::VertexId> ids,
+                    const PrmParams& params, PlannerStats& stats,
+                    graph::UnionFind* cc,
+                    const runtime::CancelToken* cancel) {
+  if (ids.size() < 2) return;
+  auto finder = make_neighbor_finder(e.space());
+  for (graph::VertexId id : ids) finder->insert(id, g.vertex(id).cfg);
+  connect_to_nearest(e, g, *finder, ids, params, stats, cc, cancel);
 }
 
 std::vector<graph::VertexId> connect_samples(
@@ -154,7 +129,7 @@ std::size_t connect_between(const env::Environment& e, Roadmap& g,
   std::span<const graph::VertexId> to = ids_b;
   if (from.size() > to.size()) std::swap(from, to);
 
-  auto finder = make_neighbor_finder(e.space(), params.exact_knn);
+  auto finder = make_neighbor_finder(e.space());
   for (graph::VertexId id : to) finder->insert(id, g.vertex(id).cfg);
 
   // Collect candidate pairs (closest first), then attempt the best ones.

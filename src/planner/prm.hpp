@@ -29,18 +29,8 @@ struct PrmParams {
   std::size_t k_neighbors = 6;   ///< connection attempts per sample
   double resolution = 1.0;       ///< local-plan validation step (metric)
   bool skip_same_component = true;  ///< skip attempts inside one component
-  bool exact_knn = false;        ///< brute-force k-NN instead of kd-tree
   SamplerKind sampler = SamplerKind::kUniform;  ///< node generation strategy
   double sampler_scale = 6.0;    ///< sigma / bridge length for the above
-
-  /// Validate candidate edges through a cross-edge batching window
-  /// (EdgeBatchPlanner) so wide validity lanes stay full across short or
-  /// early-rejecting edges. Roadmaps and planner stats are bit-identical
-  /// to the sequential path: admission preconditions are re-checked at
-  /// in-order commit, and speculative work never reaches `queries` or the
-  /// lp_* counters. OFF falls back to one LocalPlanner::plan per edge.
-  bool batch_edges = true;
-  std::size_t edge_window = 8;   ///< in-flight edges when batching
 };
 
 /// Sampling phase: draw `attempts` uniform samples with positions in `box`,
@@ -63,11 +53,28 @@ std::vector<cspace::Config> sample_region_with(const Sampler& sampler,
                                                const runtime::CancelToken*
                                                    cancel = nullptr);
 
-/// Node-connection phase within one vertex set: each vertex attempts local
-/// plans to its k nearest neighbors among `ids`. Successful edges are added
-/// to `g` (and merged in `cc` when provided). All k-NN queries run batched
-/// before the first local plan; a fired `cancel` token stops between
-/// vertices (bounded overrun: the batched k-NN pass + k local plans).
+/// The node-connection loop: each vertex of `from` attempts local plans to
+/// its k nearest neighbours in `finder`, which holds configurations of
+/// `g`. All k-NN queries run as one batch before the first local plan, and
+/// candidate edges are validated through a cross-edge window
+/// (EdgeBatchPlanner) so the wide validity lanes stay full across short or
+/// early-rejecting edges. Commits happen in candidate order and re-check
+/// that the edge is still new (and, with `cc` and skip_same_component, that
+/// its ends are still apart), so the roadmap and the lp_* / cd.queries
+/// counters equal one LocalPlanner::plan per admitted candidate in order;
+/// speculation shows only in narrow_tests / bvh_nodes, which count work
+/// performed. Successful edges are added to `g` (and merged in `cc` when
+/// provided). A fired `cancel` token stops admitting between vertices
+/// (bounded overrun: the batched k-NN pass + one window of local plans).
+void connect_to_nearest(const env::Environment& e, Roadmap& g,
+                        NeighborFinder& finder,
+                        std::span<const graph::VertexId> from,
+                        const PrmParams& params, PlannerStats& stats,
+                        graph::UnionFind* cc = nullptr,
+                        const runtime::CancelToken* cancel = nullptr);
+
+/// Node-connection phase within one vertex set: connect_to_nearest from
+/// `ids` over a finder holding `ids`.
 void connect_within(const env::Environment& e, Roadmap& g,
                     std::span<const graph::VertexId> ids,
                     const PrmParams& params, PlannerStats& stats,

@@ -185,7 +185,7 @@ std::optional<std::vector<cspace::Config>> query_roadmap(
     }
   }
 
-  auto finder = make_neighbor_finder(e.space(), /*exact=*/false);
+  auto finder = make_neighbor_finder(e.space());
   finder->reserve(g.num_vertices());
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
     finder->insert(v, g.vertex(v).cfg);

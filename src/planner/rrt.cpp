@@ -16,7 +16,7 @@ RrtBranch::RrtBranch(const env::Environment& e, Roadmap& tree,
       params_(params),
       region_(region),
       root_id_(tree.add_vertex({root, region})),
-      finder_(make_neighbor_finder(e.space(), params.exact_knn)) {
+      finder_(make_neighbor_finder(e.space())) {
   node_ids_.push_back(root_id_);
   finder_->insert(root_id_, root);
 }

@@ -33,7 +33,6 @@ struct RrtParams {
   double resolution = 1.0;  ///< edge validation step (metric)
   std::size_t max_nodes = 1000;
   std::size_t max_iterations = 8000;
-  bool exact_knn = false;
 };
 
 /// One RRT tree with incremental nearest-neighbor search.

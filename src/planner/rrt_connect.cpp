@@ -34,7 +34,6 @@ std::optional<std::vector<cspace::Config>> RrtConnect::plan(
   bp.resolution = params_.resolution;
   bp.max_nodes = params_.max_nodes;
   bp.max_iterations = params_.max_iterations;
-  bp.exact_knn = params_.exact_knn;
   RrtBranch start_tree(*env_, tree_, start, 0, bp);
   RrtBranch goal_tree(*env_, tree_, goal, 1, bp);
   RrtBranch* grow_tree = &start_tree;

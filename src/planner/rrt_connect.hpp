@@ -33,7 +33,6 @@ struct RrtConnectParams {
   double resolution = 1.0;  ///< edge validation step (metric)
   std::size_t max_nodes = 2000;       ///< total across both trees
   std::size_t max_iterations = 8000;  ///< growth targets drawn overall
-  bool exact_knn = false;
   /// Wavefront width: growth targets extended per batch (1..32). Width 1
   /// reproduces the classic algorithm exactly; wider waves batch k-NN,
   /// config validity (one wide valid_mask) and edge validation (cross-edge

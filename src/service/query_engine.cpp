@@ -237,7 +237,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
   // validity lanes stay full across queries, not just within one.
   const planner::Roadmap& g = snap->roadmap;
   cspace::EdgeBatchPlanner ebp(env_->space(), env_->validity(),
-                               cfg_.resolution, cfg_.edge_window);
+                               cfg_.resolution);
   const auto commit_one = [&] {
     const auto out = ebp.next(&st.cd);
     if (!out.result.success) return;

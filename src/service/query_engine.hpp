@@ -76,7 +76,6 @@ struct QueryResult {
 struct QueryEngineConfig {
   std::size_t workers = 0;   ///< 0: hardware concurrency
   double resolution = 1.0;   ///< local-plan validation step
-  std::size_t edge_window = 8;  ///< cross-query edge batching window
   /// Metrics sink; nullptr = MetricsRegistry::global(). Published live:
   ///   counters   service/queries_total, service/queries_solved,
   ///              service/queries_unreachable, service/queries_invalid,

@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "cspace/local_planner.hpp"
 #include "planner/knn.hpp"
 
 namespace pmpl::service {
@@ -176,48 +175,14 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
 
   if (!fresh.empty()) {
     // Connect each fresh vertex into the *whole* graph (old + new), unlike
-    // connect_within which only searches inside one id set. k-NN runs as
-    // one batch; edge validation goes through the cross-edge window so the
-    // wide validity lanes stay full across short or early-rejecting edges.
-    auto finder = planner::make_neighbor_finder(e.space(), params.exact_knn);
+    // connect_within which only searches inside one id set.
+    auto finder = planner::make_neighbor_finder(e.space());
     finder->reserve(next.num_vertices());
     for (graph::VertexId v = 0;
          v < static_cast<graph::VertexId>(next.num_vertices()); ++v)
       finder->insert(v, next.vertex(v).cfg);
-
-    std::vector<cspace::Config> qcfgs;
-    qcfgs.reserve(fresh.size());
-    for (graph::VertexId id : fresh) qcfgs.push_back(next.vertex(id).cfg);
-    planner::KnnBatch batch;
-    finder->nearest_batch(qcfgs, params.k_neighbors + 1, batch, &st);
-
-    cspace::EdgeBatchPlanner ebp(e.space(), e.validity(), params.resolution,
-                                 params.edge_window);
-    const auto commit_one = [&] {
-      const auto out = ebp.next(&st.cd);
-      const auto a = static_cast<graph::VertexId>(out.tag >> 32);
-      const auto b = static_cast<graph::VertexId>(out.tag & 0xffffffffu);
-      if (next.has_edge(a, b)) return;
-      ++st.lp_attempts;
-      st.lp_steps += out.result.steps_checked;
-      st.cd.queries += out.result.steps_checked;
-      if (out.result.success) {
-        ++st.lp_success;
-        next.add_edge(a, b, {out.result.length});
-      }
-    };
-    for (std::size_t qi = 0; qi < fresh.size(); ++qi) {
-      const graph::VertexId id = fresh[qi];
-      if (runtime::stop_requested(cancel)) break;
-      for (const planner::Neighbor& n : batch.of(qi)) {
-        if (n.id == id) continue;
-        if (next.has_edge(id, n.id)) continue;
-        if (!ebp.can_admit()) commit_one();
-        ebp.admit(next.vertex(id).cfg, next.vertex(n.id).cfg,
-                  (static_cast<std::uint64_t>(id) << 32) | n.id);
-      }
-    }
-    while (ebp.pending()) commit_one();
+    planner::connect_to_nearest(e, next, *finder, fresh, params, st,
+                                nullptr, cancel);
   }
 
   return pool.publish(std::move(next));

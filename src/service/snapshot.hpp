@@ -178,8 +178,8 @@ class SnapshotPool {
 
 /// Incremental densification: copy the pool's current roadmap (or start
 /// empty), add `attempts` worth of new PRM samples, connect them into the
-/// whole graph through batched k-NN + the cross-edge batching planner, and
-/// publish the result as the next epoch. Returns the published epoch.
+/// whole graph with planner::connect_to_nearest, and publish the result as
+/// the next epoch. Returns the published epoch.
 /// Deterministic given (current epoch contents, seed). A fired `cancel`
 /// publishes whatever was densified so far (bounded overrun: one window).
 std::uint64_t densify_and_publish(SnapshotPool& pool,

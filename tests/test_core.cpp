@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <tuple>
 
 #include "core/parallel_build.hpp"
@@ -284,6 +285,17 @@ TEST_F(PrmDriverTest, NaiveAssignmentIsBlockContiguous) {
   EXPECT_EQ(a.back(), 7u);
 }
 
+TEST_F(PrmDriverTest, ZeroProcsThrowsInEveryBuild) {
+  PrmRunConfig cfg;
+  cfg.procs = 0;
+  for (const Strategy s : {Strategy::kNoLB, Strategy::kRepartition,
+                           Strategy::kHybridWS}) {
+    cfg.strategy = s;
+    EXPECT_THROW(simulate_prm_run(*workload_, cfg), std::invalid_argument)
+        << to_string(s);
+  }
+}
+
 TEST_F(PrmDriverTest, RepartitioningImprovesBalanceAndTime) {
   PrmRunConfig no_lb;
   no_lb.procs = 16;
@@ -444,6 +456,18 @@ TEST_F(RrtDriverTest, BranchWorkIsHeterogeneous) {
   const auto times = workload_->build_times();
   const auto s = summarize(times);
   EXPECT_GT(s.cv(), 0.1);  // mixed env: real imbalance across cones
+}
+
+TEST_F(RrtDriverTest, ZeroProcsThrowsInEveryBuild) {
+  RrtRunConfig cfg;
+  cfg.procs = 0;
+  for (const Strategy s : {Strategy::kNoLB, Strategy::kRepartition,
+                           Strategy::kHybridWS}) {
+    cfg.strategy = s;
+    EXPECT_THROW(simulate_rrt_run(*workload_, *env_, *regions_, cfg),
+                 std::invalid_argument)
+        << to_string(s);
+  }
 }
 
 TEST_F(RrtDriverTest, WorkStealingImprovesOverNoLB) {

@@ -22,6 +22,7 @@
 #include "planner/knn.hpp"
 #include "planner/prm.hpp"
 #include "planner/rrt.hpp"
+#include "service/snapshot.hpp"
 #include "util/rng.hpp"
 
 // --- allocation counting hook ---------------------------------------------
@@ -205,6 +206,30 @@ TEST(GoldenRoadmaps, ParallelRrt) {
   EXPECT_EQ(r.roadmap.num_vertices(), 7979u);
   EXPECT_EQ(r.roadmap.num_edges(), 7978u);
   EXPECT_EQ(roadmap_hash(r.roadmap), 0xdbc4008db5993100ull);
+}
+
+// Incremental densification: two epochs connected into the whole graph
+// through the cross-edge window, captured while densify_and_publish still
+// had its own connection loop. The planner counters ride in the hash, so a
+// change to which candidate edges are planned (not only to which are kept)
+// moves it.
+TEST(GoldenRoadmaps, Densify) {
+  const auto e = env::maze_2d();
+  planner::PrmParams params;
+  params.resolution = 0.5;
+  service::SnapshotPool pool;
+  planner::PlannerStats stats;
+  service::densify_and_publish(pool, *e, params, 800, 61, &stats);
+  service::densify_and_publish(pool, *e, params, 800, 62, &stats);
+  const auto snap = pool.acquire();
+  ASSERT_TRUE(snap);
+  std::uint64_t h = roadmap_hash(snap->roadmap);
+  for (const std::uint64_t v : {stats.lp_attempts, stats.lp_success,
+                                stats.lp_steps, stats.cd.queries})
+    h = fnv1a(h, &v, sizeof v);
+  EXPECT_EQ(snap->roadmap.num_vertices(), 734u);
+  EXPECT_EQ(snap->roadmap.num_edges(), 3041u);
+  EXPECT_EQ(h, 0x83637c576eb1ca99ull);
 }
 
 }  // namespace

@@ -123,9 +123,6 @@ TEST(Knn, FactorySelectsImplementation) {
   const CSpace space = CSpace::se3({{0, 0, 0}, {10, 10, 10}});
   EXPECT_NE(dynamic_cast<KdTreeKnn*>(make_neighbor_finder(space).get()),
             nullptr);
-  EXPECT_NE(
-      dynamic_cast<BruteForceKnn*>(make_neighbor_finder(space, true).get()),
-      nullptr);
 }
 
 // Randomized cross-check over every space kind with adversarial point sets:

@@ -21,6 +21,8 @@
 #include "geometry/intersect_wide.hpp"
 #include "geometry/pose_block.hpp"
 #include "geometry/simd.hpp"
+#include "graph/union_find.hpp"
+#include "planner/knn.hpp"
 #include "planner/prm.hpp"
 #include "util/rng.hpp"
 
@@ -373,21 +375,45 @@ TEST(SimdWide, EdgeBatchPlannerMatchesLocalPlannerPerEdge) {
 
 TEST(SimdWide, PrmBatchedEdgesBitIdenticalToSequential) {
   const auto e = env::med_cube();
+  const planner::PrmParams params;
 
-  planner::PrmParams seq_params;
-  seq_params.batch_edges = false;
-  planner::Prm seq(*e, seq_params);
-  seq.build(1200, 99);
-
-  planner::PrmParams bat_params;
-  bat_params.batch_edges = true;
-  planner::Prm bat(*e, bat_params);
+  planner::Prm bat(*e, params);
   bat.build(1200, 99);
 
-  ASSERT_EQ(bat.roadmap().num_vertices(), seq.roadmap().num_vertices());
-  ASSERT_EQ(bat.roadmap().num_edges(), seq.roadmap().num_edges());
-  for (graph::VertexId v = 0; v < seq.roadmap().num_vertices(); ++v) {
-    const auto& es = seq.roadmap().edges_of(v);
+  // The reference: the same samples connected one LocalPlanner::plan per
+  // candidate, in candidate order, with no window.
+  planner::Roadmap seq;
+  planner::PlannerStats seq_stats;
+  Xoshiro256ss rng(99);
+  const auto samples = planner::sample_region(
+      *e, e->space().position_bounds(), 1200, rng, seq_stats);
+  std::vector<graph::VertexId> ids;
+  for (const auto& c : samples) ids.push_back(seq.add_vertex({c, 0}));
+  planner::BruteForceKnn finder(e->space());
+  for (const graph::VertexId id : ids) finder.insert(id, seq.vertex(id).cfg);
+  graph::UnionFind cc(seq.num_vertices());
+  const cspace::LocalPlanner lp(e->space(), e->validity(), params.resolution);
+  for (const graph::VertexId id : ids) {
+    for (const planner::Neighbor& n : finder.nearest(
+             seq.vertex(id).cfg, params.k_neighbors + 1, &seq_stats)) {
+      if (n.id == id || seq.has_edge(id, n.id) || cc.connected(id, n.id))
+        continue;
+      ++seq_stats.lp_attempts;
+      const auto r =
+          lp.plan(seq.vertex(id).cfg, seq.vertex(n.id).cfg, &seq_stats.cd);
+      seq_stats.lp_steps += r.steps_checked;
+      if (r.success) {
+        ++seq_stats.lp_success;
+        seq.add_edge(id, n.id, {r.length});
+        cc.unite(id, n.id);
+      }
+    }
+  }
+
+  ASSERT_EQ(bat.roadmap().num_vertices(), seq.num_vertices());
+  ASSERT_EQ(bat.roadmap().num_edges(), seq.num_edges());
+  for (graph::VertexId v = 0; v < seq.num_vertices(); ++v) {
+    const auto& es = seq.edges_of(v);
     const auto& eb = bat.roadmap().edges_of(v);
     ASSERT_EQ(es.size(), eb.size()) << v;
     for (std::size_t i = 0; i < es.size(); ++i) {
@@ -396,11 +422,11 @@ TEST(SimdWide, PrmBatchedEdgesBitIdenticalToSequential) {
     }
   }
   // The full planner-stats contract: identical semantic counters.
-  EXPECT_EQ(bat.stats().cd.queries, seq.stats().cd.queries);
-  EXPECT_EQ(bat.stats().lp_attempts, seq.stats().lp_attempts);
-  EXPECT_EQ(bat.stats().lp_success, seq.stats().lp_success);
-  EXPECT_EQ(bat.stats().lp_steps, seq.stats().lp_steps);
-  EXPECT_EQ(bat.stats().samples_valid, seq.stats().samples_valid);
+  EXPECT_EQ(bat.stats().cd.queries, seq_stats.cd.queries);
+  EXPECT_EQ(bat.stats().lp_attempts, seq_stats.lp_attempts);
+  EXPECT_EQ(bat.stats().lp_success, seq_stats.lp_success);
+  EXPECT_EQ(bat.stats().lp_steps, seq_stats.lp_steps);
+  EXPECT_EQ(bat.stats().samples_valid, seq_stats.samples_valid);
 }
 
 }  // namespace
