@@ -1,7 +1,6 @@
 #include "loadbal/ws_cluster.hpp"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -9,7 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -122,153 +120,10 @@ struct CleanupGuard {
 
 // --- child <-> parent result files -------------------------------------
 //
-// One line-based text file per incarnation, written to a temp name and
-// renamed (atomic on the same filesystem), ending in a FNV-1a checksum
-// over the preceding bytes. A SIGKILLed child leaves at most a temp file
-// behind, which the parent treats as "did not report" — expected for
+// One file per incarnation, written by save_rank_result (util/state_file:
+// tmp + rename, checksummed). A SIGKILLed child leaves at most a temp
+// file behind, which the parent treats as "did not report" — expected for
 // planned crash victims, an error for anyone else.
-
-std::string serialize_result(const WsRankResult& r) {
-  std::ostringstream os;
-  os << "wsrank 2\n";
-  os << "rank " << r.rank << "\n";
-  os << "gen " << r.generation << " " << (r.superseded ? 1 : 0) << " "
-     << (r.restored ? 1 : 0) << "\n";
-  os << "terminated " << (r.terminated ? 1 : 0) << "\n";
-  os << "fenced " << (r.fenced ? 1 : 0) << "\n";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g %.17g", r.busy_s, r.finish_s);
-  os << "times " << buf << "\n";
-  os << "counters " << r.local_tasks << " " << r.stolen_tasks << " "
-     << r.steal_requests << " " << r.steal_grants << " " << r.steal_denies
-     << " " << r.regions_migrated << " " << r.token_rounds << " "
-     << r.steal_retries << " " << r.grant_retransmits << " "
-     << r.regions_recovered << " " << r.heartbeat_probes << " "
-     << r.heartbeat_misses << " " << r.deaths_detected << " "
-     << r.tokens_regenerated << "\n";
-  os << "restartx " << r.stale_frames_rejected << " "
-     << r.checkpoints_written << " " << r.rejoin_syncs << "\n";
-  const auto& t = r.transport;
-  os << "transport " << t.frames_sent << " " << t.frames_received << " "
-     << t.frames_dropped << " " << t.frames_delayed << " " << t.bytes_sent
-     << " " << t.bytes_received << " " << t.reconnects << " "
-     << t.connect_retries << " " << t.send_timeouts << " "
-     << t.frames_stale << "\n";
-  os << "executed " << r.executed.size();
-  for (const std::uint32_t e : r.executed) os << " " << e;
-  os << "\n";
-  os << "done " << r.done.size() << " ";
-  for (const bool b : r.done) os << (b ? '1' : '0');
-  os << "\n";
-  const std::string payload = os.str();
-  std::ostringstream out;
-  out << payload << "checksum " << std::hex
-      << fnv1a64(payload.data(), payload.size()) << "\n";
-  return out.str();
-}
-
-bool parse_result(const std::string& text, WsRankResult& r,
-                  std::string& err) {
-  const auto pos = text.rfind("checksum ");
-  if (pos == std::string::npos || pos == 0) {
-    err = "missing checksum";
-    return false;
-  }
-  {
-    std::uint64_t stored = 0;
-    std::istringstream cs(text.substr(pos + 9));
-    cs >> std::hex >> stored;
-    if (!cs || stored != fnv1a64(text.data(), pos)) {
-      err = "checksum mismatch";
-      return false;
-    }
-  }
-  std::istringstream is(text.substr(0, pos));
-  std::string tag;
-  int version = 0;
-  is >> tag >> version;
-  if (tag != "wsrank" || version != 2) {
-    err = "bad header";
-    return false;
-  }
-  int b = 0, b2 = 0;
-  is >> tag >> r.rank;
-  is >> tag >> r.generation >> b >> b2;
-  r.superseded = b != 0;
-  r.restored = b2 != 0;
-  is >> tag >> b;
-  r.terminated = b != 0;
-  is >> tag >> b;
-  r.fenced = b != 0;
-  is >> tag >> r.busy_s >> r.finish_s;
-  is >> tag >> r.local_tasks >> r.stolen_tasks >> r.steal_requests >>
-      r.steal_grants >> r.steal_denies >> r.regions_migrated >>
-      r.token_rounds >> r.steal_retries >> r.grant_retransmits >>
-      r.regions_recovered >> r.heartbeat_probes >> r.heartbeat_misses >>
-      r.deaths_detected >> r.tokens_regenerated;
-  is >> tag >> r.stale_frames_rejected >> r.checkpoints_written >>
-      r.rejoin_syncs;
-  auto& t = r.transport;
-  is >> tag >> t.frames_sent >> t.frames_received >> t.frames_dropped >>
-      t.frames_delayed >> t.bytes_sent >> t.bytes_received >>
-      t.reconnects >> t.connect_retries >> t.send_timeouts >>
-      t.frames_stale;
-  std::size_t n = 0;
-  is >> tag >> n;
-  if (!is || tag != "executed" || n > (1u << 24)) {
-    err = "bad executed list";
-    return false;
-  }
-  r.executed.resize(n);
-  for (auto& e : r.executed) is >> e;
-  is >> tag >> n;
-  if (!is || tag != "done" || n > (1u << 24)) {
-    err = "bad done bitmap";
-    return false;
-  }
-  std::string bits;
-  is >> bits;
-  if (bits.size() != n) {
-    err = "bad done bitmap";
-    return false;
-  }
-  r.done.resize(n);
-  for (std::size_t i = 0; i < n; ++i) r.done[i] = bits[i] == '1';
-  if (!is) {
-    err = "truncated result";
-    return false;
-  }
-  return true;
-}
-
-bool write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < body.size()) {
-    const ssize_t w = ::write(fd, body.data() + off, body.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  ::close(fd);
-  return ::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  char buf[4096];
-  out.clear();
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
-}
 
 std::string result_path(const std::string& dir, std::uint32_t r,
                         std::uint32_t gen) {
@@ -401,7 +256,7 @@ void on_fatal_signal(int sig) {
   const WsRankResult result = run_ws_rank(net, rank_cfg);
   net.close();
 
-  write_file_atomic(result_path(dir, r, gen), serialize_result(result));
+  save_rank_result(result, result_path(dir, r, gen));
   if (!cfg.trace_path.empty()) {
     runtime::export_chrome_trace(
         tracer, trace_json_path(cfg.trace_path, r, gen),
@@ -759,26 +614,21 @@ ClusterResult run_ws_cluster(const ClusterConfig& config) {
     out.exit_codes[r] = rs[r].exit_code;
     out.generations[r] = rs[r].gen;
     out.restarts[r] = rs[r].restarts;
-    std::string text, err;
-    if (!read_file(result_path(dir, r, rs[r].gen), text)) {
-      if (!out.killed[r]) {
-        out.ok = false;
-        if (out.error.empty())
-          out.error = "rank " + std::to_string(r) + ": no result file";
-      }
-      continue;
-    }
-    WsRankResult res;
-    if (!parse_result(text, res, err)) {
+    IoStatus status = IoStatus::kOk;
+    auto res = load_rank_result(result_path(dir, r, rs[r].gen), r,
+                                rs[r].gen, &status);
+    if (!res) {
       // A kill can race the write; only survivors must parse.
       if (!out.killed[r]) {
         out.ok = false;
         if (out.error.empty())
-          out.error = "rank " + std::to_string(r) + ": " + err;
+          out.error = "rank " + std::to_string(r) + ": " +
+                      (status == IoStatus::kOpenFailed ? "no result file"
+                                                       : to_string(status));
       }
       continue;
     }
-    out.ranks[r] = std::move(res);
+    out.ranks[r] = std::move(*res);
     out.reported[r] = true;
   }
 

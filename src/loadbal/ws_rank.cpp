@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "runtime/metrics_registry.hpp"
 #include "util/rng.hpp"
@@ -54,6 +55,26 @@ bool take_bitmap(StateReader& r, std::size_t n, std::vector<bool>& v) {
   }
   return r.ok;
 }
+
+/// Every u64 counter of a WsRankResult (const or not), in file order. The
+/// first kCheckpointedCounters are the ones a RankCheckpoint persists.
+template <class Result>
+auto result_counters(Result& r) {
+  auto& t = r.transport;
+  return std::array{
+      &r.local_tasks,       &r.stolen_tasks,     &r.steal_requests,
+      &r.steal_grants,      &r.steal_denies,     &r.regions_migrated,
+      &r.token_rounds,      &r.steal_retries,    &r.grant_retransmits,
+      &r.regions_recovered, &r.heartbeat_probes, &r.heartbeat_misses,
+      &r.deaths_detected,   &r.tokens_regenerated,
+      &r.stale_frames_rejected, &r.checkpoints_written, &r.rejoin_syncs,
+      &t.frames_sent,       &t.frames_received,  &t.frames_dropped,
+      &t.frames_delayed,    &t.bytes_sent,       &t.bytes_received,
+      &t.reconnects,        &t.connect_retries,  &t.send_timeouts,
+      &t.frames_stale};
+}
+constexpr std::size_t kCheckpointedCounters =
+    std::extent_v<decltype(RankCheckpoint::counters)>;
 
 void sleep_s(double s) {
   if (s <= 0.0) return;
@@ -487,7 +508,9 @@ class WsRank::Core {
     next_req_id_ = c->next_req_id;
     next_grant_id_ = c->next_grant_id;
     result_.busy_s = c->busy_s;
-    for (std::size_t i = 0; i < 14; ++i) *counters()[i] = c->counters[i];
+    const auto counters = result_counters(result_);
+    for (std::size_t i = 0; i < kCheckpointedCounters; ++i)
+      *counters[i] = c->counters[i];
     // Self-heal: a region the directory credits to this rank that is in
     // neither the restored queue nor the grant ledger was in flight at
     // the crash (typically mid-execution); re-queue it.
@@ -524,7 +547,9 @@ class WsRank::Core {
     c.next_req_id = next_req_id_;
     c.next_grant_id = next_grant_id_;
     c.busy_s = result_.busy_s;
-    for (std::size_t i = 0; i < 14; ++i) c.counters[i] = *counters()[i];
+    const auto counters = result_counters(result_);
+    for (std::size_t i = 0; i < kCheckpointedCounters; ++i)
+      c.counters[i] = *counters[i];
     if (save_rank_checkpoint(c, cfg_.checkpoint_path))
       ++result_.checkpoints_written;
     fs_->ckpt_at = link_.now() + tm_.checkpoint_period_s;
@@ -544,16 +569,6 @@ class WsRank::Core {
     snap.rank = me_;
     snap.generation = cfg_.generation;
     (void)runtime::save_trace_snapshot(snap, cfg_.flight_recorder_path);
-  }
-
-  /// The checkpointed counters, in RankCheckpoint::counters order.
-  std::array<std::uint64_t*, 14> counters() {
-    WsRankResult& r = result_;
-    return {&r.local_tasks,       &r.stolen_tasks,     &r.steal_requests,
-            &r.steal_grants,      &r.steal_denies,     &r.regions_migrated,
-            &r.token_rounds,      &r.steal_retries,    &r.grant_retransmits,
-            &r.regions_recovered, &r.heartbeat_probes, &r.heartbeat_misses,
-            &r.deaths_detected,   &r.tokens_regenerated};
   }
 
   /// Read the dead rank's newest durable checkpoint (when a shared
@@ -1724,6 +1739,63 @@ std::optional<RankCheckpoint> load_rank_checkpoint(const std::string& path,
   if (!r.ok) return fail(IoStatus::kMalformed);
   if (r.left != 0) return fail(IoStatus::kCountMismatch);
   return c;
+}
+
+bool save_rank_result(const WsRankResult& r, const std::string& path) {
+  StateBlob blob;
+  blob.kind = kStateKindWsResult;
+  blob.meta0 = r.rank;
+  blob.meta1 = r.generation;
+  auto& out = blob.payload;
+  put_u32(out, (r.terminated ? 1u : 0u) | (r.fenced ? 2u : 0u) |
+                   (r.superseded ? 4u : 0u) | (r.restored ? 8u : 0u));
+  put_f64(out, r.busy_s);
+  put_f64(out, r.finish_s);
+  for (const std::uint64_t* v : result_counters(r)) put_u64(out, *v);
+  put_u32(out, static_cast<std::uint32_t>(r.executed.size()));
+  for (std::uint32_t e : r.executed) put_u32(out, e);
+  put_u32(out, static_cast<std::uint32_t>(r.done.size()));
+  put_bitmap(out, r.done);
+  return save_state_file(blob, path);
+}
+
+std::optional<WsRankResult> load_rank_result(const std::string& path,
+                                             std::uint32_t rank,
+                                             std::uint32_t generation,
+                                             IoStatus* status) {
+  const auto fail = [&](IoStatus code) {
+    if (status) *status = code;
+    return std::nullopt;
+  };
+  IoStatus st = IoStatus::kOk;
+  std::optional<StateBlob> blob = load_state_file(path, &st);
+  if (status) *status = st;
+  if (!blob) return std::nullopt;
+  // A sound file of another kind, rank or incarnation is not this report.
+  if (blob->kind != kStateKindWsResult || blob->meta0 != rank ||
+      blob->meta1 != generation)
+    return fail(IoStatus::kMalformed);
+
+  WsRankResult res;
+  res.rank = rank;
+  res.generation = generation;
+  StateReader r{blob->payload.data(), blob->payload.size()};
+  const std::uint32_t flags = r.u32();
+  res.terminated = (flags & 1u) != 0;
+  res.fenced = (flags & 2u) != 0;
+  res.superseded = (flags & 4u) != 0;
+  res.restored = (flags & 8u) != 0;
+  res.busy_s = r.f64();
+  res.finish_s = r.f64();
+  for (std::uint64_t* v : result_counters(res)) *v = r.u64();
+  const std::uint32_t executed = r.u32();
+  if (!r.ok || executed > r.left) return fail(IoStatus::kMalformed);
+  res.executed.resize(executed);
+  for (auto& e : res.executed) e = r.u32();
+  const std::uint32_t n = r.u32();
+  if (!r.ok || !take_bitmap(r, n, res.done)) return fail(IoStatus::kMalformed);
+  if (r.left != 0) return fail(IoStatus::kCountMismatch);
+  return res;
 }
 
 WsRankResult run_ws_rank(runtime::Transport& net,

@@ -11,7 +11,8 @@
 /// regions it hands out (start_region / finish_region), and carries its
 /// frames through a WsLink. Two drivers exist (DESIGN.md §5h):
 ///  - run_ws_rank() below: one core in wall time over a real Transport
-///    (forked processes over sockets, or MemTransport threads);
+///    (forked processes over sockets, or threads over the tests'
+///    MemTransport in tests/transport_mem.hpp);
 ///  - simulate_work_stealing() (ws_engine.hpp): p cores in virtual time
 ///    over runtime/transport_des.hpp, plus the god-view tallies.
 ///
@@ -241,6 +242,19 @@ bool save_rank_checkpoint(const RankCheckpoint& c, const std::string& path);
 std::optional<RankCheckpoint> load_rank_checkpoint(
     const std::string& path, IoStatus* status = nullptr);
 
+/// Serialize a rank's exit report atomically (util/state_file container,
+/// kStateKindWsResult; meta0 = rank, meta1 = generation, as a checkpoint).
+/// Returns false on I/O failure.
+bool save_rank_result(const WsRankResult& r, const std::string& path);
+
+/// Load and fully validate the report of incarnation `generation` of
+/// `rank`. nullopt with the precise IoStatus on any malformation, and
+/// kMalformed for a sound file that names another rank or generation.
+std::optional<WsRankResult> load_rank_result(const std::string& path,
+                                             std::uint32_t rank,
+                                             std::uint32_t generation,
+                                             IoStatus* status = nullptr);
+
 /// Publish the protocol-health counters (retransmits, heartbeat misses,
 /// recoveries) and the nested transport metrics as "<prefix>…".
 void publish(runtime::MetricsRegistry& reg, const WsRankResult& r,
@@ -315,7 +329,10 @@ class WsRank {
   bool stopped() const;
   /// This rank detected global termination itself (it led the round).
   bool declared() const;
+  /// Rank `r` was declared dead (run_ws_rank's terminate broadcast skips it).
   bool known_dead(std::uint32_t r) const;
+  /// Link time of the last protocol progress (run_ws_rank's liveness
+  /// backstop measures run_timeout_s from it).
   double last_activity() const;
   /// This rank's trace track (nullptr when tracing is off).
   runtime::TraceBuffer* trace() const;

@@ -12,7 +12,8 @@
 ///    driver in loadbal/ws_engine.cpp schedules it). p cores share one
 ///    simulated clock.
 ///  - real transports (runtime/transport_socket.hpp over Unix-domain
-///    sockets, runtime/transport_mem.hpp over in-process mailboxes) that
+///    sockets, and the test-only tests/transport_mem.hpp over in-process
+///    mailboxes) that
 ///    move the `Frame` wire format below between genuinely concurrent
 ///    ranks, each driven by run_ws_rank() in wall time.
 ///
@@ -149,9 +150,10 @@ constexpr double estimate_clock_offset(double t0, double t1,
 }
 
 /// A real point-to-point transport among ranks 0..size-1. Implementations:
-/// SocketTransport (processes over Unix-domain sockets), MemTransport
-/// (threads over mailboxes). The engine owns exactly one and is the only
-/// caller — implementations need not be reentrant.
+/// SocketTransport (processes over Unix-domain sockets), and the tests'
+/// MemTransport (threads over mailboxes, tests/transport_mem.hpp). The
+/// engine owns exactly one and is the only caller — implementations need
+/// not be reentrant.
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -1,6 +1,7 @@
 #pragma once
 /// \file io_status.hpp
-/// Error codes for persistence loaders (roadmap, environment, checkpoint).
+/// Error codes for the util/state_file loaders (build and rank
+/// checkpoints, rank results, flight-recorder fragments).
 ///
 /// Malformed, truncated or corrupt files must be *rejected with a code* —
 /// never UB, never an abort, never a silently wrong object. Loaders return
@@ -25,7 +26,6 @@ enum class IoStatus {
   kCountMismatch,        ///< declared record counts don't match content
   kOutOfRange,           ///< a field exceeds its permitted range
   kFingerprintMismatch,  ///< checkpoint from an incompatible configuration
-  kWriteFailed,          ///< save-side stream/rename failure
 };
 
 inline const char* to_string(IoStatus s) noexcept {
@@ -40,12 +40,11 @@ inline const char* to_string(IoStatus s) noexcept {
     case IoStatus::kCountMismatch: return "record count mismatch";
     case IoStatus::kOutOfRange: return "field out of range";
     case IoStatus::kFingerprintMismatch: return "configuration fingerprint mismatch";
-    case IoStatus::kWriteFailed: return "write failed";
   }
   return "unknown";
 }
 
-/// FNV-1a 64-bit — the checksum used by the persistence formats. Not
+/// FNV-1a 64-bit — the checksum of the state_file container. Not
 /// cryptographic; it catches truncation, bit flips and editor mangling.
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;

@@ -1,8 +1,8 @@
 #pragma once
 /// \file state_file.hpp
 /// The checksummed atomic state-blob container shared by every durable
-/// snapshot in the repo (core/anytime build checkpoints, loadbal rank
-/// checkpoints).
+/// file in the repo (core/anytime build checkpoints, loadbal rank
+/// checkpoints and rank results, runtime/trace flight-recorder fragments).
 ///
 /// Format v1 (DESIGN.md §5d lays out the anytime checkpoint payload):
 ///   header  (56 bytes): magic[8] "PMPLCKPT", version:u32, kind:u32,
@@ -19,7 +19,7 @@
 /// a rank may be SIGKILLed in the middle of its own checkpoint write.
 ///
 /// The `kind` field namespaces payload schemas (kCheckpointKindPrm/Rrt in
-/// core/anytime; kStateKindWsRank here); `meta0`/`meta1` are two u32s of
+/// core/anytime; the kStateKind* ids here); `meta0`/`meta1` are two u32s of
 /// kind-specific header metadata (anytime: num_regions / region_count).
 
 #include <cstdint>
@@ -34,9 +34,11 @@ namespace pmpl {
 
 /// Payload-schema ids. Anytime build checkpoints own 1 and 2; rank
 /// checkpoints (loadbal/ws_rank) own 3; flight-recorder trace fragments
-/// (runtime/trace) own 4. Append only.
+/// (runtime/trace) own 4; rank results (loadbal/ws_rank, read by the
+/// ws_cluster supervisor) own 5. Append only.
 inline constexpr std::uint32_t kStateKindWsRank = 3;
 inline constexpr std::uint32_t kStateKindTraceRing = 4;
+inline constexpr std::uint32_t kStateKindWsResult = 5;
 
 /// One durable snapshot: identity header plus an opaque payload.
 struct StateBlob {

@@ -125,6 +125,77 @@ TEST(RankCheckpoint, RoundTripsAndRejectsCorruption) {
   ::unlink(path.c_str());
 }
 
+TEST(RankResult, RoundTripsAndRejectsCorruption) {
+  using R = loadbal::WsRankResult;
+  using T = runtime::TransportMetrics;
+  const std::vector<std::uint64_t R::*> counters = {
+      &R::local_tasks,       &R::stolen_tasks,      &R::steal_requests,
+      &R::steal_grants,      &R::steal_denies,      &R::regions_migrated,
+      &R::token_rounds,      &R::steal_retries,     &R::grant_retransmits,
+      &R::regions_recovered, &R::heartbeat_probes,  &R::heartbeat_misses,
+      &R::deaths_detected,   &R::tokens_regenerated,
+      &R::stale_frames_rejected, &R::checkpoints_written, &R::rejoin_syncs};
+  const std::vector<std::uint64_t T::*> transport = {
+      &T::frames_sent,    &T::frames_received, &T::frames_dropped,
+      &T::frames_delayed, &T::bytes_sent,      &T::bytes_received,
+      &T::reconnects,     &T::connect_retries, &T::send_timeouts,
+      &T::frames_stale};
+
+  R r;
+  r.rank = 2;
+  r.generation = 3;
+  r.terminated = true;
+  r.fenced = false;
+  r.superseded = true;
+  r.restored = true;
+  r.busy_s = 1.25;
+  r.finish_s = 0.1 + 0.2;  // must come back bit-exact
+  r.executed = {7, 0, 4};
+  r.done = {true, false, true, true, false, false, true, true, true};
+  std::uint64_t v = 1000;
+  for (auto m : counters) r.*m = ++v;
+  for (auto m : transport) r.transport.*m = (++v) << 33;
+
+  const std::string path = "/tmp/pmpl_test_result_roundtrip";
+  ASSERT_TRUE(loadbal::save_rank_result(r, path));
+  IoStatus st = IoStatus::kOk;
+  const auto back = loadbal::load_rank_result(path, 2, 3, &st);
+  ASSERT_TRUE(back.has_value()) << to_string(st);
+  EXPECT_EQ(back->rank, 2u);
+  EXPECT_EQ(back->generation, 3u);
+  EXPECT_EQ(back->terminated, r.terminated);
+  EXPECT_EQ(back->fenced, r.fenced);
+  EXPECT_EQ(back->superseded, r.superseded);
+  EXPECT_EQ(back->restored, r.restored);
+  EXPECT_EQ(back->busy_s, r.busy_s);
+  EXPECT_EQ(back->finish_s, r.finish_s);
+  EXPECT_EQ(back->executed, r.executed);
+  EXPECT_EQ(back->done, r.done);
+  for (auto m : counters) EXPECT_EQ((*back).*m, r.*m);
+  for (auto m : transport) EXPECT_EQ(back->transport.*m, r.transport.*m);
+
+  // A sound file for another rank or incarnation is not this report.
+  EXPECT_FALSE(loadbal::load_rank_result(path, 1, 3, &st).has_value());
+  EXPECT_EQ(st, IoStatus::kMalformed);
+  EXPECT_FALSE(loadbal::load_rank_result(path, 2, 4, &st).has_value());
+  EXPECT_EQ(st, IoStatus::kMalformed);
+
+  // Flip each byte in turn: the container checksums reject every one.
+  std::ifstream in(path, std::ios::binary);
+  const std::string good((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_GT(good.size(), 64u);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(bad[i] ^ 0x40);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+    EXPECT_FALSE(loadbal::load_rank_result(path, 2, 3).has_value())
+        << "byte " << i;
+  }
+  ::unlink(path.c_str());
+}
+
 // --- seeded schedule generator -----------------------------------------
 
 TEST(ChaosPlan, DeterministicAndBounded) {

@@ -1,22 +1,17 @@
-// Tests for the library extensions: sampling strategies, roadmap
-// serialization, and lifeline work stealing.
+// Tests for the library extensions: sampling strategies, lifeline work
+// stealing and the threaded RRT build.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/parallel_build.hpp"
 #include "core/parallel_build_rrt.hpp"
 #include "core/prm_driver.hpp"
 #include "core/rrt_driver.hpp"
-#include "env/env_io.hpp"
 #include "graph/tree_utils.hpp"
 #include "env/builders.hpp"
 #include "loadbal/partition.hpp"
 #include "loadbal/ws_engine.hpp"
 #include "planner/prm.hpp"
-#include "planner/query.hpp"
-#include "planner/roadmap_io.hpp"
 #include "planner/samplers.hpp"
 #include "util/rng.hpp"
 
@@ -139,80 +134,6 @@ TEST(Samplers, DeterministicPerSeed) {
       EXPECT_EQ(a, b);
     }
   }
-}
-
-// --- roadmap io ------------------------------------------------------------
-
-TEST(RoadmapIo, RoundTripPreservesEverything) {
-  const auto e = env::small_cube();
-  planner::Prm prm(*e);
-  prm.build(400, 12);
-  const auto& g = prm.roadmap();
-
-  std::stringstream buffer;
-  ASSERT_TRUE(planner::save_roadmap(g, buffer));
-  const auto loaded = planner::load_roadmap(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->num_vertices(), g.num_vertices());
-  ASSERT_EQ(loaded->num_edges(), g.num_edges());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(loaded->vertex(v).region, g.vertex(v).region);
-    ASSERT_EQ(loaded->vertex(v).cfg.size(), g.vertex(v).cfg.size());
-    for (std::size_t i = 0; i < g.vertex(v).cfg.size(); ++i)
-      EXPECT_DOUBLE_EQ(loaded->vertex(v).cfg[i], g.vertex(v).cfg[i]);
-    EXPECT_EQ(loaded->degree(v), g.degree(v));
-  }
-}
-
-TEST(RoadmapIo, LoadedRoadmapAnswersQueries) {
-  const auto e = env::small_cube();
-  planner::PrmParams params;
-  params.k_neighbors = 8;
-  planner::Prm prm(*e, params);
-  prm.build(1200, 13);
-  std::stringstream buffer;
-  ASSERT_TRUE(planner::save_roadmap(prm.roadmap(), buffer));
-  auto loaded = planner::load_roadmap(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  Xoshiro256ss rng(14);
-  const auto start = e->space().at_position({8, 8, 8}, rng);
-  const auto goal = e->space().at_position({92, 92, 92}, rng);
-  const auto path =
-      planner::query_roadmap(*e, *loaded, start, goal, 8, 1.0);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_TRUE(planner::path_valid(*e, *path, 1.0));
-}
-
-TEST(RoadmapIo, RejectsMalformedInput) {
-  {
-    std::stringstream bad("not-a-roadmap 1\n");
-    EXPECT_FALSE(planner::load_roadmap(bad).has_value());
-  }
-  {
-    std::stringstream bad("pmpl-roadmap 99\n");
-    EXPECT_FALSE(planner::load_roadmap(bad).has_value());
-  }
-  {
-    std::stringstream bad("pmpl-roadmap 1\nv 0 3 1.0 2.0\n");  // truncated
-    EXPECT_FALSE(planner::load_roadmap(bad).has_value());
-  }
-  {
-    std::stringstream bad("pmpl-roadmap 1\ne 0 1 2.0\n");  // edge w/o verts
-    EXPECT_FALSE(planner::load_roadmap(bad).has_value());
-  }
-  {
-    std::stringstream bad("pmpl-roadmap 1\nx 1 2 3\n");  // unknown record
-    EXPECT_FALSE(planner::load_roadmap(bad).has_value());
-  }
-}
-
-TEST(RoadmapIo, EmptyRoadmap) {
-  planner::Roadmap g;
-  std::stringstream buffer;
-  ASSERT_TRUE(planner::save_roadmap(g, buffer));
-  const auto loaded = planner::load_roadmap(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->num_vertices(), 0u);
 }
 
 // --- lifeline work stealing -------------------------------------------------
@@ -358,79 +279,6 @@ TEST(LifelineInDriver, CompetitiveWithHybrid) {
   EXPECT_LT(lifeline.total_s, base.total_s);
   EXPECT_LT(lifeline.total_s, 1.25 * hybrid.total_s);
   EXPECT_GT(lifeline.ws.steal_grants, 0u);
-}
-
-// --- environment io ----------------------------------------------------
-
-TEST(EnvIo, RoundTripBuiltinEnvironment) {
-  const auto original = env::med_cube();
-  std::stringstream buffer;
-  ASSERT_TRUE(env::save_environment(*original, buffer));
-  auto loaded = env::load_environment(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ((*loaded)->name(), original->name());
-  EXPECT_EQ((*loaded)->checker().obstacle_count(),
-            original->checker().obstacle_count());
-  EXPECT_NEAR((*loaded)->blocked_fraction(5000),
-              original->blocked_fraction(5000), 0.02);
-  // Same seed produces the same roadmap on the reloaded environment.
-  planner::Prm a(*original), b(**loaded);
-  a.build(500, 41);
-  b.build(500, 41);
-  EXPECT_EQ(a.roadmap().num_vertices(), b.roadmap().num_vertices());
-}
-
-TEST(EnvIo, RoundTripWithObbAndSphere) {
-  std::vector<collision::ObstacleShape> obs{
-      geo::Aabb{{1, 2, 3}, {4, 5, 6}},
-      geo::Obb{{10, 10, 10}, {2, 3, 4}, geo::Mat3::rot_z(0.7)},
-      geo::Sphere{{20, 20, 20}, 5.0}};
-  env::Environment e("custom", cspace::CSpace::se3({{0, 0, 0},
-                                                    {50, 50, 50}}),
-                     std::move(obs), collision::RigidBody::sphere(1.5));
-  std::stringstream buffer;
-  ASSERT_TRUE(env::save_environment(e, buffer));
-  auto loaded = env::load_environment(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ((*loaded)->checker().obstacle_count(), 3u);
-  // Behavioral equivalence on point probes.
-  Xoshiro256ss rng(42);
-  for (int i = 0; i < 500; ++i) {
-    const geo::Vec3 p{rng.uniform(0, 50), rng.uniform(0, 50),
-                      rng.uniform(0, 50)};
-    EXPECT_EQ((*loaded)->checker().point_in_collision(p),
-              e.checker().point_in_collision(p));
-  }
-}
-
-TEST(EnvIo, HandwrittenSceneParses) {
-  std::stringstream scene(
-      "pmpl-env 1\n"
-      "# a hand-written scene\n"
-      "name test-scene\n"
-      "space se2 0 0 0 10 10 0\n"
-      "robot point\n"
-      "aabb 4 4 -1 6 6 1\n");
-  auto loaded = env::load_environment(scene);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ((*loaded)->space().kind(), cspace::SpaceKind::SE2);
-  EXPECT_TRUE((*loaded)->checker().point_in_collision({5, 5, 0}));
-  EXPECT_FALSE((*loaded)->checker().point_in_collision({1, 1, 0}));
-}
-
-TEST(EnvIo, RejectsMalformed) {
-  {
-    std::stringstream bad("not-env 1\n");
-    EXPECT_FALSE(env::load_environment(bad).has_value());
-  }
-  {
-    std::stringstream bad("pmpl-env 1\nrobot box 1 1 1\n");  // no space
-    EXPECT_FALSE(env::load_environment(bad).has_value());
-  }
-  {
-    std::stringstream bad("pmpl-env 1\nspace se3 0 0 0 1 1 1\nbogus 1\n");
-    EXPECT_FALSE(env::load_environment(bad).has_value());
-  }
 }
 
 // --- parallel RRT build ----------------------------------------------------

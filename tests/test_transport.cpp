@@ -23,8 +23,8 @@
 #include "runtime/fault_io.hpp"
 #include "runtime/metrics_registry.hpp"
 #include "runtime/transport.hpp"
-#include "runtime/transport_mem.hpp"
 #include "runtime/transport_socket.hpp"
+#include "transport_mem.hpp"
 #include "util/rng.hpp"
 
 namespace pmpl {

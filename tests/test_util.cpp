@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/args.hpp"
 #include "util/inline_vector.hpp"
@@ -253,6 +255,74 @@ TEST(Args, FloatParsing) {
   const char* argv[] = {"prog", "--scale=2.5"};
   ArgParser args(2, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(args.get_f64("scale", 0.0), 2.5);
+}
+
+// Strict parsing: a malformed value or an unread flag exits 2, naming
+// the flag.
+
+ArgParser make_args(std::initializer_list<const char*> argv_tail) {
+  static std::vector<const char*> argv;
+  argv.clear();
+  argv.push_back("prog");
+  for (const char* a : argv_tail) argv.push_back(a);
+  return ArgParser(static_cast<int>(argv.size()),
+                   const_cast<char**>(argv.data()));
+}
+
+TEST(ArgsStrict, AcceptsWellFormedValues) {
+  const auto args = make_args({"--n", "42", "--x=2.5", "--flag", "--on", "yes"});
+  EXPECT_EQ(args.get_i64("n", 0), 42);
+  EXPECT_DOUBLE_EQ(args.get_f64("x", 0.0), 2.5);
+  EXPECT_TRUE(args.get_bool("flag"));
+  EXPECT_TRUE(args.get_bool("on"));
+  EXPECT_EQ(args.get_i64("absent", 7), 7);
+  args.reject_unknown();  // every flag given was read: returns
+}
+
+TEST(ArgsStrictDeathTest, RejectsTrailingGarbageInteger) {
+  const auto args = make_args({"--n", "10x"});
+  EXPECT_EXIT(args.get_i64("n", 0), ::testing::ExitedWithCode(2),
+              "flag --n.*not a valid integer");
+}
+
+TEST(ArgsStrictDeathTest, RejectsTrailingGarbageFloat) {
+  const auto args = make_args({"--x", "1.5.2"});
+  EXPECT_EXIT(args.get_f64("x", 0.0), ::testing::ExitedWithCode(2),
+              "flag --x.*not a valid number");
+}
+
+TEST(ArgsStrictDeathTest, RejectsOutOfRangeValue) {
+  const auto args = make_args({"--procs", "0"});
+  EXPECT_EXIT(args.get_i64("procs", 1, 1, 4096),
+              ::testing::ExitedWithCode(2),
+              "flag --procs.*outside permitted range");
+}
+
+TEST(ArgsStrictDeathTest, RejectsOverflowingInteger) {
+  const auto args = make_args({"--n", "99999999999999999999999"});
+  EXPECT_EXIT(args.get_i64("n", 0), ::testing::ExitedWithCode(2),
+              "flag --n.*out of range");
+}
+
+TEST(ArgsStrictDeathTest, RejectsBadBoolean) {
+  const auto args = make_args({"--resume", "maybe"});
+  EXPECT_EXIT(args.get_bool("resume"), ::testing::ExitedWithCode(2),
+              "flag --resume.*not a valid boolean");
+}
+
+TEST(ArgsStrictDeathTest, RejectsNanFloat) {
+  const auto args = make_args({"--x", "nan"});
+  EXPECT_EXIT(args.get_f64("x", 0.0, 0.0, 100.0),
+              ::testing::ExitedWithCode(2), "flag --x");
+}
+
+TEST(ArgsStrictDeathTest, RejectsFlagNoLookupRead) {
+  const auto args = make_args({"--procs", "64", "--proc=32", "--seed", "3"});
+  EXPECT_EQ(args.get_i64("procs", 1), 64);
+  EXPECT_EQ(args.get_i64("seed", 0), 3);
+  EXPECT_EQ(args.get_i64("absent", 7), 7);
+  EXPECT_EXIT(args.reject_unknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --proc\n");
 }
 
 // --- table ------------------------------------------------------------
