@@ -10,8 +10,9 @@ namespace {
 
 using namespace pmpl;
 
-void fill(planner::NeighborFinder& finder, const cspace::CSpace& space,
-          std::size_t n, std::uint64_t seed) {
+template <class Finder>
+void fill(Finder& finder, const cspace::CSpace& space, std::size_t n,
+          std::uint64_t seed) {
   Xoshiro256ss rng(seed);
   for (std::size_t i = 0; i < n; ++i)
     finder.insert(static_cast<graph::VertexId>(i), space.sample(rng));

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
 
   // --- engine: batched serving at `workers` -------------------------------
   service::SnapshotPool pool;
-  pool.publish(planner::Roadmap(roadmap));
+  pool.publish(planner::Roadmap(roadmap), e->space());
   runtime::MetricsRegistry metrics;
   service::QueryEngineConfig cfg;
   cfg.workers = workers;
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   cfg.metrics = &metrics;
   service::QueryEngine engine(*e, pool, cfg);
 
-  // Warm pass builds the per-epoch finder; the timed pass measures steady
+  // Warm pass sizes the engine's scratch; the timed pass measures steady
   // serving (a long-lived service is warm by definition).
   engine.run_batch(std::span<const service::QueryRequest>(reqs.data(), 1));
   std::vector<service::QueryResult> engine_results;

@@ -64,11 +64,11 @@ int main(int argc, char** argv) {
               ids.size(), attempts);
 
   const cspace::LocalPlanner lp(e.space(), arm, 0.05);
-  auto finder = planner::make_neighbor_finder(e.space());
-  for (const auto id : ids) finder->insert(id, roadmap.vertex(id).cfg);
+  planner::KdTreeKnn finder(e.space());
+  for (const auto id : ids) finder.insert(id, roadmap.vertex(id).cfg);
   graph::UnionFind cc(roadmap.num_vertices());
   for (const auto id : ids) {
-    for (const auto& n : finder->nearest(roadmap.vertex(id).cfg, 10, &stats)) {
+    for (const auto& n : finder.nearest(roadmap.vertex(id).cfg, 10, &stats)) {
       if (n.id == id || roadmap.has_edge(id, n.id)) continue;
       if (cc.connected(id, n.id)) continue;
       const auto r = lp.plan(roadmap.vertex(id).cfg,
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   const auto s_id = roadmap.add_vertex({start, 0});
   const auto g_id = roadmap.add_vertex({goal, 0});
   for (const auto& [vid, c] : {std::pair{s_id, start}, std::pair{g_id, goal}})
-    for (const auto& n : finder->nearest(c, 12, &stats))
+    for (const auto& n : finder.nearest(c, 12, &stats))
       if (const auto r = lp.plan(c, roadmap.vertex(n.id).cfg, &stats.cd);
           r.success)
         roadmap.add_edge(vid, n.id, {r.length});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace pmpl::planner {
 
@@ -26,21 +27,22 @@ void heap_consider(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
   }
 }
 
-}  // namespace
-
-void NeighborFinder::nearest_batch(std::span<const cspace::Config> queries,
-                                   std::size_t k, KnnBatch& out,
-                                   PlannerStats* stats) {
+/// Runs `nearest(q)` for every query, packing the results into `out`.
+template <class Nearest>
+void pack_batch(std::span<const cspace::Config> queries, KnnBatch& out,
+                Nearest&& nearest) {
   out.neighbors.clear();
   out.offsets.clear();
   out.offsets.reserve(queries.size() + 1);
   out.offsets.push_back(0);
   for (const auto& q : queries) {
-    const auto r = nearest(q, k, stats);
+    const auto r = nearest(q);
     out.neighbors.insert(out.neighbors.end(), r.begin(), r.end());
     out.offsets.push_back(static_cast<std::uint32_t>(out.neighbors.size()));
   }
 }
+
+}  // namespace
 
 std::span<const Neighbor> BruteForceKnn::nearest(const cspace::Config& q,
                                                  std::size_t k,
@@ -48,13 +50,33 @@ std::span<const Neighbor> BruteForceKnn::nearest(const cspace::Config& q,
   if (stats) ++stats->knn_queries;
   heap_.clear();
   if (k == 0) return {};
-  heap_.reserve(k + 1);
+  heap_.reserve(std::min(k, ids_.size()) + 1);
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     if (stats) ++stats->knn_candidates;
     heap_consider(heap_, k, {ids_[i], space_->distance(q, configs_[i])});
   }
   std::sort_heap(heap_.begin(), heap_.end(), WorstFirst{});
   return {heap_.data(), heap_.size()};
+}
+
+void BruteForceKnn::nearest_batch(std::span<const cspace::Config> queries,
+                                  std::size_t k, KnnBatch& out,
+                                  PlannerStats* stats) {
+  pack_batch(queries, out, [&](const auto& q) { return nearest(q, k, stats); });
+}
+
+KdTreeKnn::KdTreeKnn(const cspace::CSpace& space, const Roadmap& g)
+    : space_(&space) {
+  const auto n = static_cast<graph::VertexId>(g.num_vertices());
+  ids_.reserve(n);
+  cfgs_.reserve(n);
+  pos_.reserve(n);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    ids_.push_back(v);
+    cfgs_.push_back(g.vertex(v).cfg);
+    pos_.push_back(space.position(g.vertex(v).cfg));
+  }
+  rebuild();
 }
 
 void KdTreeKnn::insert(graph::VertexId id, const cspace::Config& c) {
@@ -67,20 +89,10 @@ void KdTreeKnn::insert(graph::VertexId id, const cspace::Config& c) {
   if (buffered >= 32 && buffered * 2 >= indexed_) rebuild();
 }
 
-void KdTreeKnn::reserve(std::size_t n) {
-  ids_.reserve(n);
-  cfgs_.reserve(n);
-  pos_.reserve(n);
-  perm_.reserve(n);
-  px_.reserve(n);
-  py_.reserve(n);
-  pz_.reserve(n);
-}
-
 void KdTreeKnn::rebuild() {
   const std::size_t n = ids_.size();
   nodes_.clear();
-  nodes_.reserve(leaf_size_ ? 2 * n / leaf_size_ + 2 : n);
+  nodes_.reserve(2 * n / kLeafSize + 2);
   perm_.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm_[i] = static_cast<std::uint32_t>(i);
   root_ = n == 0 ? kNoNode : build_subtree(0, n);
@@ -95,14 +107,13 @@ void KdTreeKnn::rebuild() {
     py_[i] = p.y;
     pz_[i] = p.z;
   }
-  stack_.reserve(64);
   indexed_ = n;
 }
 
 std::uint32_t KdTreeKnn::build_subtree(std::size_t lo, std::size_t hi) {
   const auto idx = static_cast<std::uint32_t>(nodes_.size());
   nodes_.emplace_back();
-  if (hi - lo <= leaf_size_) {
+  if (hi - lo <= kLeafSize) {
     nodes_[idx] = {0.0, static_cast<std::uint32_t>(lo),
                    static_cast<std::uint32_t>(hi - lo), kLeafAxis};
     return idx;
@@ -145,21 +156,29 @@ std::span<const Neighbor> KdTreeKnn::nearest(const cspace::Config& q,
   // once instead of paying an O(buffer) scan on every query.
   const std::size_t buffered = ids_.size() - indexed_;
   if (buffered >= 32 && buffered * 4 >= indexed_) rebuild();
+  return std::as_const(*this).nearest(q, k, scratch_, stats);
+}
 
+std::span<const Neighbor> KdTreeKnn::nearest(const cspace::Config& q,
+                                             std::size_t k,
+                                             KnnScratch& scratch,
+                                             PlannerStats* stats) const {
+  std::vector<Neighbor>& heap = scratch.heap;
+  std::vector<KnnScratch::Visit>& stack = scratch.stack;
   if (stats) ++stats->knn_queries;
-  heap_.clear();
+  heap.clear();
   if (k == 0) return {};
-  heap_.reserve(k + 1);
+  heap.reserve(std::min(k, ids_.size()) + 1);
   const geo::Vec3 qp = space_->position(q);
 
-  stack_.clear();
-  if (root_ != kNoNode) stack_.push_back({root_, 0.0});
-  while (!stack_.empty()) {
-    const Visit v = stack_.back();
-    stack_.pop_back();
+  stack.clear();
+  if (root_ != kNoNode) stack.push_back({root_, 0.0});
+  while (!stack.empty()) {
+    const KnnScratch::Visit v = stack.back();
+    stack.pop_back();
     // Strict >: an equal bound may still hide an equal-distance point with
     // a smaller id, which beats the current worst under canonical order.
-    if (heap_.size() >= k && v.bound > heap_.front().distance) continue;
+    if (heap.size() >= k && v.bound > heap.front().distance) continue;
     const Node& n = nodes_[v.node];
     if (n.axis == kLeafAxis) {
       const std::size_t first = n.a;
@@ -173,9 +192,9 @@ std::span<const Neighbor> KdTreeKnn::nearest(const cspace::Config& q,
         // this positional bound can never exceed the full metric (which
         // only adds a non-negative rotation term on top of it).
         const double pd = std::sqrt((dx * dx + dy * dy) + dz * dz);
-        if (heap_.size() >= k && pd > heap_.front().distance) continue;
+        if (heap.size() >= k && pd > heap.front().distance) continue;
         const std::uint32_t m = perm_[s];
-        heap_consider(heap_, k, {ids_[m], space_->distance(q, cfgs_[m])});
+        heap_consider(heap, k, {ids_[m], space_->distance(q, cfgs_[m])});
       }
       continue;
     }
@@ -184,8 +203,8 @@ std::span<const Neighbor> KdTreeKnn::nearest(const cspace::Config& q,
     const std::uint32_t far_child = delta < 0.0 ? n.b : n.a;
     // Depth-first into the near child: push the far side (with its
     // tightened bound) first so the near side pops next.
-    stack_.push_back({far_child, std::max(v.bound, std::fabs(delta))});
-    stack_.push_back({near_child, v.bound});
+    stack.push_back({far_child, std::max(v.bound, std::fabs(delta))});
+    stack.push_back({near_child, v.bound});
   }
 
   // Points inserted since the last rebuild live in the linear buffer; the
@@ -196,16 +215,25 @@ std::span<const Neighbor> KdTreeKnn::nearest(const cspace::Config& q,
     const double dy = qp.y - pos_[i].y;
     const double dz = qp.z - pos_[i].z;
     const double pd = std::sqrt((dx * dx + dy * dy) + dz * dz);
-    if (heap_.size() >= k && pd > heap_.front().distance) continue;
-    heap_consider(heap_, k, {ids_[i], space_->distance(q, cfgs_[i])});
+    if (heap.size() >= k && pd > heap.front().distance) continue;
+    heap_consider(heap, k, {ids_[i], space_->distance(q, cfgs_[i])});
   }
-  std::sort_heap(heap_.begin(), heap_.end(), WorstFirst{});
-  return {heap_.data(), heap_.size()};
+  std::sort_heap(heap.begin(), heap.end(), WorstFirst{});
+  return {heap.data(), heap.size()};
 }
 
-std::unique_ptr<NeighborFinder> make_neighbor_finder(
-    const cspace::CSpace& space) {
-  return std::make_unique<KdTreeKnn>(space);
+void KdTreeKnn::nearest_batch(std::span<const cspace::Config> queries,
+                              std::size_t k, KnnBatch& out,
+                              PlannerStats* stats) {
+  pack_batch(queries, out, [&](const auto& q) { return nearest(q, k, stats); });
+}
+
+void KdTreeKnn::nearest_batch(std::span<const cspace::Config> queries,
+                              std::size_t k, KnnBatch& out,
+                              KnnScratch& scratch,
+                              PlannerStats* stats) const {
+  pack_batch(queries, out,
+             [&](const auto& q) { return nearest(q, k, scratch, stats); });
 }
 
 }  // namespace pmpl::planner

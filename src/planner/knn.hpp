@@ -4,31 +4,30 @@
 ///
 /// Global nearest-neighbor search is the classic bottleneck of parallel
 /// sampling-based planning (paper §I); the subdivision algorithms avoid it
-/// by keeping searches regional. Two finders are provided:
+/// by keeping searches regional. `KdTreeKnn` is the finder every planner
+/// and the service use: a leaf-bucketed kd-tree over workspace
+/// *positions* with deferred rebuilds for incremental insertion. Leaves
+/// hold 8–16 points in structure-of-arrays layout so a leaf scan is a
+/// tight loop over contiguous doubles; traversal is iterative with an
+/// explicit stack. Candidates are ranked by the full C-space metric;
+/// positional distance is a valid lower bound on every metric we define
+/// (rotation adds a non-negative term), so results are exact — the tree
+/// only loses pruning power, not accuracy. `BruteForceKnn` (exact linear
+/// scan) is the reference it is checked against.
 ///
-///  - `BruteForceKnn` — exact under the full C-space metric; O(n) per query.
-///  - `KdTreeKnn`     — leaf-bucketed kd-tree over workspace *positions*
-///    with deferred rebuilds for incremental insertion. Leaves hold 8–16
-///    points in structure-of-arrays layout so a leaf scan is a tight loop
-///    over contiguous doubles; traversal is iterative with an explicit
-///    stack. Candidates are ranked by the full C-space metric; positional
-///    distance is a valid lower bound on every metric we define (rotation
-///    adds a non-negative term), so results are exact — the tree only loses
-///    pruning power, not accuracy.
-///
-/// Both finders return results in the *canonical neighbor order* (ascending
+/// Both return results in the *canonical neighbor order* (ascending
 /// distance, ties broken by ascending vertex id — see `neighbor_before`),
 /// which makes the k-best set a total order: any exact finder returns
 /// bit-identical results regardless of scan or traversal order. That
 /// determinism is load-bearing for roadmap reproducibility.
 ///
-/// `nearest()` returns a span into per-finder scratch (no per-query heap
-/// allocation once warm); `nearest_batch()` amortizes call overhead across
-/// a query batch into a caller-owned reusable buffer. Finders are *not*
-/// thread-safe for concurrent queries — each worker owns its finder, which
-/// matches how the planners already use them.
-///
-/// Both report visited-candidate counts so k-NN work feeds the load model.
+/// A kd-tree answers `nearest(q, k)` from per-finder scratch, one thread at
+/// a time (the planners own one finder per region task), and the `const`
+/// `nearest(q, k, scratch)` from a caller-owned `KnnScratch`, so many
+/// threads can share one frozen index: each published roadmap snapshot
+/// owns one (service/snapshot.hpp). `nearest_batch()` packs a query batch
+/// into a reusable `KnnBatch`. No query allocates once warm, and every
+/// query counts the candidates it visits so k-NN work feeds the load model.
 
 #include <cstdint>
 #include <memory>
@@ -71,52 +70,47 @@ struct KnnBatch {
   }
 };
 
-/// Interface for incremental k-NN over (id, config) pairs.
-class NeighborFinder {
- public:
-  virtual ~NeighborFinder() = default;
-
-  virtual void insert(graph::VertexId id, const cspace::Config& c) = 0;
-
-  /// Make room for `n` points in total, so inserting a known number of
-  /// points grows no array by doubling.
-  virtual void reserve(std::size_t n) = 0;
-
-  /// The k nearest stored configs to `q`, in canonical order. Fewer than k
-  /// if the structure holds fewer points. The span aliases finder-owned
-  /// scratch: it is invalidated by the next `nearest`/`nearest_batch`/
-  /// `insert` call, and a finder must not be queried concurrently.
-  virtual std::span<const Neighbor> nearest(
-      const cspace::Config& q, std::size_t k,
-      PlannerStats* stats = nullptr) = 0;
-
-  /// Run `nearest` for every query, packing results into `out` (cleared
-  /// first). Results are identical to k single queries in order.
-  void nearest_batch(std::span<const cspace::Config> queries, std::size_t k,
-                     KnnBatch& out, PlannerStats* stats = nullptr);
-
-  virtual std::size_t size() const noexcept = 0;
+/// Search state of the `const` kd-tree queries: the candidate heap and the
+/// traversal stack, owned by the caller (one per thread), the same idiom
+/// as `SearchScratch`.
+struct KnnScratch {
+  /// Deferred subtree visit: `bound` is a positional lower bound on the
+  /// distance from the query to anything in the subtree.
+  struct Visit {
+    std::uint32_t node;
+    double bound;
+  };
+  std::vector<Neighbor> heap;  ///< holds the last result
+  std::vector<Visit> stack;
 };
 
-/// Exact linear scan under the full C-space metric.
-class BruteForceKnn final : public NeighborFinder {
+/// Exact linear scan under the full C-space metric: the reference the
+/// kd-tree is checked against (tests, benches).
+class BruteForceKnn {
  public:
   explicit BruteForceKnn(const cspace::CSpace& space) : space_(&space) {}
 
-  void insert(graph::VertexId id, const cspace::Config& c) override {
+  void insert(graph::VertexId id, const cspace::Config& c) {
     ids_.push_back(id);
     configs_.push_back(c);
   }
 
-  void reserve(std::size_t n) override {
+  void reserve(std::size_t n) {
     ids_.reserve(n);
     configs_.reserve(n);
   }
 
+  /// The k nearest stored configs to `q`, in canonical order (fewer than k
+  /// if fewer are stored). The span aliases finder scratch: invalidated by
+  /// the next query or insert.
   std::span<const Neighbor> nearest(const cspace::Config& q, std::size_t k,
-                                    PlannerStats* stats = nullptr) override;
+                                    PlannerStats* stats = nullptr);
 
-  std::size_t size() const noexcept override { return ids_.size(); }
+  /// `nearest` for every query, packed into `out` (cleared first).
+  void nearest_batch(std::span<const cspace::Config> queries, std::size_t k,
+                     KnnBatch& out, PlannerStats* stats = nullptr);
+
+  std::size_t size() const noexcept { return ids_.size(); }
 
  private:
   const cspace::CSpace* space_;
@@ -125,33 +119,52 @@ class BruteForceKnn final : public NeighborFinder {
   std::vector<Neighbor> heap_;  ///< query scratch; holds the last result
 };
 
-/// Leaf-bucketed kd-tree over positions with an insertion buffer; the tree
-/// is rebuilt when the buffer outgrows a fraction of the tree (amortized
-/// O(log n) insertion without rebalancing machinery). Internal nodes store
-/// only a split plane; points live in leaf buckets laid out SoA
-/// (`px_/py_/pz_`) so the per-leaf distance scan is branch-light and
-/// cache-friendly.
-class KdTreeKnn final : public NeighborFinder {
+/// The finder: a leaf-bucketed kd-tree over positions with an insertion
+/// buffer; the tree is rebuilt when the buffer outgrows a fraction of the
+/// tree (amortized O(log n) insertion without rebalancing machinery).
+/// Internal nodes store only a split plane; points live in leaf buckets
+/// laid out SoA (`px_/py_/pz_`) so the per-leaf distance scan is
+/// branch-light and cache-friendly.
+class KdTreeKnn {
  public:
-  static constexpr std::size_t kDefaultLeafSize = 12;
+  explicit KdTreeKnn(const cspace::CSpace& space) : space_(&space) {}
 
-  explicit KdTreeKnn(const cspace::CSpace& space,
-                     std::size_t leaf_size = kDefaultLeafSize)
-      : space_(&space), leaf_size_(leaf_size) {}
+  /// Bulk build: index every vertex of `g` under its vertex id in one
+  /// tree, with no unindexed tail.
+  KdTreeKnn(const cspace::CSpace& space, const Roadmap& g);
 
-  void insert(graph::VertexId id, const cspace::Config& c) override;
-  void reserve(std::size_t n) override;
+  void insert(graph::VertexId id, const cspace::Config& c);
 
+  /// The k nearest stored configs to `q`, in canonical order; fewer than k
+  /// if the structure holds fewer points. First folds a dominant insertion
+  /// buffer into the tree (lazy rebuild). The span aliases finder scratch:
+  /// it is invalidated by the next query or insert.
   std::span<const Neighbor> nearest(const cspace::Config& q, std::size_t k,
-                                    PlannerStats* stats = nullptr) override;
+                                    PlannerStats* stats = nullptr);
 
-  std::size_t size() const noexcept override { return ids_.size(); }
+  /// The same search, read-only: state lives in the caller's `scratch`
+  /// and the span aliases `scratch.heap`. Safe from any number of threads
+  /// at once, each with its own scratch, while nothing inserts.
+  std::span<const Neighbor> nearest(const cspace::Config& q, std::size_t k,
+                                    KnnScratch& scratch,
+                                    PlannerStats* stats = nullptr) const;
+
+  /// Run `nearest` for every query, packing results into `out` (cleared
+  /// first). Results are identical to k single queries in order.
+  void nearest_batch(std::span<const cspace::Config> queries, std::size_t k,
+                     KnnBatch& out, PlannerStats* stats = nullptr);
+  void nearest_batch(std::span<const cspace::Config> queries, std::size_t k,
+                     KnnBatch& out, KnnScratch& scratch,
+                     PlannerStats* stats = nullptr) const;
+
+  std::size_t size() const noexcept { return ids_.size(); }
 
   /// Points covered by the built tree; the rest sit in the linear
   /// insertion buffer. Exposed for rebuild-policy tests.
   std::size_t indexed_size() const noexcept { return indexed_; }
 
  private:
+  static constexpr std::size_t kLeafSize = 12;
   static constexpr std::uint8_t kLeafAxis = 3;
   static constexpr std::uint32_t kNoNode = 0xffffffffu;
 
@@ -162,18 +175,10 @@ class KdTreeKnn final : public NeighborFinder {
     std::uint8_t axis = 0;  ///< 0..2 for internal nodes, kLeafAxis for leaves
   };
 
-  /// Deferred subtree visit: `bound` is a positional lower bound on the
-  /// distance from the query to anything in the subtree.
-  struct Visit {
-    std::uint32_t node;
-    double bound;
-  };
-
   void rebuild();
   std::uint32_t build_subtree(std::size_t lo, std::size_t hi);
 
   const cspace::CSpace* space_;
-  std::size_t leaf_size_;
 
   // Master point storage, indexed by insertion order.
   std::vector<graph::VertexId> ids_;
@@ -188,14 +193,13 @@ class KdTreeKnn final : public NeighborFinder {
   std::uint32_t root_ = kNoNode;
   std::size_t indexed_ = 0;  ///< points included in the built tree
 
-  // Per-query scratch, reused so nearest() is allocation-free once warm.
-  std::vector<Neighbor> heap_;
-  std::vector<Visit> stack_;
+  KnnScratch scratch_;  ///< the non-const queries' scratch
 };
 
-/// The planners' finder: a kd-tree (exact, see above). BruteForceKnn is
-/// the reference it is checked against.
-std::unique_ptr<NeighborFinder> make_neighbor_finder(
-    const cspace::CSpace& space);
+// Compatibility names, used only by perfbench/; everything else names
+// KdTreeKnn directly.
+using NeighborFinder = KdTreeKnn;
+inline std::unique_ptr<KdTreeKnn> make_neighbor_finder(
+    const cspace::CSpace& space) { return std::make_unique<KdTreeKnn>(space); }
 
 }  // namespace pmpl::planner

@@ -34,7 +34,7 @@ std::vector<cspace::Config> sample_region_with(const Sampler& sampler,
 }
 
 void connect_to_nearest(const env::Environment& e, Roadmap& g,
-                        NeighborFinder& finder,
+                        KdTreeKnn& finder,
                         std::span<const graph::VertexId> from,
                         const PrmParams& params, PlannerStats& stats,
                         graph::UnionFind* cc,
@@ -99,9 +99,9 @@ void connect_within(const env::Environment& e, Roadmap& g,
                     graph::UnionFind* cc,
                     const runtime::CancelToken* cancel) {
   if (ids.size() < 2) return;
-  auto finder = make_neighbor_finder(e.space());
-  for (graph::VertexId id : ids) finder->insert(id, g.vertex(id).cfg);
-  connect_to_nearest(e, g, *finder, ids, params, stats, cc, cancel);
+  KdTreeKnn finder(e.space());
+  for (graph::VertexId id : ids) finder.insert(id, g.vertex(id).cfg);
+  connect_to_nearest(e, g, finder, ids, params, stats, cc, cancel);
 }
 
 std::vector<graph::VertexId> connect_samples(
@@ -129,8 +129,8 @@ std::size_t connect_between(const env::Environment& e, Roadmap& g,
   std::span<const graph::VertexId> to = ids_b;
   if (from.size() > to.size()) std::swap(from, to);
 
-  auto finder = make_neighbor_finder(e.space());
-  for (graph::VertexId id : to) finder->insert(id, g.vertex(id).cfg);
+  KdTreeKnn finder(e.space());
+  for (graph::VertexId id : to) finder.insert(id, g.vertex(id).cfg);
 
   // Collect candidate pairs (closest first), then attempt the best ones.
   struct Candidate {
@@ -143,7 +143,7 @@ std::size_t connect_between(const env::Environment& e, Roadmap& g,
   qcfgs.reserve(from.size());
   for (graph::VertexId id : from) qcfgs.push_back(g.vertex(id).cfg);
   KnnBatch batch;
-  finder->nearest_batch(qcfgs, 2, batch, &stats);
+  finder.nearest_batch(qcfgs, 2, batch, &stats);
   for (std::size_t qi = 0; qi < from.size(); ++qi)
     for (const Neighbor& n : batch.of(qi))
       candidates.push_back({n.distance, from[qi], n.id});

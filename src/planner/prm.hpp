@@ -67,7 +67,7 @@ std::vector<cspace::Config> sample_region_with(const Sampler& sampler,
 /// provided). A fired `cancel` token stops admitting between vertices
 /// (bounded overrun: the batched k-NN pass + one window of local plans).
 void connect_to_nearest(const env::Environment& e, Roadmap& g,
-                        NeighborFinder& finder,
+                        KdTreeKnn& finder,
                         std::span<const graph::VertexId> from,
                         const PrmParams& params, PlannerStats& stats,
                         graph::UnionFind* cc = nullptr,

@@ -185,14 +185,11 @@ std::optional<std::vector<cspace::Config>> query_roadmap(
     }
   }
 
-  auto finder = make_neighbor_finder(e.space());
-  finder->reserve(g.num_vertices());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-    finder->insert(v, g.vertex(v).cfg);
+  KdTreeKnn finder(e.space(), g);
 
   const auto attach = [&](const cspace::Config& c,
                           std::vector<AttachEdge>& out) {
-    for (const Neighbor& nb : finder->nearest(c, k_neighbors, &st)) {
+    for (const Neighbor& nb : finder.nearest(c, k_neighbors, &st)) {
       ++st.lp_attempts;
       const auto r = lp.plan(c, g.vertex(nb.id).cfg, &st.cd);
       st.lp_steps += r.steps_checked;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "cspace/local_planner.hpp"
-#include "graph/shortest_path.hpp"
-#include "planner/samplers.hpp"
 
 namespace pmpl::planner {
 
@@ -16,9 +14,9 @@ RrtBranch::RrtBranch(const env::Environment& e, Roadmap& tree,
       params_(params),
       region_(region),
       root_id_(tree.add_vertex({root, region})),
-      finder_(make_neighbor_finder(e.space())) {
+      finder_(e.space()) {
   node_ids_.push_back(root_id_);
-  finder_->insert(root_id_, root);
+  finder_.insert(root_id_, root);
 }
 
 RrtBranch::~RrtBranch() = default;
@@ -26,7 +24,7 @@ RrtBranch::~RrtBranch() = default;
 std::optional<graph::VertexId> RrtBranch::extend(const cspace::Config& target,
                                                  PlannerStats& stats) {
   ++stats.rrt_extends;
-  const auto nearest = finder_->nearest(target, 1, &stats);
+  const auto nearest = finder_.nearest(target, 1, &stats);
   if (nearest.empty()) return std::nullopt;
   const graph::VertexId near_id = nearest.front().id;
   const cspace::Config& qnear = tree_->vertex(near_id).cfg;
@@ -50,7 +48,7 @@ std::optional<graph::VertexId> RrtBranch::extend(const cspace::Config& target,
   const graph::VertexId id = tree_->add_vertex({qnew, region_});
   tree_->add_edge(near_id, id, {r.length});
   node_ids_.push_back(id);
-  finder_->insert(id, tree_->vertex(id).cfg);
+  finder_.insert(id, tree_->vertex(id).cfg);
   return id;
 }
 
@@ -67,7 +65,7 @@ std::size_t RrtBranch::extend_wave(std::span<const cspace::Config> targets,
     const std::size_t w = std::min(kMaxWave, targets.size() - base);
 
     // Nearest neighbors for the whole wave against the frozen tree.
-    finder_->nearest_batch(targets.subspan(base, w), 1, wave_knn_, &stats);
+    finder_.nearest_batch(targets.subspan(base, w), 1, wave_knn_, &stats);
 
     // Steer each target; collect the candidate (qnear, qnew) pairs.
     wave_near_.clear();
@@ -112,7 +110,7 @@ std::size_t RrtBranch::extend_wave(std::span<const cspace::Config> targets,
       const graph::VertexId id = tree_->add_vertex({wave_cfg_[i], region_});
       tree_->add_edge(wave_near_[i], id, {out.result.length});
       node_ids_.push_back(id);
-      finder_->insert(id, tree_->vertex(id).cfg);
+      finder_.insert(id, tree_->vertex(id).cfg);
       if (added != nullptr) added->push_back(id);
       ++n_added;
     }
@@ -131,55 +129,6 @@ void RrtBranch::grow(
     ++stats.samples_attempted;
     extend(sampler(rng), stats);
   }
-}
-
-std::optional<std::vector<cspace::Config>> Rrt::plan(
-    const cspace::Config& start, const cspace::Config& goal,
-    std::uint64_t seed, double goal_bias,
-    const runtime::CancelToken* cancel) {
-  tree_ = Roadmap{};
-  if (!env_->validity().valid(start, &stats_.cd) ||
-      !env_->validity().valid(goal, &stats_.cd))
-    return std::nullopt;
-
-  Xoshiro256ss rng(seed);
-  RrtBranch branch(*env_, tree_, start, 0, params_);
-  const auto& space = env_->space();
-  const cspace::LocalPlanner lp(space, env_->validity(), params_.resolution);
-
-  for (std::size_t iter = 0; iter < params_.max_iterations &&
-                             branch.num_nodes() < params_.max_nodes;
-       ++iter) {
-    if (runtime::stop_requested(cancel)) return std::nullopt;
-    ++stats_.samples_attempted;
-    const cspace::Config target =
-        rng.uniform() < goal_bias ? goal : space.sample(rng);
-    const auto added = branch.extend(target, stats_);
-    if (!added) continue;
-
-    // Try to close to the goal whenever we get within one step.
-    const cspace::Config& qnew = tree_.vertex(*added).cfg;
-    if (space.distance(qnew, goal) <= params_.step) {
-      ++stats_.lp_attempts;
-      const auto r = lp.plan(qnew, goal, &stats_.cd);
-      stats_.lp_steps += r.steps_checked;
-      if (r.success) {
-        ++stats_.lp_success;
-        const graph::VertexId goal_id = tree_.add_vertex({goal, 0});
-        tree_.add_edge(*added, goal_id, {r.length});
-        const auto path = graph::dijkstra<RoadmapVertex, RoadmapEdge>(
-            tree_, branch.root(), goal_id,
-            [](const RoadmapEdge& edge) { return edge.length; });
-        if (!path) return std::nullopt;
-        std::vector<cspace::Config> configs;
-        configs.reserve(path->vertices.size());
-        for (graph::VertexId v : path->vertices)
-          configs.push_back(tree_.vertex(v).cfg);
-        return configs;
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace pmpl::planner

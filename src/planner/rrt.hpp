@@ -1,12 +1,13 @@
 #pragma once
 /// \file rrt.hpp
-/// Sequential Rapidly-exploring Random Tree (LaValle & Kuffner 2001).
+/// Rapidly-exploring Random Tree branches (LaValle & Kuffner 2001).
 ///
 /// `RrtBranch` is the regional building block of Algorithm 2 (uniform
 /// radial subdivision): each region grows one branch, with sampling biased
 /// toward the region's target direction; the parallel driver later connects
-/// branches of adjacent regions (pruning any cycles). The `Rrt` class is
-/// the classic whole-space planner for sequential use and the examples.
+/// branches of adjacent regions (pruning any cycles). Single-query
+/// planning uses `RrtConnect` (planner/rrt_connect.hpp), which grows two
+/// branches.
 
 #include <functional>
 #include <memory>
@@ -79,7 +80,7 @@ class RrtBranch {
   /// scratch: invalidated by the next query or insertion.
   std::span<const Neighbor> nearest(const cspace::Config& q, std::size_t k,
                                     PlannerStats& stats) {
-    return finder_->nearest(q, k, &stats);
+    return finder_.nearest(q, k, &stats);
   }
 
   std::size_t num_nodes() const noexcept { return node_ids_.size(); }
@@ -98,7 +99,7 @@ class RrtBranch {
   std::uint32_t region_;
   graph::VertexId root_id_;
   std::vector<graph::VertexId> node_ids_;
-  std::unique_ptr<NeighborFinder> finder_;
+  KdTreeKnn finder_;
 
   // Wavefront scratch, created on first extend_wave (classic extend/grow
   // users never pay for it).
@@ -106,32 +107,6 @@ class RrtBranch {
   KnnBatch wave_knn_;
   std::vector<graph::VertexId> wave_near_;
   std::vector<cspace::Config> wave_cfg_;
-};
-
-/// Classic sequential RRT: grow from `start`, biased toward `goal`, stop
-/// when the goal connects.
-class Rrt {
- public:
-  Rrt(const env::Environment& e, RrtParams params = {})
-      : env_(&e), params_(params) {}
-
-  /// Plan start -> goal; `goal_bias` is the probability of using the goal
-  /// as the growth target. Returns the configuration path on success. A
-  /// fired `cancel` token stops between iterations; the grown tree stays
-  /// available through tree() for salvage.
-  std::optional<std::vector<cspace::Config>> plan(
-      const cspace::Config& start, const cspace::Config& goal,
-      std::uint64_t seed, double goal_bias = 0.1,
-      const runtime::CancelToken* cancel = nullptr);
-
-  const Roadmap& tree() const noexcept { return tree_; }
-  const PlannerStats& stats() const noexcept { return stats_; }
-
- private:
-  const env::Environment* env_;
-  RrtParams params_;
-  Roadmap tree_;
-  PlannerStats stats_;
 };
 
 }  // namespace pmpl::planner

@@ -113,11 +113,6 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-void MetricsRegistry::reset() {
-  std::lock_guard lock(mutex_);
-  entries_.clear();
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry* instance = new MetricsRegistry();  // never dtor'd
   return *instance;

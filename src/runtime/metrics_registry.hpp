@@ -125,9 +125,6 @@ class MetricsRegistry {
   /// Histograms serialize count/sum plus the non-empty buckets.
   std::string to_json() const;
 
-  /// Drop every instrument (tests and per-run benches).
-  void reset();
-
   /// The process-wide default registry most call sites publish into.
   static MetricsRegistry& global();
 

@@ -89,8 +89,7 @@ QueryEngine::QueryEngine(const env::Environment& e, SnapshotPool& pool,
   for (const char* name :
        {"service/queries_total", "service/queries_solved",
         "service/queries_unreachable", "service/queries_invalid",
-        "service/deadline_missed", "service/queries_no_snapshot",
-        "service/finder_rebuilds"})
+        "service/deadline_missed", "service/queries_no_snapshot"})
     reg.counter(name);
   reg.histogram("service/latency_us");
   for (const char* name : {kStageAdmit, kStageKnn, kStageEdges, kStageAstar})
@@ -103,20 +102,6 @@ QueryEngine::~QueryEngine() = default;
 runtime::MetricsRegistry& QueryEngine::registry() const noexcept {
   return cfg_.metrics != nullptr ? *cfg_.metrics
                                  : runtime::MetricsRegistry::global();
-}
-
-void QueryEngine::ensure_finder(const RoadmapSnapshot& snap) {
-  if (finder_ != nullptr && finder_epoch_ == snap.epoch) return;
-  // The finder copies every configuration it indexes, so it stays valid
-  // after the snapshot pin is dropped; it is rebuilt once per epoch and
-  // amortized over every query answered against that epoch.
-  finder_ = planner::make_neighbor_finder(env_->space());
-  const auto n = static_cast<graph::VertexId>(snap.roadmap.num_vertices());
-  finder_->reserve(n);
-  for (graph::VertexId v = 0; v < n; ++v)
-    finder_->insert(v, snap.roadmap.vertex(v).cfg);
-  finder_epoch_ = snap.epoch;
-  registry().add("service/finder_rebuilds", 1);
 }
 
 void QueryEngine::record(const QueryRequest& q, QueryResult& r,
@@ -214,11 +199,11 @@ std::vector<QueryResult> QueryEngine::run_batch(
 
   end_stage(kStageAdmit);
 
-  // Stage 1 — one batched k-NN pass for every live endpoint. All queries
-  // share kmax; a query wanting fewer neighbors takes the prefix of its
-  // result span (the canonical neighbor order makes the k-best set a
-  // prefix of the kmax-best set, so this is exactly its own k-NN answer).
-  ensure_finder(*snap);
+  // Stage 1 — one batched k-NN pass over the snapshot's index for every
+  // live endpoint. All queries share kmax; a query wanting fewer neighbors
+  // takes the prefix of its result span (the canonical neighbor order makes
+  // the k-best set a prefix of the kmax-best set, so this is exactly its
+  // own k-NN answer).
   std::vector<std::size_t> live;
   live.reserve(n);
   std::vector<cspace::Config> qcfgs;
@@ -229,7 +214,8 @@ std::vector<QueryResult> QueryEngine::run_batch(
     qcfgs.push_back(queries[i].start);
     qcfgs.push_back(queries[i].goal);
   }
-  if (!live.empty()) finder_->nearest_batch(qcfgs, kmax, knn_scratch_, &st);
+  if (!live.empty())
+    snap->knn.nearest_batch(qcfgs, kmax, knn_batch_, knn_scratch_, &st);
   end_stage(kStageKnn);
 
   // Stage 2 — cross-query edge validation: every attachment candidate of
@@ -284,8 +270,8 @@ std::vector<QueryResult> QueryEngine::run_batch(
       continue;
     }
     admit(q.start, q.goal, make_tag(i, kKindDirect, 0));
-    const auto start_nn = knn_scratch_.of(2 * li);
-    const auto goal_nn = knn_scratch_.of(2 * li + 1);
+    const auto start_nn = knn_batch_.of(2 * li);
+    const auto goal_nn = knn_batch_.of(2 * li + 1);
     const std::size_t ks = std::min(q.k, start_nn.size());
     for (std::size_t j = 0; j < ks; ++j)
       admit(q.start, g.vertex(start_nn[j].id).cfg,

@@ -6,9 +6,10 @@
 /// roadmap snapshot (service/snapshot.hpp). The per-query costs that
 /// one-shot querying pays over and over are amortized *across* queries:
 ///
-///  - the k-NN finder is built once per snapshot epoch and reused for
-///    every query until the next epoch (query_roadmap rebuilds it per
-///    call — the dominant per-query cost on large roadmaps);
+///  - k-NN lookups read the snapshot's own kd-tree, which the publisher
+///    built once for the epoch (query_roadmap builds one per call — the
+///    dominant per-query cost on large roadmaps); every engine shares it
+///    read-only through its own KnnScratch;
 ///  - all start/goal k-NN lookups of a wave run through one KnnBatch;
 ///  - all attachment edges (direct start->goal shots plus start/goal
 ///    k-NN connections) of a wave validate through one EdgeBatchPlanner
@@ -79,7 +80,7 @@ struct QueryEngineConfig {
   /// Metrics sink; nullptr = MetricsRegistry::global(). Published live:
   ///   counters   service/queries_total, service/queries_solved,
   ///              service/queries_unreachable, service/queries_invalid,
-  ///              service/deadline_missed, service/finder_rebuilds
+  ///              service/deadline_missed
   ///   histograms service/latency_us (per query),
   ///              service/stage_us/{admit,knn,edges,astar} (per wave:
   ///              wall time of each pipeline stage; log2 buckets)
@@ -141,7 +142,6 @@ class QueryEngine {
   struct PreparedQuery;
 
   runtime::MetricsRegistry& registry() const noexcept;
-  void ensure_finder(const RoadmapSnapshot& snap);
   void record(const QueryRequest& q, QueryResult& r, double start_s);
 
   const env::Environment* env_;
@@ -149,11 +149,9 @@ class QueryEngine {
   QueryEngineConfig cfg_;
   std::unique_ptr<runtime::Scheduler> sched_;
 
-  // Per-epoch k-NN finder cache: rebuilt when the pinned epoch changes,
-  // amortized across every query of every wave until the next epoch.
-  std::unique_ptr<planner::NeighborFinder> finder_;
-  std::uint64_t finder_epoch_ = 0;
-  planner::KnnBatch knn_scratch_;
+  // k-NN state for queries against the pinned snapshot's index.
+  planner::KnnScratch knn_scratch_;
+  planner::KnnBatch knn_batch_;
   // A* state, one per scheduler worker (index current_worker() + 1; slot 0
   // serves a search that runs off the pool).
   std::vector<planner::SearchScratch> search_scratch_;

@@ -2,16 +2,17 @@
 
 #include <thread>
 
-#include "planner/knn.hpp"
-
 namespace pmpl::service {
 
 namespace {
 std::atomic<std::uint64_t> g_live_snapshots{0};
 }  // namespace
 
-RoadmapSnapshot::RoadmapSnapshot(planner::Roadmap g, std::uint64_t ep)
-    : roadmap(std::move(g)), landmarks(roadmap), epoch(ep) {
+RoadmapSnapshot::RoadmapSnapshot(planner::Roadmap g,
+                                 const cspace::CSpace& space,
+                                 std::uint64_t ep)
+    : roadmap(std::move(g)), landmarks(roadmap), knn(space, roadmap),
+      epoch(ep) {
   roadmap.shrink_to_fit();  // immutable from here on: drop growth slack
   g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
@@ -92,11 +93,12 @@ std::uint32_t SnapshotPool::claim_empty_slot() noexcept {
   return kNoSlot;
 }
 
-std::uint64_t SnapshotPool::publish(planner::Roadmap roadmap) {
+std::uint64_t SnapshotPool::publish(planner::Roadmap roadmap,
+                                    const cspace::CSpace& space) {
   std::lock_guard lock(publish_mutex_);
   const std::uint64_t epoch =
       next_epoch_.fetch_add(1, std::memory_order_relaxed);
-  auto* snap = new RoadmapSnapshot(std::move(roadmap), epoch);
+  auto* snap = new RoadmapSnapshot(std::move(roadmap), space, epoch);
 
   std::uint32_t ix = claim_empty_slot();
   while (ix == kNoSlot) {
@@ -176,16 +178,12 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
   if (!fresh.empty()) {
     // Connect each fresh vertex into the *whole* graph (old + new), unlike
     // connect_within which only searches inside one id set.
-    auto finder = planner::make_neighbor_finder(e.space());
-    finder->reserve(next.num_vertices());
-    for (graph::VertexId v = 0;
-         v < static_cast<graph::VertexId>(next.num_vertices()); ++v)
-      finder->insert(v, next.vertex(v).cfg);
-    planner::connect_to_nearest(e, next, *finder, fresh, params, st,
-                                nullptr, cancel);
+    planner::KdTreeKnn finder(e.space(), next);
+    planner::connect_to_nearest(e, next, finder, fresh, params, st, nullptr,
+                                cancel);
   }
 
-  return pool.publish(std::move(next));
+  return pool.publish(std::move(next), e.space());
 }
 
 }  // namespace pmpl::service

@@ -19,6 +19,11 @@
 /// (readers between steps 2 and 3, who will observe the non-live state and
 /// unpin without ever dereferencing the snapshot) to drain first.
 ///
+/// Each snapshot carries the epoch's read-only indexes, built once by the
+/// publisher so that no reader pays for them: the kd-tree over every
+/// vertex (the epoch's only k-NN index; readers query it with their own
+/// scratch) and the landmark table for guided A*.
+///
 /// Publication claims an empty slot, fills it, marks it kLive, swings the
 /// current index, then retires the previous slot. With `kSlots` slots, up
 /// to kSlots - 1 old epochs can stay pinned by long-running readers while
@@ -31,6 +36,7 @@
 #include <mutex>
 #include <string>
 
+#include "planner/knn.hpp"
 #include "planner/landmarks.hpp"
 #include "planner/prm.hpp"
 #include "planner/roadmap.hpp"
@@ -39,16 +45,18 @@
 
 namespace pmpl::service {
 
-/// One immutable published roadmap. Never mutated after publication; safe
-/// to read from any number of threads. The constructor also builds the
-/// epoch's landmark table (planner/landmarks.hpp), so that cost lands on
-/// the publisher's thread once per epoch and never on a reader.
+/// One immutable published roadmap plus its indexes. Never mutated after
+/// publication; safe to read from any number of threads.
 struct RoadmapSnapshot {
   planner::Roadmap roadmap;
   planner::LandmarkTable landmarks;  ///< over `roadmap`, for guided A*
+  /// Every vertex of `roadmap` under its id. Readers see it `const`, so
+  /// they query it with their own planner::KnnScratch.
+  planner::KdTreeKnn knn;
   std::uint64_t epoch = 0;
 
-  RoadmapSnapshot(planner::Roadmap g, std::uint64_t ep);
+  RoadmapSnapshot(planner::Roadmap g, const cspace::CSpace& space,
+                  std::uint64_t ep);
   ~RoadmapSnapshot();
   RoadmapSnapshot(const RoadmapSnapshot&) = delete;
   RoadmapSnapshot& operator=(const RoadmapSnapshot&) = delete;
@@ -116,10 +124,12 @@ class SnapshotPool {
   SnapshotPool(const SnapshotPool&) = delete;
   SnapshotPool& operator=(const SnapshotPool&) = delete;
 
-  /// Publish `roadmap` as the next epoch; returns that epoch (1-based).
+  /// Publish `roadmap` as the next epoch, indexed under `space`'s metric
+  /// (which must outlive the snapshot); returns that epoch (1-based).
   /// Readers pinned on older epochs are unaffected. Waits only when all
   /// kSlots slots are pinned by readers.
-  std::uint64_t publish(planner::Roadmap roadmap);
+  std::uint64_t publish(planner::Roadmap roadmap,
+                        const cspace::CSpace& space);
 
   /// Pin the current snapshot. Empty ref iff nothing has been published.
   /// Lock-free: retries only while racing a concurrent publish/reclaim.

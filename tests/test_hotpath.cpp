@@ -72,15 +72,21 @@ TEST(HotPathAllocations, KdTreeNearestIsAllocationFreeOnceWarm) {
   for (int q = 0; q < 200; ++q) queries.push_back(space.sample(rng));
 
   // Warmup: triggers the lazy rebuild (the insert burst leaves ~500 points
-  // buffered) and sizes the query scratch.
+  // buffered) and sizes the query scratch, the finder's own and the
+  // caller-owned one of the const path.
   planner::PlannerStats stats;
-  for (int q = 0; q < 50; ++q) tree.nearest(queries[q % 200], 6, &stats);
+  planner::KnnScratch scratch;
+  const planner::KdTreeKnn& frozen = tree;
+  for (int q = 0; q < 50; ++q) {
+    tree.nearest(queries[q % 200], 6, &stats);
+    frozen.nearest(queries[q % 200], 6, scratch, &stats);
+  }
 
   const std::uint64_t before = allocation_count();
   double checksum = 0.0;
   for (const auto& q : queries) {
-    const auto nn = tree.nearest(q, 6, &stats);
-    checksum += nn.front().distance;
+    checksum += tree.nearest(q, 6, &stats).front().distance;
+    checksum += frozen.nearest(q, 6, scratch, &stats).front().distance;
   }
   const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - before, 0u) << "checksum=" << checksum;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "env/builders.hpp"
 #include "graph/shortest_path.hpp"
@@ -38,18 +39,27 @@ TEST_P(KnnProperty, KdTreeMatchesBruteForce) {
     tree.insert(static_cast<graph::VertexId>(i), c);
     brute.insert(static_cast<graph::VertexId>(i), c);
   }
+  KnnScratch scratch;
   for (int q = 0; q < 25; ++q) {
     const Config query = space.sample(rng);
     for (const std::size_t k : {1u, 4u, 8u}) {
+      // The const query first: on the first query it still scans the
+      // insertion buffer that the mutable query then folds into the tree.
+      auto c = std::as_const(tree).nearest(query, k, scratch);
       auto a = tree.nearest(query, k);
       auto b = brute.nearest(query, k);
       ASSERT_EQ(a.size(), b.size());
+      ASSERT_EQ(c.size(), b.size());
       // Canonical order (distance, id) makes results bit-identical, not
-      // merely close: both finders must agree exactly.
+      // merely close: every finder and query path must agree exactly.
       for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].id, b[i].id)
             << "n=" << n << " q=" << q << " k=" << k << " i=" << i;
         EXPECT_EQ(a[i].distance, b[i].distance)
+            << "n=" << n << " q=" << q << " k=" << k << " i=" << i;
+        EXPECT_EQ(c[i].id, b[i].id)
+            << "n=" << n << " q=" << q << " k=" << k << " i=" << i;
+        EXPECT_EQ(c[i].distance, b[i].distance)
             << "n=" << n << " q=" << q << " k=" << k << " i=" << i;
       }
     }
@@ -119,10 +129,33 @@ TEST(Knn, StatsCountCandidates) {
   EXPECT_EQ(stats.knn_candidates, 50u);
 }
 
-TEST(Knn, FactorySelectsImplementation) {
-  const CSpace space = CSpace::se3({{0, 0, 0}, {10, 10, 10}});
-  EXPECT_NE(dynamic_cast<KdTreeKnn*>(make_neighbor_finder(space).get()),
-            nullptr);
+TEST(Knn, HugeKReturnsEveryPoint) {
+  // k is caller-supplied (QueryRequest::k): a k far beyond the point count
+  // must return every point, not size its heap by k and fail to allocate.
+  const CSpace space = CSpace::se3({{0, 0, 0}, {100, 100, 100}});
+  Xoshiro256ss rng(6);
+  KdTreeKnn tree(space);
+  BruteForceKnn brute(space);
+  constexpr std::size_t kPoints = 100;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const Config c = space.sample(rng);
+    tree.insert(static_cast<graph::VertexId>(i), c);
+    brute.insert(static_cast<graph::VertexId>(i), c);
+  }
+  const std::size_t huge = std::size_t{1} << 40;
+  const Config query = space.sample(rng);
+  KnnScratch scratch;
+  const auto c = std::as_const(tree).nearest(query, huge, scratch);
+  const auto a = tree.nearest(query, huge);
+  const auto b = brute.nearest(query, huge);
+  for (const auto r : {a, b, c}) {
+    ASSERT_EQ(r.size(), kPoints);
+    EXPECT_TRUE(std::is_sorted(r.begin(), r.end(), neighbor_before));
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      EXPECT_EQ(r[i].id, b[i].id) << i;
+      EXPECT_EQ(r[i].distance, b[i].distance) << i;
+    }
+  }
 }
 
 // Randomized cross-check over every space kind with adversarial point sets:
@@ -142,6 +175,7 @@ TEST(Knn, RandomizedCrossCheckAllSpaces) {
       Xoshiro256ss rng(1000 + n);
       KdTreeKnn tree(space);
       BruteForceKnn brute(space);
+      KnnScratch scratch;
       std::vector<Config> pts;
       for (std::size_t i = 0; i < n; ++i) {
         // ~1 in 6 points duplicates an earlier one: exact distance ties.
@@ -159,14 +193,20 @@ TEST(Knn, RandomizedCrossCheckAllSpaces) {
                                  : space.sample(rng);
         for (const std::size_t k :
              {std::size_t{1}, std::size_t{3}, std::size_t{8}, n + 5}) {
+          const auto c = std::as_const(tree).nearest(query, k, scratch);
           const auto a = tree.nearest(query, k);
           const auto b = brute.nearest(query, k);
           ++total_queries;
           ASSERT_EQ(a.size(), b.size()) << "n=" << n << " k=" << k;
+          ASSERT_EQ(c.size(), b.size()) << "n=" << n << " k=" << k;
           for (std::size_t i = 0; i < a.size(); ++i) {
             ASSERT_EQ(a[i].id, b[i].id)
                 << "n=" << n << " q=" << q << " k=" << k << " i=" << i;
             ASSERT_EQ(a[i].distance, b[i].distance)
+                << "n=" << n << " q=" << q << " k=" << k << " i=" << i;
+            ASSERT_EQ(c[i].id, b[i].id)
+                << "n=" << n << " q=" << q << " k=" << k << " i=" << i;
+            ASSERT_EQ(c[i].distance, b[i].distance)
                 << "n=" << n << " q=" << q << " k=" << k << " i=" << i;
           }
         }
@@ -497,12 +537,10 @@ LandmarkSweep sweep_landmark_queries(const env::Environment& e,
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
     if (table.component(v) != largest) islanders.push_back(v);
 
-  auto finder = make_neighbor_finder(e.space());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-    finder->insert(v, g.vertex(v).cfg);
+  KdTreeKnn finder(e.space(), g);
   const auto attach = [&](const Config& c) {
     std::vector<AttachEdge> out;
-    for (const Neighbor& nb : finder->nearest(c, 8))
+    for (const Neighbor& nb : finder.nearest(c, 8))
       out.push_back({nb.id, e.space().distance(c, g.vertex(nb.id).cfg)});
     return out;
   };
@@ -810,32 +848,6 @@ TEST(RrtBranch, BlockedRegionGrowsLess) {
       static_cast<double>(s_blocked.rrt_extends_success) /
       static_cast<double>(s_blocked.rrt_extends);
   EXPECT_GT(free_rate, blocked_rate);
-}
-
-TEST(Rrt, PlansThroughFreeSpace) {
-  const auto e = env::free_env();
-  RrtParams params;
-  params.max_nodes = 2000;
-  params.max_iterations = 8000;
-  params.step = 8.0;
-  Rrt rrt(*e, params);
-  Xoshiro256ss rng(35);
-  const Config start = e->space().at_position({10, 10, 10}, rng);
-  const Config goal = e->space().at_position({90, 90, 90}, rng);
-  const auto path = rrt.plan(start, goal, 36, 0.2);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->front(), start);
-  EXPECT_EQ(path->back(), goal);
-  EXPECT_TRUE(path_valid(*e, *path, 1.0));
-}
-
-TEST(Rrt, FailsGracefullyWhenGoalInvalid) {
-  const auto e = env::med_cube();
-  Rrt rrt(*e);
-  Xoshiro256ss rng(37);
-  const Config start = e->space().at_position({5, 5, 5}, rng);
-  const Config goal = e->space().at_position({50, 50, 50}, rng);  // inside
-  EXPECT_FALSE(rrt.plan(start, goal, 38).has_value());
 }
 
 }  // namespace

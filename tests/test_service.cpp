@@ -97,9 +97,10 @@ TEST(SnapshotPool, EmptyPoolYieldsNoSnapshot) {
 }
 
 TEST(SnapshotPool, PublishThenAcquirePinsCurrentEpoch) {
+  const auto e = env::maze_2d();
   const auto base = small_maze_roadmap();
   service::SnapshotPool pool;
-  EXPECT_EQ(pool.publish(planner::Roadmap(base)), 1u);
+  EXPECT_EQ(pool.publish(planner::Roadmap(base), e->space()), 1u);
   auto ref = pool.acquire();
   ASSERT_TRUE(ref);
   EXPECT_EQ(ref->epoch, 1u);
@@ -111,9 +112,10 @@ TEST(SnapshotPool, PublishThenAcquirePinsCurrentEpoch) {
 }
 
 TEST(SnapshotPool, PinnedReaderSurvivesThreeNewerEpochs) {
+  const auto e = env::maze_2d();
   const auto base = small_maze_roadmap();
   service::SnapshotPool pool;
-  pool.publish(planner::Roadmap(base));
+  pool.publish(planner::Roadmap(base), e->space());
   auto pinned = pool.acquire();
   ASSERT_TRUE(pinned);
   ASSERT_EQ(pinned->epoch, 1u);
@@ -121,7 +123,7 @@ TEST(SnapshotPool, PinnedReaderSurvivesThreeNewerEpochs) {
   // Publish epochs 2..4 while epoch 1 stays pinned. The pinned snapshot
   // must remain byte-for-byte readable throughout.
   for (std::uint64_t ep = 2; ep <= 4; ++ep) {
-    EXPECT_EQ(pool.publish(planner::Roadmap(base)), ep);
+    EXPECT_EQ(pool.publish(planner::Roadmap(base), e->space()), ep);
     EXPECT_EQ(pool.current_epoch(), ep);
     EXPECT_EQ(pinned->epoch, 1u);
     EXPECT_EQ(pinned->roadmap.num_vertices(), base.num_vertices());
@@ -142,21 +144,22 @@ TEST(SnapshotPool, PinnedReaderSurvivesThreeNewerEpochs) {
 }
 
 TEST(SnapshotPool, RetiredSnapshotMemoryIsActuallyFreed) {
+  const auto e = env::maze_2d();
   const auto base = small_maze_roadmap();
   service::SnapshotPool pool;
-  pool.publish(planner::Roadmap(base));
+  pool.publish(planner::Roadmap(base), e->space());
 
   const std::int64_t before = outstanding_allocations();
   {
     auto pinned = pool.acquire();
     ASSERT_TRUE(pinned);
-    pool.publish(planner::Roadmap(base));  // retires epoch 1, still pinned
+    pool.publish(planner::Roadmap(base), e->space());  // retires epoch 1
     EXPECT_GT(outstanding_allocations(), before);
   }  // last reader drops -> epoch 1 reclaimed here
 
   // Epoch 2's snapshot is the only growth left; freeing it must return the
   // outstanding-allocation count to the baseline.
-  pool.publish(planner::Roadmap());  // retires + reclaims epoch 2
+  pool.publish(planner::Roadmap(), e->space());  // retires, reclaims 2
   auto cur = pool.acquire();
   ASSERT_TRUE(cur);
   EXPECT_EQ(cur->epoch, 3u);
@@ -170,19 +173,19 @@ TEST(SnapshotPool, RetiredSnapshotMemoryIsActuallyFreed) {
 TEST(SnapshotPool, SevenOldEpochsCanStayPinnedAtOnce) {
   // kSlots = 8: seven retired epochs pinned by laggard readers plus the
   // current epoch occupy the whole pool; every pinned epoch stays intact.
+  const auto e = env::maze_2d();
   service::SnapshotPool pool;
   std::vector<service::SnapshotRef> pins;
   for (std::uint64_t ep = 1; ep <= service::SnapshotPool::kSlots - 1; ++ep) {
     planner::Roadmap g;
-    const auto e = env::maze_2d();
     Xoshiro256ss rng(ep);
     for (std::uint64_t v = 0; v < ep; ++v)
       g.add_vertex({e->space().sample(rng), 0});
-    EXPECT_EQ(pool.publish(std::move(g)), ep);
+    EXPECT_EQ(pool.publish(std::move(g), e->space()), ep);
     pins.push_back(pool.acquire());
     ASSERT_TRUE(pins.back());
   }
-  EXPECT_EQ(pool.publish(planner::Roadmap()), 8u);
+  EXPECT_EQ(pool.publish(planner::Roadmap(), e->space()), 8u);
   EXPECT_EQ(pool.live_slots(), service::SnapshotPool::kSlots);
   for (std::size_t i = 0; i < pins.size(); ++i) {
     EXPECT_EQ(pins[i]->epoch, i + 1);
@@ -193,11 +196,12 @@ TEST(SnapshotPool, SevenOldEpochsCanStayPinnedAtOnce) {
 }
 
 TEST(SnapshotPool, DestructorReclaimsEverything) {
+  const auto e = env::maze_2d();
   const std::uint64_t live_before = service::RoadmapSnapshot::live_count();
   {
     service::SnapshotPool pool;
-    pool.publish(small_maze_roadmap());
-    pool.publish(small_maze_roadmap());
+    pool.publish(small_maze_roadmap(), e->space());
+    pool.publish(small_maze_roadmap(), e->space());
   }
   EXPECT_EQ(service::RoadmapSnapshot::live_count(), live_before);
 }
@@ -207,9 +211,10 @@ TEST(SnapshotPool, AcquireReleaseRaceWithPublishChurn) {
   // from several threads while a publisher keeps swapping epochs. Readers
   // must never observe a torn snapshot (epoch and vertex count are
   // published together and checked for consistency).
+  const auto e = env::maze_2d();
   const auto base = small_maze_roadmap(200, 3);
   service::SnapshotPool pool;
-  pool.publish(planner::Roadmap(base));
+  pool.publish(planner::Roadmap(base), e->space());
 
   constexpr int kReaders = 4;
   constexpr int kPublishes = 40;
@@ -232,14 +237,13 @@ TEST(SnapshotPool, AcquireReleaseRaceWithPublishChurn) {
     });
   }
 
-  const auto e = env::maze_2d();
   Xoshiro256ss rng(11);
   for (int p = 0; p < kPublishes; ++p) {
     planner::Roadmap g(base);
     for (std::uint64_t v = 0; v < static_cast<std::uint64_t>((p + 1) % 5);
          ++v)
       g.add_vertex({e->space().sample(rng), 0});
-    pool.publish(std::move(g));
+    pool.publish(std::move(g), e->space());
   }
   // Let readers overlap the final epoch before stopping.
   while (reads.load(std::memory_order_relaxed) < 100) std::this_thread::yield();
@@ -261,8 +265,8 @@ TEST(SnapshotPool, DensifyAndPublishIsDeterministic) {
   params.resolution = 0.5;
 
   service::SnapshotPool a, b;
-  a.publish(small_maze_roadmap());
-  b.publish(small_maze_roadmap());
+  a.publish(small_maze_roadmap(), e->space());
+  b.publish(small_maze_roadmap(), e->space());
   planner::PlannerStats sa, sb;
   EXPECT_EQ(service::densify_and_publish(a, *e, params, 300, 21, &sa), 2u);
   EXPECT_EQ(service::densify_and_publish(b, *e, params, 300, 21, &sb), 2u);
@@ -287,7 +291,7 @@ struct ServiceFixture : ::testing::Test {
     planner::Prm prm(*e, params);
     prm.build(2500, 17);
     roadmap = prm.roadmap();
-    pool.publish(planner::Roadmap(roadmap));
+    pool.publish(planner::Roadmap(roadmap), e->space());
   }
 
   std::vector<service::QueryRequest> make_requests(std::size_t n,
@@ -488,10 +492,21 @@ TEST_F(ServiceFixture, EngineServesConsistentlyAcrossEpochSwap) {
   cfg.metrics = &metrics;
   service::QueryEngine engine(*e, pool, cfg);
 
+  // Each epoch carries one k-NN index, over every one of its vertices and
+  // with no unindexed tail.
+  const auto check_index = [&](std::uint64_t epoch) {
+    const auto snap = pool.acquire();
+    ASSERT_TRUE(snap);
+    EXPECT_EQ(snap->epoch, epoch);
+    EXPECT_EQ(snap->knn.size(), snap->roadmap.num_vertices());
+    EXPECT_EQ(snap->knn.indexed_size(), snap->roadmap.num_vertices());
+  };
   const auto reqs = make_requests(4, 1234);
   const auto before = engine.run_batch(reqs);
+  check_index(1);
   service::densify_and_publish(pool, *e, params, 400, 55);
   const auto after = engine.run_batch(reqs);
+  check_index(2);
   ASSERT_EQ(after.size(), before.size());
   for (std::size_t i = 0; i < after.size(); ++i) {
     EXPECT_EQ(before[i].epoch, 1u);
@@ -503,8 +518,42 @@ TEST_F(ServiceFixture, EngineServesConsistentlyAcrossEpochSwap) {
       EXPECT_EQ(after[i].status, service::QueryStatus::kSolved) << i;
     }
   }
-  // The finder cache was rebuilt exactly once per epoch observed.
-  EXPECT_EQ(metrics.counter("service/finder_rebuilds").value(), 2u);
+}
+
+TEST_F(ServiceFixture, HugeKRequestDoesNotAbortTheWave) {
+  // QueryRequest::k is caller-supplied. A k far beyond the roadmap's size
+  // attaches that query to every vertex; it must neither throw out of the
+  // wave nor change any other query's answer.
+  service::QueryEngineConfig cfg;
+  cfg.workers = 2;
+  cfg.resolution = params.resolution;
+  runtime::MetricsRegistry metrics;
+  cfg.metrics = &metrics;
+  service::QueryEngine engine(*e, pool, cfg);
+
+  const auto reqs = make_requests(6, 4242);
+  const auto plain = engine.run_batch(reqs);
+  auto mixed = reqs;
+  constexpr std::size_t kHuge = 2;
+  mixed[kHuge].k = std::size_t{1} << 40;
+  std::vector<service::QueryResult> got;
+  ASSERT_NO_THROW(got = engine.run_batch(mixed));
+  ASSERT_EQ(got.size(), reqs.size());
+  std::size_t solved = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    solved += plain[i].status == service::QueryStatus::kSolved;
+    if (i == kHuge) continue;
+    EXPECT_EQ(got[i].status, plain[i].status) << i;
+    EXPECT_TRUE(same_path(got[i].path, plain[i].path)) << i;
+  }
+  EXPECT_GT(solved, 0u);
+  // More attachment edges never lose reachability.
+  if (plain[kHuge].status == service::QueryStatus::kSolved) {
+    EXPECT_EQ(got[kHuge].status, service::QueryStatus::kSolved);
+  }
+  if (got[kHuge].status == service::QueryStatus::kSolved) {
+    EXPECT_TRUE(planner::path_valid(*e, got[kHuge].path, params.resolution));
+  }
 }
 
 TEST_F(ServiceFixture, MetricsPublishUnderDeterministicKeys) {
@@ -520,8 +569,7 @@ TEST_F(ServiceFixture, MetricsPublishUnderDeterministicKeys) {
   for (const char* key :
        {"service/queries_total", "service/queries_solved",
         "service/queries_unreachable", "service/queries_invalid",
-        "service/deadline_missed", "service/finder_rebuilds",
-        "service/latency_us", "service/epoch", "service/snapshots_live",
+        "service/deadline_missed", "service/latency_us", "service/epoch", "service/snapshots_live",
         "service/snapshot_readers", "service/snapshots_published",
         "service/snapshots_reclaimed"}) {
     EXPECT_NE(json.find(std::string("\"") + key + "\""), std::string::npos)
@@ -611,9 +659,10 @@ TEST_F(ServiceFixture, StageHistogramsObserveEveryWave) {
 }
 
 TEST_F(ServiceFixture, TwoEnginesShareOnePoolUnderChurn) {
-  // Two engines (each with its own finder, scheduler and search scratch)
+  // Two engines (each with its own k-NN and search scratch and scheduler)
   // read one pool while a publisher keeps swapping epochs; every snapshot
-  // carries the landmark table the publisher built. Answers of the two
+  // carries the k-NN index and landmark table the publisher built, which
+  // both engines query at once. Answers of the two
   // engines against the same epoch must be bit-identical, and every solved
   // path must be valid. TSan covers the shared snapshot reads.
   service::QueryEngineConfig cfg;

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   planner::Prm prm(*e, params);
   prm.build(attempts, seed);
   service::SnapshotPool pool;
-  pool.publish(prm.roadmap());
+  pool.publish(prm.roadmap(), e->space());
   std::printf("pland: %s epoch 1 published — %zu vertices, %zu edges "
               "(built in %.2fs)\n",
               env_name.c_str(), prm.roadmap().num_vertices(),
