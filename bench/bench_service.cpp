@@ -155,7 +155,8 @@ int main(int argc, char** argv) {
 
   // --- engine: batched serving at `workers` -------------------------------
   service::SnapshotPool pool;
-  pool.publish(planner::Roadmap(roadmap), e->space());
+  pool.publish(planner::Roadmap(roadmap),
+               planner::KdTreeKnn(e->space(), roadmap));
   runtime::MetricsRegistry metrics;
   service::QueryEngineConfig cfg;
   cfg.workers = workers;

@@ -12,7 +12,10 @@ constexpr double kPi = 3.14159265358979323846;
 
 /// Shortest signed angular difference b - a in (-pi, pi].
 double angle_diff(double a, double b) noexcept {
-  double d = std::fmod(b - a, 2.0 * kPi);
+  // fmod(x, 2 pi) is exactly x for |x| < 2 pi, the common case for two
+  // stored angles; skip the library call there.
+  double d = b - a;
+  if (!(std::fabs(d) < 2.0 * kPi)) d = std::fmod(d, 2.0 * kPi);
   if (d > kPi) d -= 2.0 * kPi;
   if (d <= -kPi) d += 2.0 * kPi;
   return d;

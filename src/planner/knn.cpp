@@ -1,6 +1,7 @@
 #include "planner/knn.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -66,22 +67,32 @@ void BruteForceKnn::nearest_batch(std::span<const cspace::Config> queries,
 }
 
 KdTreeKnn::KdTreeKnn(const cspace::CSpace& space, const Roadmap& g)
-    : space_(&space) {
+    : KdTreeKnn(space) {
   const auto n = static_cast<graph::VertexId>(g.num_vertices());
   ids_.reserve(n);
-  cfgs_.reserve(n);
+  vals_.reserve(n * dim_);
   pos_.reserve(n);
   for (graph::VertexId v = 0; v < n; ++v) {
+    const cspace::Config& c = g.vertex(v).cfg;
+    assert(c.size() == dim_);
     ids_.push_back(v);
-    cfgs_.push_back(g.vertex(v).cfg);
-    pos_.push_back(space.position(g.vertex(v).cfg));
+    vals_.insert(vals_.end(), c.begin(), c.begin() + dim_);
+    pos_.push_back(space.position(c));
   }
   rebuild();
 }
 
+const cspace::Config& KdTreeKnn::point(std::size_t m,
+                                       cspace::Config& out) const {
+  out.resize(dim_);
+  std::copy_n(vals_.data() + m * dim_, dim_, out.data());
+  return out;
+}
+
 void KdTreeKnn::insert(graph::VertexId id, const cspace::Config& c) {
+  assert(c.size() == dim_);
   ids_.push_back(id);
-  cfgs_.push_back(c);
+  vals_.insert(vals_.end(), c.begin(), c.begin() + dim_);
   pos_.push_back(space_->position(c));
   // Rebuild when the unindexed buffer exceeds half the indexed size (and at
   // least 32 points), keeping amortized insertion cheap.
@@ -194,7 +205,8 @@ std::span<const Neighbor> KdTreeKnn::nearest(const cspace::Config& q,
         const double pd = std::sqrt((dx * dx + dy * dy) + dz * dz);
         if (heap.size() >= k && pd > heap.front().distance) continue;
         const std::uint32_t m = perm_[s];
-        heap_consider(heap, k, {ids_[m], space_->distance(q, cfgs_[m])});
+        heap_consider(heap, k,
+                      {ids_[m], space_->distance(q, point(m, scratch.point))});
       }
       continue;
     }
@@ -216,7 +228,8 @@ std::span<const Neighbor> KdTreeKnn::nearest(const cspace::Config& q,
     const double dz = qp.z - pos_[i].z;
     const double pd = std::sqrt((dx * dx + dy * dy) + dz * dz);
     if (heap.size() >= k && pd > heap.front().distance) continue;
-    heap_consider(heap, k, {ids_[i], space_->distance(q, cfgs_[i])});
+    heap_consider(heap, k,
+                  {ids_[i], space_->distance(q, point(i, scratch.point))});
   }
   std::sort_heap(heap.begin(), heap.end(), WorstFirst{});
   return {heap.data(), heap.size()};

@@ -82,6 +82,7 @@ struct KnnScratch {
   };
   std::vector<Neighbor> heap;  ///< holds the last result
   std::vector<Visit> stack;
+  cspace::Config point;  ///< a stored point, rebuilt for the metric
 };
 
 /// Exact linear scan under the full C-space metric: the reference the
@@ -127,7 +128,8 @@ class BruteForceKnn {
 /// branch-light and cache-friendly.
 class KdTreeKnn {
  public:
-  explicit KdTreeKnn(const cspace::CSpace& space) : space_(&space) {}
+  explicit KdTreeKnn(const cspace::CSpace& space)
+      : space_(&space), dim_(space.value_count()) {}
 
   /// Bulk build: index every vertex of `g` under its vertex id in one
   /// tree, with no unindexed tail.
@@ -178,11 +180,17 @@ class KdTreeKnn {
   void rebuild();
   std::uint32_t build_subtree(std::size_t lo, std::size_t hi);
 
-  const cspace::CSpace* space_;
+  /// Stored point m as a configuration of the space, in `out`.
+  const cspace::Config& point(std::size_t m, cspace::Config& out) const;
 
-  // Master point storage, indexed by insertion order.
+  const cspace::CSpace* space_;
+  std::size_t dim_;  ///< values per configuration of the space
+
+  // Master point storage, indexed by insertion order. A point keeps only
+  // its dim_ configuration values (all the metric reads), not a whole
+  // Config (136 bytes).
   std::vector<graph::VertexId> ids_;
-  std::vector<cspace::Config> cfgs_;
+  std::vector<double> vals_;  ///< vals_[m * dim_ + i]
   std::vector<geo::Vec3> pos_;
 
   // Built tree. perm_ maps leaf-contiguous slots to master indices;

@@ -5,6 +5,8 @@
 #include <limits>
 #include <span>
 
+#include "graph/indexed_heap.hpp"
+
 namespace pmpl::planner {
 
 namespace {
@@ -12,76 +14,19 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint32_t kAbsent = 0xffffffffu;
 
-/// Binary min-heap of (distance, vertex) entries with decrease-key through
-/// a position index: it never holds more than |V| entries, unlike a lazy
-/// heap that keeps one entry per relaxation.
-class IndexedHeap {
- public:
-  explicit IndexedHeap(std::size_t n) : pos_(n, kAbsent) { heap_.reserve(n); }
-
-  bool empty() const noexcept { return heap_.empty(); }
-
-  /// Insert `v` with distance `key`, or lower its queued distance to `key`.
-  void push_or_decrease(graph::VertexId v, double key) {
-    if (pos_[v] == kAbsent) {
-      pos_[v] = static_cast<std::uint32_t>(heap_.size());
-      heap_.push_back({key, v});
-    }
-    sift_up(pos_[v], {key, v});
+/// The Dijkstra heap's position index: a flat array indexed by vertex id.
+struct ArrayHeapPos {
+  std::uint32_t* pos = nullptr;
+  std::uint32_t& operator()(graph::VertexId v) const noexcept {
+    return pos[v];
   }
-
-  graph::VertexId pop() {
-    const graph::VertexId top = heap_.front().v;
-    pos_[top] = kAbsent;
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, last);
-    return top;
-  }
-
- private:
-  struct Entry {
-    double key;
-    graph::VertexId v;
-  };
-  // Key order with ties broken by vertex id, so pops are deterministic.
-  static bool before(const Entry& a, const Entry& b) noexcept {
-    return a.key != b.key ? a.key < b.key : a.v < b.v;
-  }
-  void place(std::size_t i, const Entry& e) noexcept {
-    heap_[i] = e;
-    pos_[e.v] = static_cast<std::uint32_t>(i);
-  }
-  void sift_up(std::size_t i, const Entry& e) noexcept {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!before(e, heap_[parent])) break;
-      place(i, heap_[parent]);
-      i = parent;
-    }
-    place(i, e);
-  }
-  void sift_down(std::size_t i, const Entry& e) noexcept {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], e)) break;
-      place(i, heap_[child]);
-      i = child;
-    }
-    place(i, e);
-  }
-
-  std::vector<std::uint32_t> pos_;
-  std::vector<Entry> heap_;
 };
+using DistHeap = graph::IndexedHeap<ArrayHeapPos>;
 
 /// Single-source graph distances from `src` into `d`, which must be kInf
 /// on every vertex of src's component (and is left holding the result).
 void dijkstra(const Roadmap& g, graph::VertexId src, std::vector<double>& d,
-              IndexedHeap& heap) {
+              DistHeap& heap) {
   d[src] = 0.0;
   heap.push_or_decrease(src, 0.0);
   while (!heap.empty()) {
@@ -131,7 +76,9 @@ LandmarkTable::LandmarkTable(const Roadmap& g) {
   // distance to its nearest chosen landmark.
   std::vector<double> d(n, kInf);
   std::vector<double> nearest(n, kInf);
-  IndexedHeap heap(n);
+  std::vector<std::uint32_t> heap_pos(n, graph::kNotQueued);
+  DistHeap heap(ArrayHeapPos{heap_pos.data()});
+  heap.reserve(n);
   for (std::size_t c = 0; c < num_components_; ++c) {
     const std::span<const graph::VertexId> comp(members.data() + first[c],
                                                 first[c + 1] - first[c]);

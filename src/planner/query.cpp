@@ -20,14 +20,10 @@ constexpr double kNoGoal = std::numeric_limits<double>::infinity();
 // by far more than their rounding error so it never overestimates.
 constexpr double kLandmarkShrink = 1.0 - 1e-9;
 
-// Open-set order: a min-heap on (f, vertex id). Breaking f ties by
-// ascending vertex id, as graph::astar does, makes expansion order
-// deterministic; without a landmark table the keys and pops are the ones
-// the metric-only search has always produced.
-bool open_after(const SearchScratch::OpenEntry& a,
-                const SearchScratch::OpenEntry& b) noexcept {
-  return a.f != b.f ? a.f > b.f : a.v > b.v;
-}
+// The goal edges span more than one component.
+constexpr std::uint32_t kMixedComponents = 0xffffffffu;
+
+void prefetch(const void* p) noexcept { __builtin_prefetch(p); }
 
 /// True when some start edge and some goal edge land in one component.
 bool attachments_share_component(const LandmarkTable& lt,
@@ -55,23 +51,22 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
       !attachments_share_component(*landmarks, start_edges, goal_edges))
     return std::nullopt;
 
-  // Virtual ids: n = start, n + 1 = goal. The overlay is two extra rows of
-  // the per-vertex state; the roadmap is only ever read.
+  // Virtual ids: n = start, n + 1 = goal. The overlay is two extra
+  // records of the per-vertex state; the roadmap is only ever read.
+  using Node = SearchScratch::Node;
   const auto n = static_cast<graph::VertexId>(g.num_vertices());
   const graph::VertexId s = n;
   const graph::VertexId t = n + 1;
-  if (sc.stamp.size() < n + 2u) {
-    sc.dist.resize(n + 2u);
-    sc.h.resize(n + 2u);
-    sc.prev.resize(n + 2u);
-    sc.stamp.resize(n + 2u, 0);
-  }
+  if (sc.nodes.size() < n + 2u)
+    sc.nodes.resize(n + 2u, Node{0.0, 0.0, graph::kInvalidVertex, 0,
+                                 graph::kNotQueued});
   if (++sc.generation == 0) {  // wrapped: forget every stale stamp
-    std::fill(sc.stamp.begin(), sc.stamp.end(), 0u);
+    for (Node& nd : sc.nodes) nd.stamp = 0;
     sc.generation = 1;
   }
   const std::uint32_t gen = sc.generation;
-  sc.open.clear();
+  Node* const nodes = sc.nodes.data();
+  sc.open.reset({nodes});
 
   const auto& space = e.space();
   const auto cfg_of = [&](graph::VertexId v) -> const cspace::Config& {
@@ -80,79 +75,121 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
     return g.vertex(v).cfg;
   };
 
-  sc.goal_rows.clear();
-  if (landmarks != nullptr)
-    for (const AttachEdge& a : goal_edges)
-      sc.goal_rows.push_back(
-          {landmarks->component(a.to), a.length, landmarks->row(a.to)});
+  // The goal edges' landmark rows, copied flat so the per-touch bound reads
+  // one contiguous array; when every goal edge lies in one component, the
+  // component test runs once per touch instead of once per goal edge.
+  constexpr std::size_t L = LandmarkTable::kLandmarks;
+  std::uint32_t goal_component = kMixedComponents;
+  if (landmarks != nullptr) {
+    sc.goal_dist.clear();
+    sc.goal_len.clear();
+    sc.goal_component.clear();
+    for (const AttachEdge& a : goal_edges) {
+      const double* row = landmarks->row(a.to);
+      sc.goal_dist.insert(sc.goal_dist.end(), row, row + L);
+      sc.goal_len.push_back(a.length);
+      sc.goal_component.push_back(landmarks->component(a.to));
+    }
+    goal_component = sc.goal_component.front();
+    for (const std::uint32_t c : sc.goal_component)
+      if (c != goal_component) goal_component = kMixedComponents;
+  }
   // ALT bound for roadmap vertex v; kNoGoal when v cannot reach the goal.
   const auto landmark_bound = [&](graph::VertexId v) {
-    std::array<double, LandmarkTable::kLandmarks> best;
-    best.fill(kNoGoal);
     const std::uint32_t cv = landmarks->component(v);
+    if (goal_component != kMixedComponents && cv != goal_component)
+      return kNoGoal;
     const double* dv = landmarks->row(v);
-    for (const SearchScratch::GoalRow& a : sc.goal_rows) {
-      if (a.component != cv) continue;
-      for (std::size_t l = 0; l < best.size(); ++l)
-        best[l] = std::min(best[l], std::abs(dv[l] - a.row[l]) + a.length);
+    std::array<double, L> best;
+    best.fill(kNoGoal);
+    const double* row = sc.goal_dist.data();
+    for (std::size_t i = 0; i < sc.goal_len.size(); ++i, row += L) {
+      if (goal_component == kMixedComponents && sc.goal_component[i] != cv)
+        continue;
+      const double len = sc.goal_len[i];
+      for (std::size_t l = 0; l < L; ++l)
+        best[l] = std::min(best[l], std::abs(dv[l] - row[l]) + len);
     }
     const double bound = *std::max_element(best.begin(), best.end());
     return bound == kNoGoal ? kNoGoal : bound * kLandmarkShrink;
   };
   const auto heuristic = [&](graph::VertexId v) {
     if (v == t) return 0.0;
-    const double metric = space.distance(cfg_of(v), goal);
-    if (landmarks == nullptr || v == s) return metric;
-    return std::max(metric, landmark_bound(v));
+    if (landmarks == nullptr || v == s) return space.distance(cfg_of(v), goal);
+    const double bound = landmark_bound(v);
+    if (bound == kNoGoal) return kNoGoal;
+    return std::max(space.distance(cfg_of(v), goal), bound);
   };
 
-  const auto push = [&](graph::VertexId v) {
-    sc.open.push_back({sc.dist[v] + sc.h[v], sc.dist[v], v});
-    std::push_heap(sc.open.begin(), sc.open.end(), open_after);
+  const auto touch = [&](graph::VertexId v) -> Node& {
+    Node& nd = nodes[v];
+    if (nd.stamp != gen) {
+      nd.stamp = gen;
+      nd.dist = kInf;
+      nd.prev = graph::kInvalidVertex;
+      nd.heap_pos = graph::kNotQueued;
+      nd.h = heuristic(v);  // once per vertex per search
+    }
+    return nd;
   };
-  const auto touch = [&](graph::VertexId v) {
-    if (sc.stamp[v] == gen) return;
-    sc.stamp[v] = gen;
-    sc.dist[v] = kInf;
-    sc.prev[v] = graph::kInvalidVertex;
-    sc.h[v] = heuristic(v);  // once per vertex per search
-  };
-  const auto relax = [&](graph::VertexId from, graph::VertexId to, double w) {
-    touch(to);
-    const double nd = sc.dist[from] + w;
-    if (nd < sc.dist[to] && sc.h[to] != kNoGoal) {
-      sc.dist[to] = nd;
-      sc.prev[to] = from;
-      push(to);
+  // Relax the edge from -> to of weight w, where from's cost is `from_dist`.
+  const auto relax = [&](graph::VertexId from, double from_dist,
+                         graph::VertexId to, double w) {
+    Node& nd = touch(to);
+    const double d = from_dist + w;
+    if (d < nd.dist && nd.h != kNoGoal) {
+      nd.dist = d;
+      nd.prev = from;
+      sc.open.push_or_decrease(to, d + nd.h);
+      // A queued vertex is likely to be expanded: start loading its edges.
+      if (to < n) prefetch(g.edges_of(to).data());
     }
   };
 
-  touch(s);
+  Node& sn = touch(s);
   touch(t);
-  sc.dist[s] = 0.0;
-  push(s);
+  sn.dist = 0.0;
+  sc.open.push_or_decrease(s, sn.dist + sn.h);
+  // Neighbours of the expanded vertex seen for the first time this search;
+  // their heuristic inputs are prefetched while the others relax.
+  std::array<const Roadmap::HalfEdge*, 32> fresh;
   while (!sc.open.empty()) {
-    std::pop_heap(sc.open.begin(), sc.open.end(), open_after);
-    const SearchScratch::OpenEntry top = sc.open.back();
-    sc.open.pop_back();
-    const graph::VertexId u = top.v;
+    const graph::VertexId u = sc.open.pop();
     if (u == t) break;
-    if (top.g > sc.dist[u]) continue;  // stale entry
     ++sc.expanded;
+    const double du = nodes[u].dist;
     if (u == s) {
-      for (const AttachEdge& a : start_edges) relax(s, a.to, a.length);
+      for (const AttachEdge& a : start_edges) relax(s, du, a.to, a.length);
       continue;
     }
-    for (const auto& edge : g.edges_of(u)) relax(u, edge.to, edge.prop.length);
+    // u's edges go to distinct vertices, so the order in which they relax
+    // changes nothing: relax the already-touched ones first, and give the
+    // loads of the fresh ones' configuration and landmark row that time.
+    std::size_t num_fresh = 0;
+    for (const auto& edge : g.edges_of(u)) {
+      if (nodes[edge.to].stamp == gen || num_fresh == fresh.size()) {
+        relax(u, du, edge.to, edge.prop.length);
+        continue;
+      }
+      prefetch(&g.vertex(edge.to).cfg);
+      if (landmarks != nullptr) {
+        const double* row = landmarks->row(edge.to);
+        prefetch(row);
+        prefetch(row + L - 1);  // a row may straddle two cache lines
+      }
+      fresh[num_fresh++] = &edge;
+    }
+    for (std::size_t i = 0; i < num_fresh; ++i)
+      relax(u, du, fresh[i]->to, fresh[i]->prop.length);
     // Overlay edges into the goal: the lists are k-sized, so a linear scan
     // per expansion costs less than building a lookup table would.
     for (const AttachEdge& a : goal_edges)
-      if (a.to == u) relax(u, t, a.length);
+      if (a.to == u) relax(u, du, t, a.length);
   }
 
-  if (sc.dist[t] >= kInf) return std::nullopt;
+  if (nodes[t].dist >= kInf) return std::nullopt;
   std::vector<graph::VertexId> vertices;
-  for (graph::VertexId v = t; v != graph::kInvalidVertex; v = sc.prev[v])
+  for (graph::VertexId v = t; v != graph::kInvalidVertex; v = nodes[v].prev)
     vertices.push_back(v);
   std::reverse(vertices.begin(), vertices.end());
 

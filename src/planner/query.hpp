@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "env/environment.hpp"
+#include "graph/indexed_heap.hpp"
 #include "planner/landmarks.hpp"
 #include "planner/roadmap.hpp"
 #include "planner/stats.hpp"
@@ -29,30 +30,36 @@ struct AttachEdge {
   double length = 0.0;
 };
 
-/// Reusable per-worker A* state. Per-vertex entries are valid only where
+/// Reusable per-worker A* state. A vertex's record is valid only where its
 /// `stamp` equals the current generation, so a search resets nothing up
 /// front: it bumps the generation and touches only the vertices it reaches.
 /// One instance serves any number of sequential searches (over roadmaps of
 /// any size); it must not be shared by concurrent searches.
 struct SearchScratch {
-  struct OpenEntry {
-    double f;  ///< g + h: the heap key, ties broken by ascending vertex id
-    double g;  ///< path cost when pushed; stale once dist[v] dropped below
-    graph::VertexId v;
+  /// Everything the search keeps per vertex, in one 32-byte record.
+  struct Node {
+    double dist;             ///< best path cost from start found so far
+    double h;                ///< heuristic, computed once per search
+    graph::VertexId prev;    ///< predecessor on that path
+    std::uint32_t stamp;     ///< generation that last touched the record
+    std::uint32_t heap_pos;  ///< slot in `open`, or graph::kNotQueued
   };
-  struct GoalRow {
-    std::uint32_t component;
-    double length;      ///< attachment edge length into the goal
-    const double* row;  ///< landmark distances of the attached vertex
+  struct NodeHeapPos {
+    Node* nodes = nullptr;
+    std::uint32_t& operator()(graph::VertexId v) const noexcept {
+      return nodes[v].heap_pos;
+    }
   };
 
-  std::vector<double> dist;
-  std::vector<double> h;
-  std::vector<graph::VertexId> prev;
-  std::vector<std::uint32_t> stamp;
+  std::vector<Node> nodes;
   std::uint32_t generation = 0;
-  std::vector<OpenEntry> open;
-  std::vector<GoalRow> goal_rows;
+  /// Open set keyed by f = dist + h, ties by ascending vertex id.
+  graph::IndexedHeap<NodeHeapPos> open;
+  /// The goal edges' landmark rows, copied flat once per search:
+  /// goal_dist[i * kLandmarks + l], goal_len[i], goal_component[i].
+  std::vector<double> goal_dist;
+  std::vector<double> goal_len;
+  std::vector<std::uint32_t> goal_component;
   std::size_t expanded = 0;  ///< vertices expanded by the last search
 };
 

@@ -1,6 +1,7 @@
 #include "service/query_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <thread>
 
@@ -10,30 +11,21 @@ namespace pmpl::service {
 
 namespace {
 
-// Edge-batch tags: (query index, kind, roadmap vertex).
+// Edge-batch tags of one query: (kind, roadmap vertex).
 constexpr std::uint64_t kKindDirect = 0;
 constexpr std::uint64_t kKindStart = 1;
 constexpr std::uint64_t kKindGoal = 2;
 
-constexpr std::uint64_t make_tag(std::size_t qi, std::uint64_t kind,
+constexpr std::uint64_t make_tag(std::uint64_t kind,
                                  graph::VertexId to) noexcept {
-  return (static_cast<std::uint64_t>(qi) << 40) | (kind << 32) | to;
-}
-constexpr std::size_t tag_query(std::uint64_t tag) noexcept {
-  return static_cast<std::size_t>(tag >> 40);
+  return (kind << 32) | to;
 }
 constexpr std::uint64_t tag_kind(std::uint64_t tag) noexcept {
-  return (tag >> 32) & 0xffu;
+  return tag >> 32;
 }
 constexpr graph::VertexId tag_vertex(std::uint64_t tag) noexcept {
   return static_cast<graph::VertexId>(tag & 0xffffffffu);
 }
-
-// Per-wave stage histograms, in pipeline order.
-constexpr const char* kStageAdmit = "service/stage_us/admit";
-constexpr const char* kStageKnn = "service/stage_us/knn";
-constexpr const char* kStageEdges = "service/stage_us/edges";
-constexpr const char* kStageAstar = "service/stage_us/astar";
 
 }  // namespace
 
@@ -63,14 +55,59 @@ LatencyQuantiles summarize_latency(const runtime::Histogram& h) noexcept {
   return q;
 }
 
-/// Per-query state threaded through the wave pipeline.
+/// Per-query admission state, written by the caller before the fan-out.
 struct QueryEngine::PreparedQuery {
   std::unique_ptr<runtime::CancelToken> token;
-  std::vector<planner::AttachEdge> start_edges;
-  std::vector<planner::AttachEdge> goal_edges;
   std::uint64_t id = 0;
   std::uint32_t corr = 0;
-  bool alive = false;  ///< still needs its A* stage
+};
+
+/// The engine's instruments, looked up once: the registry keeps every
+/// instrument (and so these references) alive for its whole lifetime.
+struct QueryEngine::Instruments {
+  explicit Instruments(runtime::MetricsRegistry& reg)
+      : queries_total(reg.counter("service/queries_total")),
+        queries_solved(reg.counter("service/queries_solved")),
+        queries_unreachable(reg.counter("service/queries_unreachable")),
+        queries_invalid(reg.counter("service/queries_invalid")),
+        deadline_missed(reg.counter("service/deadline_missed")),
+        queries_no_snapshot(reg.counter("service/queries_no_snapshot")),
+        latency_us(reg.histogram("service/latency_us")),
+        stage_admit(reg.histogram("service/stage_us/admit")),
+        stage_knn(reg.histogram("service/stage_us/knn")),
+        stage_edges(reg.histogram("service/stage_us/edges")),
+        stage_astar(reg.histogram("service/stage_us/astar")),
+        epoch(reg.gauge("service/epoch")) {}
+
+  runtime::Counter& queries_total;
+  runtime::Counter& queries_solved;
+  runtime::Counter& queries_unreachable;
+  runtime::Counter& queries_invalid;
+  runtime::Counter& deadline_missed;
+  runtime::Counter& queries_no_snapshot;
+  runtime::Histogram& latency_us;
+  runtime::Histogram& stage_admit;
+  runtime::Histogram& stage_knn;
+  runtime::Histogram& stage_edges;
+  runtime::Histogram& stage_astar;
+  runtime::Gauge& epoch;
+};
+
+/// Everything one worker reuses from query to query.
+struct QueryEngine::WorkerState {
+  explicit WorkerState(const env::Environment& e, double resolution)
+      : edges(e.space(), e.validity(), resolution) {}
+
+  planner::KnnScratch knn;
+  planner::KnnBatch neighbors;  ///< start's, then goal's
+  cspace::EdgeBatchPlanner edges;
+  std::vector<planner::AttachEdge> start_edges;
+  std::vector<planner::AttachEdge> goal_edges;
+  planner::SearchScratch search;
+  // This wave's summed per-query stage time on this worker, seconds.
+  double knn_s = 0.0;
+  double edges_s = 0.0;
+  double astar_s = 0.0;
 };
 
 QueryEngine::QueryEngine(const env::Environment& e, SnapshotPool& pool,
@@ -81,20 +118,11 @@ QueryEngine::QueryEngine(const env::Environment& e, SnapshotPool& pool,
   runtime::SchedulerOptions opts;
   opts.tracer = cfg_.tracer;
   sched_ = std::make_unique<runtime::Scheduler>(workers, opts);
-  search_scratch_.resize(sched_->size() + 1);
-
-  // Pre-register every instrument so scrapes see a deterministic key set
-  // from the first collection on, not one that grows with traffic.
-  auto& reg = registry();
-  for (const char* name :
-       {"service/queries_total", "service/queries_solved",
-        "service/queries_unreachable", "service/queries_invalid",
-        "service/deadline_missed", "service/queries_no_snapshot"})
-    reg.counter(name);
-  reg.histogram("service/latency_us");
-  for (const char* name : {kStageAdmit, kStageKnn, kStageEdges, kStageAstar})
-    reg.histogram(name);
-  reg.gauge("service/epoch");
+  for (std::size_t i = 0; i <= sched_->size(); ++i)
+    workers_.push_back(std::make_unique<WorkerState>(e, cfg_.resolution));
+  // Registering every instrument up front gives scrapes a deterministic
+  // key set from the first collection on, not one that grows with traffic.
+  metrics_ = std::make_unique<Instruments>(registry());
 }
 
 QueryEngine::~QueryEngine() = default;
@@ -104,30 +132,141 @@ runtime::MetricsRegistry& QueryEngine::registry() const noexcept {
                                  : runtime::MetricsRegistry::global();
 }
 
-void QueryEngine::record(const QueryRequest& q, QueryResult& r,
-                         double start_s) {
-  (void)q;
+void QueryEngine::record(QueryResult& r, double start_s) {
   r.latency_s = now_s() - start_s;
-  auto& reg = registry();
-  reg.add("service/queries_total", 1);
+  Instruments& m = *metrics_;
+  m.queries_total.add(1);
   switch (r.status) {
     case QueryStatus::kSolved:
-      reg.add("service/queries_solved", 1);
+      m.queries_solved.add(1);
       break;
     case QueryStatus::kUnreachable:
-      reg.add("service/queries_unreachable", 1);
+      m.queries_unreachable.add(1);
       break;
     case QueryStatus::kInvalidEndpoint:
-      reg.add("service/queries_invalid", 1);
+      m.queries_invalid.add(1);
       break;
     case QueryStatus::kDeadlineMiss:
       break;  // counted below through the degraded flag
     case QueryStatus::kNoSnapshot:
-      reg.add("service/queries_no_snapshot", 1);
+      m.queries_no_snapshot.add(1);
       break;
   }
-  if (r.degraded) reg.add("service/deadline_missed", 1);
-  reg.observe("service/latency_us", r.latency_s * 1e6);
+  if (r.degraded) m.deadline_missed.add(1);
+  m.latency_us.observe(r.latency_s * 1e6);
+}
+
+void QueryEngine::answer(const QueryRequest& q, const PreparedQuery& p,
+                         const RoadmapSnapshot& snap, WorkerState& w,
+                         QueryResult& r, double start_s) {
+  runtime::TraceBuffer* track =
+      cfg_.tracer != nullptr ? cfg_.tracer->thread_track() : nullptr;
+  if (track != nullptr)
+    track->flow_end_at("query", cfg_.tracer->now_s(), p.corr);
+  runtime::TraceSpan span(cfg_.tracer, track, "query", p.id);
+
+  const auto miss = [&] {
+    r.status = QueryStatus::kDeadlineMiss;
+    r.degraded = true;
+    record(r, start_s);
+  };
+  if (p.token->stop_requested()) return miss();
+  // Each stage boundary closes the running stage into this worker's clock
+  // and observes the deadline: a fired one ends the query right there.
+  double mark = now_s();
+  const auto end_stage = [&](double& clock) {
+    const double now = now_s();
+    clock += now - mark;
+    mark = now;
+    if (!p.token->stop_requested()) return false;
+    miss();
+    return true;
+  };
+
+  // k-NN: the query's own k nearest roadmap vertices of each endpoint.
+  {
+    runtime::TraceSpan stage(cfg_.tracer, track, "knn");
+    const std::array<cspace::Config, 2> ends{q.start, q.goal};
+    snap.knn.nearest_batch(ends, q.k, w.neighbors, w.knn);
+  }
+  if (end_stage(w.knn_s)) return;
+
+  // Edges: the direct start->goal shot, then the start and then the goal
+  // attachments, through one window committed in admission order. A
+  // successful direct shot answers the query without the roadmap,
+  // mirroring query_roadmap's trivial-query short-circuit, so nothing
+  // after it is validated.
+  bool direct = false;
+  {
+    runtime::TraceSpan stage(cfg_.tracer, track, "edges");
+    const planner::Roadmap& g = snap.roadmap;
+    cspace::EdgeBatchPlanner& ebp = w.edges;
+    ebp.reset();
+    w.start_edges.clear();
+    w.goal_edges.clear();
+    const auto commit_one = [&] {
+      const auto out = ebp.next();
+      if (!out.result.success) return;
+      const planner::AttachEdge edge{tag_vertex(out.tag), out.result.length};
+      switch (tag_kind(out.tag)) {
+        case kKindDirect:
+          direct = true;
+          r.length = out.result.length;
+          break;
+        case kKindStart:
+          w.start_edges.push_back(edge);
+          break;
+        default:  // kKindGoal
+          w.goal_edges.push_back(edge);
+          break;
+      }
+    };
+    // False once the direct shot has answered the query.
+    const auto admit = [&](const cspace::Config& a, const cspace::Config& b,
+                           std::uint64_t tag) {
+      if (!ebp.can_admit()) commit_one();
+      if (direct) return false;
+      ebp.admit(a, b, tag);
+      return true;
+    };
+    bool open = admit(q.start, q.goal, make_tag(kKindDirect, 0));
+    for (const planner::Neighbor& nb : w.neighbors.of(0)) {
+      if (!open) break;
+      open = admit(q.start, g.vertex(nb.id).cfg, make_tag(kKindStart, nb.id));
+    }
+    for (const planner::Neighbor& nb : w.neighbors.of(1)) {
+      if (!open) break;
+      open = admit(q.goal, g.vertex(nb.id).cfg, make_tag(kKindGoal, nb.id));
+    }
+    while (!direct && ebp.pending()) commit_one();
+  }
+  if (direct) {
+    w.edges_s += now_s() - mark;
+    r.status = QueryStatus::kSolved;
+    r.path = {q.start, q.goal};
+  } else {
+    if (end_stage(w.edges_s)) return;
+    // A*, guided by the snapshot's landmark table.
+    runtime::TraceSpan stage(cfg_.tracer, track, "astar");
+    auto path = planner::find_path_with_attachments(
+        *env_, snap.roadmap, q.start, q.goal, w.start_edges, w.goal_edges,
+        &snap.landmarks, &w.search);
+    if (path.has_value()) {
+      r.status = QueryStatus::kSolved;
+      r.path = std::move(*path);
+      r.length = planner::path_length(*env_, r.path);
+    } else {
+      r.status = QueryStatus::kUnreachable;
+    }
+    w.astar_s += now_s() - mark;
+  }
+  // Finished, but possibly past the deadline: keep the answer and mark it
+  // late rather than discarding completed work.
+  r.degraded = p.token->stop_requested();
+  if (track != nullptr)
+    track->instant_at("query_done", cfg_.tracer->now_s(),
+                      static_cast<std::uint64_t>(r.status), p.corr);
+  record(r, start_s);
 }
 
 std::vector<QueryResult> QueryEngine::run_batch(
@@ -136,6 +275,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
   std::vector<QueryResult> results(n);
   if (n == 0) return results;
   const double t0 = now_s();
+  Instruments& m = *metrics_;
 
   std::vector<PreparedQuery> prep(n);
   {
@@ -145,30 +285,23 @@ std::vector<QueryResult> QueryEngine::run_batch(
 
   SnapshotRef snap = pool_->acquire();
   if (!snap) {
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i].status = QueryStatus::kNoSnapshot;
-      record(queries[i], results[i], t0);
+    for (QueryResult& r : results) {
+      r.status = QueryStatus::kNoSnapshot;
+      record(r, t0);
     }
     return results;
   }
   const std::uint64_t epoch = snap->epoch;
-  registry().set("service/epoch", static_cast<double>(epoch));
-
-  // Each call closes the running stage into its per-wave histogram.
-  double stage_t0 = t0;
-  const auto end_stage = [&](const char* histogram) {
-    const double now = now_s();
-    registry().observe(histogram, (now - stage_t0) * 1e6);
-    stage_t0 = now;
-  };
+  m.epoch.set(static_cast<double>(epoch));
 
   runtime::TraceBuffer* admit_track =
       cfg_.tracer != nullptr ? cfg_.tracer->thread_track("service admit")
                              : nullptr;
 
-  // Stage 0 — admission: deadline tokens, endpoint validity, trace flows.
-  planner::PlannerStats st;
-  std::size_t kmax = 1;
+  // Admission, on the calling thread: deadline tokens, trace flows and
+  // endpoint validity.
+  std::vector<std::size_t> live;
+  live.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const QueryRequest& q = queries[i];
     PreparedQuery& p = prep[i];
@@ -184,161 +317,42 @@ std::vector<QueryResult> QueryEngine::run_batch(
     if (p.token->stop_requested()) {
       results[i].status = QueryStatus::kDeadlineMiss;
       results[i].degraded = true;
-      record(q, results[i], t0);
+      record(results[i], t0);
       continue;
     }
-    if (!env_->validity().valid(q.start, &st.cd) ||
-        !env_->validity().valid(q.goal, &st.cd)) {
+    if (!env_->validity().valid(q.start) || !env_->validity().valid(q.goal)) {
       results[i].status = QueryStatus::kInvalidEndpoint;
-      record(q, results[i], t0);
+      record(results[i], t0);
       continue;
     }
-    p.alive = true;
-    kmax = std::max(kmax, q.k);
-  }
-
-  end_stage(kStageAdmit);
-
-  // Stage 1 — one batched k-NN pass over the snapshot's index for every
-  // live endpoint. All queries share kmax; a query wanting fewer neighbors
-  // takes the prefix of its result span (the canonical neighbor order makes
-  // the k-best set a prefix of the kmax-best set, so this is exactly its
-  // own k-NN answer).
-  std::vector<std::size_t> live;
-  live.reserve(n);
-  std::vector<cspace::Config> qcfgs;
-  qcfgs.reserve(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!prep[i].alive) continue;
     live.push_back(i);
-    qcfgs.push_back(queries[i].start);
-    qcfgs.push_back(queries[i].goal);
   }
-  if (!live.empty())
-    snap->knn.nearest_batch(qcfgs, kmax, knn_batch_, knn_scratch_, &st);
-  end_stage(kStageKnn);
+  m.stage_admit.observe((now_s() - t0) * 1e6);
 
-  // Stage 2 — cross-query edge validation: every attachment candidate of
-  // every live query flows through one speculative window, so the wide
-  // validity lanes stay full across queries, not just within one.
-  const planner::Roadmap& g = snap->roadmap;
-  cspace::EdgeBatchPlanner ebp(env_->space(), env_->validity(),
-                               cfg_.resolution);
-  const auto commit_one = [&] {
-    const auto out = ebp.next(&st.cd);
-    if (!out.result.success) return;
-    const std::size_t qi = tag_query(out.tag);
-    PreparedQuery& p = prep[qi];
-    switch (tag_kind(out.tag)) {
-      case kKindDirect:
-        // Direct start->goal shot succeeded: answered without the roadmap,
-        // mirroring query_roadmap's trivial-query short-circuit.
-        if (results[qi].path.empty()) {
-          results[qi].status = QueryStatus::kSolved;
-          results[qi].length = out.result.length;
-          results[qi].path = {queries[qi].start, queries[qi].goal};
-          p.alive = false;
-        }
-        break;
-      case kKindStart:
-        p.start_edges.push_back({tag_vertex(out.tag), out.result.length});
-        break;
-      case kKindGoal:
-        p.goal_edges.push_back({tag_vertex(out.tag), out.result.length});
-        break;
-      default:
-        break;
-    }
-  };
-  const auto admit = [&](const cspace::Config& a, const cspace::Config& b,
-                         std::uint64_t tag) {
-    if (!ebp.can_admit()) commit_one();
-    ebp.admit(a, b, tag);
-  };
-  for (std::size_t li = 0; li < live.size(); ++li) {
-    const std::size_t i = live[li];
-    const QueryRequest& q = queries[i];
-    PreparedQuery& p = prep[i];
-    if (p.token->stop_requested()) {
-      // Deadline fired during the batch phase: this query admits nothing
-      // more (edges already in flight drain harmlessly — their outcomes
-      // land in a result that is already final).
-      results[i].status = QueryStatus::kDeadlineMiss;
-      results[i].degraded = true;
-      p.alive = false;
-      record(q, results[i], t0);
-      continue;
-    }
-    admit(q.start, q.goal, make_tag(i, kKindDirect, 0));
-    const auto start_nn = knn_batch_.of(2 * li);
-    const auto goal_nn = knn_batch_.of(2 * li + 1);
-    const std::size_t ks = std::min(q.k, start_nn.size());
-    for (std::size_t j = 0; j < ks; ++j)
-      admit(q.start, g.vertex(start_nn[j].id).cfg,
-            make_tag(i, kKindStart, start_nn[j].id));
-    const std::size_t kg = std::min(q.k, goal_nn.size());
-    for (std::size_t j = 0; j < kg; ++j)
-      admit(q.goal, g.vertex(goal_nn[j].id).cfg,
-            make_tag(i, kKindGoal, goal_nn[j].id));
-  }
-  while (ebp.pending()) commit_one();
-
-  // Direct-solved queries are final now.
-  for (const std::size_t i : live) {
-    if (!prep[i].alive && results[i].status == QueryStatus::kSolved)
-      record(queries[i], results[i], t0);
-  }
-  end_stage(kStageEdges);
-
-  // Stage 3 — per-query A* fan-out onto scheduler workers. Each query
-  // writes only its own slot, so any interleaving yields the same results.
-  std::vector<std::size_t> astar_ix;
-  astar_ix.reserve(live.size());
-  for (const std::size_t i : live)
-    if (prep[i].alive) astar_ix.push_back(i);
-
+  // One task per admitted query: k-NN, edges and A* run end to end on
+  // whichever worker takes it, in that worker's reusable state. Each task
+  // writes only its own result slot, so any interleaving gives the same
+  // results.
+  for (auto& w : workers_) w->knn_s = w->edges_s = w->astar_s = 0.0;
   const runtime::CancelToken wave;  // engine-level; per-query tokens gate
   runtime::parallel_for_cancellable(
-      *sched_, astar_ix.size(),
+      *sched_, live.size(),
       [&](std::size_t j) {
-        const std::size_t i = astar_ix[j];
-        const QueryRequest& q = queries[i];
-        PreparedQuery& p = prep[i];
-        QueryResult& r = results[i];
-        runtime::TraceBuffer* track =
-            cfg_.tracer != nullptr ? cfg_.tracer->thread_track() : nullptr;
-        if (track != nullptr)
-          track->flow_end_at("query", cfg_.tracer->now_s(), p.corr);
-        runtime::TraceSpan span(cfg_.tracer, track, "query", p.id);
-        if (p.token->stop_requested()) {
-          r.status = QueryStatus::kDeadlineMiss;
-          r.degraded = true;
-          record(q, r, t0);
-          return;
-        }
-        auto path = planner::find_path_with_attachments(
-            *env_, g, q.start, q.goal, p.start_edges, p.goal_edges,
-            &snap->landmarks,
-            &search_scratch_[static_cast<std::size_t>(
-                sched_->current_worker() + 1)]);
-        if (path.has_value()) {
-          r.status = QueryStatus::kSolved;
-          r.path = std::move(*path);
-          r.length = planner::path_length(*env_, r.path);
-        } else {
-          r.status = QueryStatus::kUnreachable;
-        }
-        // Finished, but possibly past the deadline: keep the answer and
-        // mark it late rather than discarding completed work.
-        r.degraded = p.token->stop_requested();
-        if (track != nullptr)
-          track->instant_at("query_done", cfg_.tracer->now_s(),
-                            static_cast<std::uint64_t>(r.status), p.corr);
-        record(q, r, t0);
+        const std::size_t i = live[j];
+        WorkerState& w = *workers_[static_cast<std::size_t>(
+            sched_->current_worker() + 1)];
+        answer(queries[i], prep[i], *snap, w, results[i], t0);
       },
       wave);
-  end_stage(kStageAstar);
-
+  double knn_s = 0.0, edges_s = 0.0, astar_s = 0.0;
+  for (const auto& w : workers_) {
+    knn_s += w->knn_s;
+    edges_s += w->edges_s;
+    astar_s += w->astar_s;
+  }
+  m.stage_knn.observe(knn_s * 1e6);
+  m.stage_edges.observe(edges_s * 1e6);
+  m.stage_astar.observe(astar_s * 1e6);
   return results;
 }
 
@@ -367,7 +381,7 @@ std::vector<std::pair<std::uint64_t, QueryResult>> QueryEngine::drain() {
 }
 
 LatencyQuantiles QueryEngine::latency() const {
-  return summarize_latency(registry().histogram("service/latency_us"));
+  return summarize_latency(metrics_->latency_us);
 }
 
 }  // namespace pmpl::service

@@ -3,36 +3,43 @@
 /// Batched concurrent multi-query planner engine.
 ///
 /// The engine answers waves of start/goal queries against one pinned
-/// roadmap snapshot (service/snapshot.hpp). The per-query costs that
-/// one-shot querying pays over and over are amortized *across* queries:
+/// roadmap snapshot (service/snapshot.hpp). The caller admits the wave:
+/// query ids, deadline tokens, trace flows and endpoint validity. Each
+/// admitted query then becomes one task on the scheduler
+/// (parallel_for_cancellable), which work stealing balances across the
+/// workers. The task runs the query end to end:
 ///
-///  - k-NN lookups read the snapshot's own kd-tree, which the publisher
-///    built once for the epoch (query_roadmap builds one per call — the
-///    dominant per-query cost on large roadmaps); every engine shares it
-///    read-only through its own KnnScratch;
-///  - all start/goal k-NN lookups of a wave run through one KnnBatch;
-///  - all attachment edges (direct start->goal shots plus start/goal
-///    k-NN connections) of a wave validate through one EdgeBatchPlanner
-///    window, so the wide validity lanes stay full across queries;
-///  - the per-query A* searches fan out onto scheduler workers via
-///    parallel_for_cancellable, guided by the snapshot's landmark table
-///    (built once per epoch by the publisher) and running in per-worker
-///    search scratch that is never reset wholesale.
+///  - k-NN: the query's own k nearest vertices of each endpoint, from the
+///    snapshot's kd-tree, which the publisher built once for the epoch
+///    (query_roadmap builds one per call, the dominant per-query cost on
+///    large roadmaps); every worker reads it through its own KnnScratch;
+///  - edges: the direct start->goal shot, then the start and then the goal
+///    attachments, through the worker's EdgeBatchPlanner window, which
+///    keeps the wide validity lanes full within the query; a successful
+///    direct shot answers the query there;
+///  - A*: guided by the snapshot's landmark table (built once per epoch by
+///    the publisher), in the worker's search scratch, which is never reset
+///    wholesale.
+///
+/// Every piece of per-query state is the worker's, reused from query to
+/// query, so a wave allocates little beyond its results.
 ///
 /// The roadmap is only read (overlay attach, planner/query.hpp), so any
 /// number of in-flight queries share one snapshot without synchronization.
 ///
 /// Deadlines: every query may carry a runtime::Deadline. An expired
 /// deadline is observed at each pipeline stage boundary (admission, k-NN,
-/// edge validation, A*) — one granule of bounded overrun, never a stuck
-/// worker — and the query returns QueryStatus::kDeadlineMiss with
+/// edge validation, A*): one granule of bounded overrun, never a stuck
+/// worker. The query then returns QueryStatus::kDeadlineMiss with
 /// `degraded` set. A query that completes but past its deadline keeps its
-/// path and is marked degraded (late delivery).
+/// answer and is marked degraded (late delivery).
 ///
-/// Determinism: batching and attachment run on the calling thread in
-/// admission order; the A* fan-out writes each query's result into its own
-/// slot. With deadlines off, the same snapshot + the same request sequence
-/// produce bit-identical paths for any worker count or interleaving.
+/// Determinism: a query's answer depends only on the snapshot and on the
+/// request itself (its own k, its own edge window), never on the rest of
+/// the wave or on which worker ran it, and each task writes only its own
+/// result slot. With deadlines off, the same snapshot and the same
+/// requests give bit-identical answers for any worker count, interleaving
+/// or wave composition.
 
 #include <cstdint>
 #include <span>
@@ -77,19 +84,22 @@ struct QueryResult {
 struct QueryEngineConfig {
   std::size_t workers = 0;   ///< 0: hardware concurrency
   double resolution = 1.0;   ///< local-plan validation step
-  /// Metrics sink; nullptr = MetricsRegistry::global(). Published live:
+  /// Metrics sink; nullptr = MetricsRegistry::global(). The engine looks
+  /// its instruments up once, at construction. Published live:
   ///   counters   service/queries_total, service/queries_solved,
   ///              service/queries_unreachable, service/queries_invalid,
-  ///              service/deadline_missed
+  ///              service/deadline_missed, service/queries_no_snapshot
   ///   histograms service/latency_us (per query),
-  ///              service/stage_us/{admit,knn,edges,astar} (per wave:
-  ///              wall time of each pipeline stage; log2 buckets)
+  ///              service/stage_us/{admit,knn,edges,astar} (one sample per
+  ///              wave; log2 buckets): admit is the caller's wall time,
+  ///              knn/edges/astar the wave's summed per-query worker time
   ///   gauges     service/epoch (snapshot answered against)
   runtime::MetricsRegistry* metrics = nullptr;
   /// Tracing sink; nullptr disables. Each query emits an admission instant
   /// + flow arrow (category "query", correlation id from the query id) on
-  /// the admitting thread and a matching flow end + "query" span on the
-  /// worker that runs its A*.
+  /// the admitting thread, and a matching flow end + "query" span on the
+  /// worker that runs it, with "knn", "edges" and "astar" spans nested in
+  /// it.
   runtime::Tracer* tracer = nullptr;
 };
 
@@ -140,21 +150,25 @@ class QueryEngine {
 
  private:
   struct PreparedQuery;
+  struct Instruments;
+  struct WorkerState;
 
   runtime::MetricsRegistry& registry() const noexcept;
-  void record(const QueryRequest& q, QueryResult& r, double start_s);
+  void record(QueryResult& r, double start_s);
+  /// One admitted query end to end (k-NN, edges, A*) on the calling worker.
+  void answer(const QueryRequest& q, const PreparedQuery& p,
+              const RoadmapSnapshot& snap, WorkerState& w, QueryResult& r,
+              double start_s);
 
   const env::Environment* env_;
   SnapshotPool* pool_;
   QueryEngineConfig cfg_;
+  std::unique_ptr<Instruments> metrics_;
+  // Per-query scratch, one per scheduler worker (index current_worker() + 1;
+  // slot 0 serves a task that runs off the pool).
+  std::vector<std::unique_ptr<WorkerState>> workers_;
+  // Declared after what its tasks use, so its threads stop first.
   std::unique_ptr<runtime::Scheduler> sched_;
-
-  // k-NN state for queries against the pinned snapshot's index.
-  planner::KnnScratch knn_scratch_;
-  planner::KnnBatch knn_batch_;
-  // A* state, one per scheduler worker (index current_worker() + 1; slot 0
-  // serves a search that runs off the pool).
-  std::vector<planner::SearchScratch> search_scratch_;
 
   std::mutex queue_mutex_;
   std::vector<std::pair<std::uint64_t, QueryRequest>> queue_;

@@ -1,5 +1,6 @@
 #include "service/snapshot.hpp"
 
+#include <stdexcept>
 #include <thread>
 
 namespace pmpl::service {
@@ -9,9 +10,8 @@ std::atomic<std::uint64_t> g_live_snapshots{0};
 }  // namespace
 
 RoadmapSnapshot::RoadmapSnapshot(planner::Roadmap g,
-                                 const cspace::CSpace& space,
-                                 std::uint64_t ep)
-    : roadmap(std::move(g)), landmarks(roadmap), knn(space, roadmap),
+                                 planner::KdTreeKnn index, std::uint64_t ep)
+    : roadmap(std::move(g)), landmarks(roadmap), knn(std::move(index)),
       epoch(ep) {
   roadmap.shrink_to_fit();  // immutable from here on: drop growth slack
   g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
@@ -94,11 +94,16 @@ std::uint32_t SnapshotPool::claim_empty_slot() noexcept {
 }
 
 std::uint64_t SnapshotPool::publish(planner::Roadmap roadmap,
-                                    const cspace::CSpace& space) {
+                                    planner::KdTreeKnn knn) {
+  if (knn.size() != roadmap.num_vertices() ||
+      knn.indexed_size() != roadmap.num_vertices())
+    throw std::invalid_argument(
+        "SnapshotPool::publish: the k-NN index must be a bulk build over "
+        "exactly the roadmap's vertices");
   std::lock_guard lock(publish_mutex_);
   const std::uint64_t epoch =
       next_epoch_.fetch_add(1, std::memory_order_relaxed);
-  auto* snap = new RoadmapSnapshot(std::move(roadmap), space, epoch);
+  auto* snap = new RoadmapSnapshot(std::move(roadmap), std::move(knn), epoch);
 
   std::uint32_t ix = claim_empty_slot();
   while (ix == kNoSlot) {
@@ -175,15 +180,15 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
   next.reserve_vertices(next.num_vertices() + samples.size());
   for (const auto& c : samples) fresh.push_back(next.add_vertex({c, 0}));
 
-  if (!fresh.empty()) {
-    // Connect each fresh vertex into the *whole* graph (old + new), unlike
-    // connect_within which only searches inside one id set.
-    planner::KdTreeKnn finder(e.space(), next);
+  // One tree over the whole next epoch: it connects each fresh vertex into
+  // the whole graph (old + new, unlike connect_within, which searches
+  // inside one id set), and connecting adds only edges, so it then serves
+  // as the published epoch's k-NN index.
+  planner::KdTreeKnn finder(e.space(), next);
+  if (!fresh.empty())
     planner::connect_to_nearest(e, next, finder, fresh, params, st, nullptr,
                                 cancel);
-  }
-
-  return pool.publish(std::move(next), e.space());
+  return pool.publish(std::move(next), std::move(finder));
 }
 
 }  // namespace pmpl::service

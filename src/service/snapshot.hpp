@@ -21,8 +21,9 @@
 ///
 /// Each snapshot carries the epoch's read-only indexes, built once by the
 /// publisher so that no reader pays for them: the kd-tree over every
-/// vertex (the epoch's only k-NN index; readers query it with their own
-/// scratch) and the landmark table for guided A*.
+/// vertex (the epoch's only k-NN index, handed over by the publisher;
+/// readers query it with their own scratch) and the landmark table for
+/// guided A*.
 ///
 /// Publication claims an empty slot, fills it, marks it kLive, swings the
 /// current index, then retires the previous slot. With `kSlots` slots, up
@@ -55,7 +56,8 @@ struct RoadmapSnapshot {
   planner::KdTreeKnn knn;
   std::uint64_t epoch = 0;
 
-  RoadmapSnapshot(planner::Roadmap g, const cspace::CSpace& space,
+  /// `index` must cover exactly the vertices of `g`, under their ids.
+  RoadmapSnapshot(planner::Roadmap g, planner::KdTreeKnn index,
                   std::uint64_t ep);
   ~RoadmapSnapshot();
   RoadmapSnapshot(const RoadmapSnapshot&) = delete;
@@ -124,12 +126,16 @@ class SnapshotPool {
   SnapshotPool(const SnapshotPool&) = delete;
   SnapshotPool& operator=(const SnapshotPool&) = delete;
 
-  /// Publish `roadmap` as the next epoch, indexed under `space`'s metric
-  /// (which must outlive the snapshot); returns that epoch (1-based).
-  /// Readers pinned on older epochs are unaffected. Waits only when all
-  /// kSlots slots are pinned by readers.
-  std::uint64_t publish(planner::Roadmap roadmap,
-                        const cspace::CSpace& space);
+  /// Publish `roadmap` as the next epoch with `knn` as its k-NN index;
+  /// returns that epoch (1-based). `knn` must be a bulk build over exactly
+  /// `roadmap`'s vertices (`KdTreeKnn(space, roadmap)`, with no later
+  /// insert), whose CSpace outlives the snapshot; anything else throws
+  /// std::invalid_argument before the pool changes. The publisher usually
+  /// has that tree already (densify_and_publish connects with it), so the
+  /// epoch costs one kd-tree build, not two. Readers pinned on older
+  /// epochs are unaffected. Waits only when all kSlots slots are pinned by
+  /// readers.
+  std::uint64_t publish(planner::Roadmap roadmap, planner::KdTreeKnn knn);
 
   /// Pin the current snapshot. Empty ref iff nothing has been published.
   /// Lock-free: retries only while racing a concurrent publish/reclaim.

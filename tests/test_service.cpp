@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -89,6 +90,14 @@ planner::Roadmap small_maze_roadmap(std::size_t attempts = 600,
 
 // --- snapshot pool lifecycle ----------------------------------------------
 
+/// Publish `g` with a k-NN index bulk-built over it, as a publisher does
+/// that has no tree of its own at hand.
+std::uint64_t publish_indexed(service::SnapshotPool& pool, planner::Roadmap g,
+                              const cspace::CSpace& space) {
+  planner::KdTreeKnn knn(space, g);
+  return pool.publish(std::move(g), std::move(knn));
+}
+
 TEST(SnapshotPool, EmptyPoolYieldsNoSnapshot) {
   service::SnapshotPool pool;
   EXPECT_FALSE(pool.acquire());
@@ -100,7 +109,7 @@ TEST(SnapshotPool, PublishThenAcquirePinsCurrentEpoch) {
   const auto e = env::maze_2d();
   const auto base = small_maze_roadmap();
   service::SnapshotPool pool;
-  EXPECT_EQ(pool.publish(planner::Roadmap(base), e->space()), 1u);
+  EXPECT_EQ(publish_indexed(pool, planner::Roadmap(base), e->space()), 1u);
   auto ref = pool.acquire();
   ASSERT_TRUE(ref);
   EXPECT_EQ(ref->epoch, 1u);
@@ -115,7 +124,7 @@ TEST(SnapshotPool, PinnedReaderSurvivesThreeNewerEpochs) {
   const auto e = env::maze_2d();
   const auto base = small_maze_roadmap();
   service::SnapshotPool pool;
-  pool.publish(planner::Roadmap(base), e->space());
+  publish_indexed(pool, planner::Roadmap(base), e->space());
   auto pinned = pool.acquire();
   ASSERT_TRUE(pinned);
   ASSERT_EQ(pinned->epoch, 1u);
@@ -123,7 +132,7 @@ TEST(SnapshotPool, PinnedReaderSurvivesThreeNewerEpochs) {
   // Publish epochs 2..4 while epoch 1 stays pinned. The pinned snapshot
   // must remain byte-for-byte readable throughout.
   for (std::uint64_t ep = 2; ep <= 4; ++ep) {
-    EXPECT_EQ(pool.publish(planner::Roadmap(base), e->space()), ep);
+    EXPECT_EQ(publish_indexed(pool, planner::Roadmap(base), e->space()), ep);
     EXPECT_EQ(pool.current_epoch(), ep);
     EXPECT_EQ(pinned->epoch, 1u);
     EXPECT_EQ(pinned->roadmap.num_vertices(), base.num_vertices());
@@ -147,19 +156,20 @@ TEST(SnapshotPool, RetiredSnapshotMemoryIsActuallyFreed) {
   const auto e = env::maze_2d();
   const auto base = small_maze_roadmap();
   service::SnapshotPool pool;
-  pool.publish(planner::Roadmap(base), e->space());
+  publish_indexed(pool, planner::Roadmap(base), e->space());
 
   const std::int64_t before = outstanding_allocations();
   {
     auto pinned = pool.acquire();
     ASSERT_TRUE(pinned);
-    pool.publish(planner::Roadmap(base), e->space());  // retires epoch 1
+    // Retires epoch 1.
+    publish_indexed(pool, planner::Roadmap(base), e->space());
     EXPECT_GT(outstanding_allocations(), before);
   }  // last reader drops -> epoch 1 reclaimed here
 
   // Epoch 2's snapshot is the only growth left; freeing it must return the
   // outstanding-allocation count to the baseline.
-  pool.publish(planner::Roadmap(), e->space());  // retires, reclaims 2
+  publish_indexed(pool, planner::Roadmap(), e->space());  // retires, reclaims 2
   auto cur = pool.acquire();
   ASSERT_TRUE(cur);
   EXPECT_EQ(cur->epoch, 3u);
@@ -181,11 +191,11 @@ TEST(SnapshotPool, SevenOldEpochsCanStayPinnedAtOnce) {
     Xoshiro256ss rng(ep);
     for (std::uint64_t v = 0; v < ep; ++v)
       g.add_vertex({e->space().sample(rng), 0});
-    EXPECT_EQ(pool.publish(std::move(g), e->space()), ep);
+    EXPECT_EQ(publish_indexed(pool, std::move(g), e->space()), ep);
     pins.push_back(pool.acquire());
     ASSERT_TRUE(pins.back());
   }
-  EXPECT_EQ(pool.publish(planner::Roadmap(), e->space()), 8u);
+  EXPECT_EQ(publish_indexed(pool, planner::Roadmap(), e->space()), 8u);
   EXPECT_EQ(pool.live_slots(), service::SnapshotPool::kSlots);
   for (std::size_t i = 0; i < pins.size(); ++i) {
     EXPECT_EQ(pins[i]->epoch, i + 1);
@@ -200,8 +210,8 @@ TEST(SnapshotPool, DestructorReclaimsEverything) {
   const std::uint64_t live_before = service::RoadmapSnapshot::live_count();
   {
     service::SnapshotPool pool;
-    pool.publish(small_maze_roadmap(), e->space());
-    pool.publish(small_maze_roadmap(), e->space());
+    publish_indexed(pool, small_maze_roadmap(), e->space());
+    publish_indexed(pool, small_maze_roadmap(), e->space());
   }
   EXPECT_EQ(service::RoadmapSnapshot::live_count(), live_before);
 }
@@ -214,7 +224,7 @@ TEST(SnapshotPool, AcquireReleaseRaceWithPublishChurn) {
   const auto e = env::maze_2d();
   const auto base = small_maze_roadmap(200, 3);
   service::SnapshotPool pool;
-  pool.publish(planner::Roadmap(base), e->space());
+  publish_indexed(pool, planner::Roadmap(base), e->space());
 
   constexpr int kReaders = 4;
   constexpr int kPublishes = 40;
@@ -243,7 +253,7 @@ TEST(SnapshotPool, AcquireReleaseRaceWithPublishChurn) {
     for (std::uint64_t v = 0; v < static_cast<std::uint64_t>((p + 1) % 5);
          ++v)
       g.add_vertex({e->space().sample(rng), 0});
-    pool.publish(std::move(g), e->space());
+    publish_indexed(pool, std::move(g), e->space());
   }
   // Let readers overlap the final epoch before stopping.
   while (reads.load(std::memory_order_relaxed) < 100) std::this_thread::yield();
@@ -258,6 +268,29 @@ TEST(SnapshotPool, AcquireReleaseRaceWithPublishChurn) {
   EXPECT_EQ(pool.reclaimed_total(), static_cast<std::uint64_t>(kPublishes));
 }
 
+TEST(SnapshotPool, PublishRejectsAnIndexThatDoesNotCoverTheRoadmap) {
+  const auto e = env::maze_2d();
+  const planner::Roadmap base = small_maze_roadmap();
+  planner::Roadmap bigger = base;
+  bigger.add_vertex(base.vertex(0));
+  service::SnapshotPool pool;
+  // An index over fewer vertices than the roadmap holds.
+  EXPECT_THROW(pool.publish(planner::Roadmap(bigger),
+                            planner::KdTreeKnn(e->space(), base)),
+               std::invalid_argument);
+  // The right count, but the last vertex sits in the insertion buffer.
+  planner::KdTreeKnn grown(e->space(), base);
+  grown.insert(static_cast<graph::VertexId>(base.num_vertices()),
+               base.vertex(0).cfg);
+  ASSERT_EQ(grown.size(), bigger.num_vertices());
+  EXPECT_THROW(pool.publish(planner::Roadmap(bigger), std::move(grown)),
+               std::invalid_argument);
+  // Nothing was published, and a matching index still publishes epoch 1.
+  EXPECT_EQ(pool.current_epoch(), 0u);
+  EXPECT_EQ(pool.live_slots(), 0u);
+  EXPECT_EQ(publish_indexed(pool, bigger, e->space()), 1u);
+}
+
 TEST(SnapshotPool, DensifyAndPublishIsDeterministic) {
   const auto e = env::maze_2d();
   planner::PrmParams params;
@@ -265,8 +298,8 @@ TEST(SnapshotPool, DensifyAndPublishIsDeterministic) {
   params.resolution = 0.5;
 
   service::SnapshotPool a, b;
-  a.publish(small_maze_roadmap(), e->space());
-  b.publish(small_maze_roadmap(), e->space());
+  publish_indexed(a, small_maze_roadmap(), e->space());
+  publish_indexed(b, small_maze_roadmap(), e->space());
   planner::PlannerStats sa, sb;
   EXPECT_EQ(service::densify_and_publish(a, *e, params, 300, 21, &sa), 2u);
   EXPECT_EQ(service::densify_and_publish(b, *e, params, 300, 21, &sb), 2u);
@@ -291,7 +324,7 @@ struct ServiceFixture : ::testing::Test {
     planner::Prm prm(*e, params);
     prm.build(2500, 17);
     roadmap = prm.roadmap();
-    pool.publish(planner::Roadmap(roadmap), e->space());
+    publish_indexed(pool, planner::Roadmap(roadmap), e->space());
   }
 
   std::vector<service::QueryRequest> make_requests(std::size_t n,
@@ -554,6 +587,42 @@ TEST_F(ServiceFixture, HugeKRequestDoesNotAbortTheWave) {
   if (got[kHuge].status == service::QueryStatus::kSolved) {
     EXPECT_TRUE(planner::path_valid(*e, got[kHuge].path, params.resolution));
   }
+}
+
+TEST_F(ServiceFixture, AnswersDoNotDependOnWaveComposition) {
+  // Every query runs its k-NN, attachments and A* in its own task with its
+  // own k, so the other requests of a wave cannot change its answer; not
+  // even one whose k reaches every roadmap vertex.
+  service::QueryEngineConfig cfg;
+  cfg.workers = 2;
+  cfg.resolution = params.resolution;
+  runtime::MetricsRegistry metrics;
+  cfg.metrics = &metrics;
+  service::QueryEngine engine(*e, pool, cfg);
+
+  auto reqs = make_requests(16, 2718);
+  for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].k = 2 + i % 8;
+  std::vector<service::QueryResult> alone;
+  for (const auto& q : reqs)
+    alone.push_back(std::move(engine.run_batch({&q, 1}).front()));
+
+  constexpr std::size_t kHugeAt = 7;
+  auto mixed = reqs;
+  service::QueryRequest huge = reqs[3];
+  huge.k = std::size_t{1} << 40;
+  mixed.insert(mixed.begin() + kHugeAt, huge);
+  const auto got = engine.run_batch(mixed);
+  ASSERT_EQ(got.size(), reqs.size() + 1);
+
+  std::size_t solved = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const service::QueryResult& r = got[i < kHugeAt ? i : i + 1];
+    EXPECT_EQ(r.status, alone[i].status) << i;
+    EXPECT_EQ(r.length, alone[i].length) << i;
+    EXPECT_TRUE(same_path(r.path, alone[i].path)) << i;
+    solved += alone[i].status == service::QueryStatus::kSolved;
+  }
+  EXPECT_GT(solved, reqs.size() / 2);
 }
 
 TEST_F(ServiceFixture, MetricsPublishUnderDeterministicKeys) {

@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
   planner::Prm prm(*e, params);
   prm.build(attempts, seed);
   service::SnapshotPool pool;
-  pool.publish(prm.roadmap(), e->space());
+  planner::KdTreeKnn knn(e->space(), prm.roadmap());
+  pool.publish(prm.roadmap(), std::move(knn));
   std::printf("pland: %s epoch 1 published — %zu vertices, %zu edges "
               "(built in %.2fs)\n",
               env_name.c_str(), prm.roadmap().num_vertices(),
@@ -183,7 +184,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(pool.live_slots()));
 
   // Where the wave time went, from the engine's per-wave stage histograms
-  // (every wave observes all four).
+  // (every wave observes all four): admission is the caller's wall time,
+  // the other three are summed over the queries on every worker.
   const char* const stages[] = {"admit", "knn", "edges", "astar"};
   double stage_us[4];
   double total_us = 0.0;
@@ -195,7 +197,8 @@ int main(int argc, char** argv) {
     total_us += h.sum();
     waves = h.count();
   }
-  std::printf("stages, mean us per wave over %llu waves:",
+  std::printf("stages, worker us per wave over %llu waves (admit on the "
+              "caller):",
               static_cast<unsigned long long>(waves));
   for (int i = 0; i < 4; ++i)
     std::printf(" %s %.0f", stages[i],
