@@ -4,6 +4,12 @@
 // oversubscribed points on small machines). Gate: the per-worker counters
 // advance monotonically and count exactly the tasks submitted.
 //
+// Wave rows: the query engine's wave shape, a parallel_for of 16 items of
+// 25 µs (chunk 1) called from a thread outside the pool, at 1/2/4 workers.
+// Each reports the p50/p90 of the wave's wall time and of its overhead
+// over the pool's ideal, ceil(16 / workers) * 25 µs. A caller that claims
+// items itself can beat that ideal, so the overhead can read negative.
+//
 // Emits a machine-readable BENCH_scheduler.json (path overridable as
 // argv[1]) so the perf trajectory of the runtime can be tracked across
 // PRs, and prints a human-readable table.
@@ -11,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +57,41 @@ double time_scheduler(pmpl::runtime::Scheduler& sched, std::size_t tasks,
     sched.submit([grain_us] { spin_us(grain_us); }, &group);
   sched.wait(group);
   return t.elapsed_s();
+}
+
+struct WaveRow {
+  std::size_t threads = 0;
+  std::size_t waves = 0;
+  double ideal_us = 0.0;
+  double p50_us = 0.0;
+  double p90_us = 0.0;
+};
+
+constexpr std::size_t kWaveTasks = 16;
+constexpr double kWaveGrainUs = 25.0;
+
+/// Wall-time quantiles of `waves` engine-shaped waves from this (external)
+/// thread, after a warm-up.
+WaveRow time_waves(std::size_t threads, std::size_t waves) {
+  pmpl::runtime::Scheduler sched(threads);
+  const std::function<void(std::size_t)> item = [](std::size_t) {
+    spin_us(kWaveGrainUs);
+  };
+  for (int i = 0; i < 50; ++i)
+    pmpl::runtime::parallel_for(sched, kWaveTasks, item, 1);
+  std::vector<double> wall_us(waves);
+  for (double& w : wall_us) {
+    pmpl::WallTimer t;
+    pmpl::runtime::parallel_for(sched, kWaveTasks, item, 1);
+    w = t.elapsed_s() * 1e6;
+  }
+  std::sort(wall_us.begin(), wall_us.end());
+  const auto at = [&](double q) {
+    return wall_us[static_cast<std::size_t>(q * static_cast<double>(waves - 1))];
+  };
+  const std::size_t rounds = (kWaveTasks + threads - 1) / threads;
+  return {threads, waves, static_cast<double>(rounds) * kWaveGrainUs,
+          at(0.5), at(0.9)};
 }
 
 /// Scheduler counters summed across workers.
@@ -139,6 +181,19 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::printf("\n# waves: %zu items of %.0f us, chunk 1, external caller\n",
+              kWaveTasks, kWaveGrainUs);
+  std::printf("%8s %8s %10s %10s %10s %14s %14s\n", "threads", "waves",
+              "ideal_us", "p50_us", "p90_us", "p50_over_us", "p90_over_us");
+  std::vector<WaveRow> wave_rows;
+  for (const std::size_t p : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const WaveRow w = time_waves(p, 2000);
+    std::printf("%8zu %8zu %10.1f %10.1f %10.1f %14.1f %14.1f\n", w.threads,
+                w.waves, w.ideal_us, w.p50_us, w.p90_us, w.p50_us - w.ideal_us,
+                w.p90_us - w.ideal_us);
+    wave_rows.push_back(w);
+  }
+
   std::fprintf(f, "{\n  \"bench\": \"scheduler_substrate\",\n");
   std::fprintf(f, "  \"hardware_threads\": %u,\n  \"results\": [\n", hw);
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -150,6 +205,18 @@ int main(int argc, char** argv) {
                  r.grain_us, r.threads, r.tasks, r.wall_s, r.tasks_per_s,
                  static_cast<unsigned long long>(r.steal_failures), r.park_s,
                  i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"waves\": [\n");
+  for (std::size_t i = 0; i < wave_rows.size(); ++i) {
+    const WaveRow& w = wave_rows[i];
+    std::fprintf(f,
+                 "    {\"threads\": %zu, \"tasks\": %zu, \"grain_us\": %.0f, "
+                 "\"waves\": %zu, \"ideal_us\": %.1f, \"p50_us\": %.1f, "
+                 "\"p90_us\": %.1f, \"p50_overhead_us\": %.1f, "
+                 "\"p90_overhead_us\": %.1f}%s\n",
+                 w.threads, kWaveTasks, kWaveGrainUs, w.waves, w.ideal_us,
+                 w.p50_us, w.p90_us, w.p50_us - w.ideal_us,
+                 w.p90_us - w.ideal_us, i + 1 < wave_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"metrics\": %s\n}\n", metrics.to_json().c_str());
   std::fclose(f);

@@ -1,6 +1,7 @@
 #include "runtime/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -45,6 +46,69 @@ constexpr int kYieldIters = 16;   ///< yields before parking
 constexpr std::size_t kStealBatchMax = 16;  ///< cap on extra tasks per steal
 
 }  // namespace
+
+/// One parallel_for call. The caller and its runners claim `chunk` indices
+/// at a time from `next`. A runner counts itself in `in_flight` before its
+/// first claim and out after its last item; the caller returns once the
+/// cursor is spent and `in_flight` reads 0. All of these are seq_cst, so a
+/// runner that claimed an index before the cursor ran out is always seen
+/// in flight. `fn` and `cancel` are the caller's, so they are touched only
+/// after a successful claim; a runner that starts after the caller has
+/// returned finds the cursor spent and touches nothing but this record,
+/// which the caller and every queued runner own one reference each.
+struct Scheduler::Wave {
+  Wave(std::size_t items, std::size_t chunk_size,
+       const std::function<void(std::size_t)>& body, const CancelToken& token,
+       std::int64_t owners)
+      : n(items), chunk(chunk_size), fn(&body), cancel(&token), refs(owners) {
+    runner.wave = this;
+  }
+
+  /// Claim and run chunks until the cursor is spent (true) or the token
+  /// fires (false). An item's exception is latched, the first one wins,
+  /// and the rest of its chunk is skipped, as a task's would be.
+  bool drain() noexcept {
+    std::size_t ran = 0;
+    bool stopped = false;
+    for (;;) {
+      const std::size_t lo = next.fetch_add(chunk, std::memory_order_seq_cst);
+      if (lo >= n) break;
+      const std::size_t hi = std::min(n, lo + chunk);
+      try {
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (cancel->stop_requested()) {
+            stopped = true;
+            break;
+          }
+          ++ran;
+          (*fn)(i);
+        }
+      } catch (...) {
+        if (!failed.exchange(true, std::memory_order_acq_rel))
+          error = std::current_exception();
+      }
+      if (stopped) break;
+    }
+    done.fetch_add(ran, std::memory_order_relaxed);
+    return !stopped;
+  }
+
+  void release() noexcept {
+    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+  }
+
+  const std::size_t n;
+  const std::size_t chunk;
+  const std::function<void(std::size_t)>* const fn;
+  const CancelToken* const cancel;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::int64_t> in_flight{0};
+  std::atomic<std::size_t> done{0};  ///< items started
+  std::atomic<std::int64_t> refs;
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  ///< written by the claimer that set `failed`
+  Task runner;
+};
 
 Scheduler::Scheduler(std::size_t threads, SchedulerOptions options)
     : options_(options) {
@@ -92,6 +156,36 @@ void Scheduler::enqueue_to(std::uint32_t w, Task* task) {
   wake_all();
 }
 
+void Scheduler::wake_waiters() {
+  if (waiters_.load(std::memory_order_seq_cst) > 0) {
+    std::lock_guard lock(park_mutex_);
+    park_cv_.notify_all();
+  }
+}
+
+void Scheduler::enqueue_runners(Task* runner, std::size_t count) {
+  const int self = current_worker();
+  if (self >= 0) {
+    Worker& own = *workers_[static_cast<std::size_t>(self)];
+    for (std::size_t i = 0; i < count; ++i) own.deque.push(runner);
+  } else {
+    assert(count <= size());
+    const std::uint32_t first = next_inbox_.fetch_add(
+        static_cast<std::uint32_t>(count), std::memory_order_relaxed);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      Worker& target =
+          *workers_[(first + i) % static_cast<std::uint32_t>(size())];
+      std::lock_guard lock(target.inbox_mutex);
+      target.inbox.push_back(runner);
+      target.inbox_size.store(static_cast<std::int64_t>(target.inbox.size()),
+                              std::memory_order_seq_cst);
+    }
+  }
+  pending_.fetch_add(static_cast<std::int64_t>(count),
+                     std::memory_order_seq_cst);
+  wake_all();
+}
+
 void Scheduler::submit(std::function<void()> fn, TaskGroup* group) {
   if (group) group->outstanding_.fetch_add(1, std::memory_order_seq_cst);
   Task* task = new Task{std::move(fn), group};
@@ -123,18 +217,20 @@ void Scheduler::submit_to(std::uint32_t worker, std::function<void()> fn,
 }
 
 void Scheduler::run_task(Task* task, Worker* self) {
-  TaskGroup* group = task->group;
   TraceBuffer* const trace = self ? self->trace : nullptr;
-  // A cancelled group's queued tasks are dropped, not executed: cancelled
-  // waves drain at pointer speed, which bounds the overrun of a deadline.
-  if (group && group->cancel_ && group->cancel_->stop_requested()) {
-    if (trace) trace->instant_at("task_cancelled", options_.tracer->now_s());
-    group->skipped_.fetch_add(1, std::memory_order_acq_rel);
-    delete task;
-    if (group->outstanding_.fetch_sub(1, std::memory_order_seq_cst) == 1)
-      wake_all();
+  if (Wave* wave = task->wave) {
+    if (trace) trace->begin_at("task", options_.tracer->now_s());
+    wave->in_flight.fetch_add(1, std::memory_order_seq_cst);
+    wave->drain();
+    // The caller may be parked on in_flight; only scheduler members and
+    // the record (still owned through this runner's reference) are touched.
+    if (wave->in_flight.fetch_sub(1, std::memory_order_seq_cst) == 1)
+      wake_waiters();
+    wave->release();
+    if (trace) trace->end_at("task", options_.tracer->now_s());
     return;
   }
+  TaskGroup* group = task->group;
   if (trace) trace->begin_at("task", options_.tracer->now_s());
   try {
     task->fn();
@@ -170,12 +266,10 @@ Scheduler::Task* Scheduler::try_steal(std::uint32_t w, std::uint32_t victim) {
     // (victim-FIFO) order.
     const std::size_t want = std::min<std::size_t>(
         v.deque.size_approx() / 2, kStealBatchMax);
-    std::vector<Task*> extras;
-    extras.reserve(want);
-    Task* t = nullptr;
-    while (extras.size() < want && v.deque.steal(t)) extras.push_back(t);
-    for (auto it = extras.rbegin(); it != extras.rend(); ++it)
-      self.deque.push(*it);
+    std::array<Task*, kStealBatchMax> extras;
+    std::size_t got = 0;
+    while (got < want && v.deque.steal(extras[got])) ++got;
+    while (got > 0) self.deque.push(extras[--got]);
     return first;
   }
   if (v.inbox_size.load(std::memory_order_seq_cst) > 0) {
@@ -206,7 +300,7 @@ Scheduler::Task* Scheduler::find_task(std::uint32_t w,
   // 2. Own inbox: bulk-drain into the deque (reversed, so LIFO pops run
   // the tasks in arrival order), then pop.
   if (self.inbox_size.load(std::memory_order_seq_cst) > 0) {
-    std::vector<Task*> drained;
+    std::vector<Task*>& drained = self.drained;
     {
       std::lock_guard lock(self.inbox_mutex);
       drained.assign(self.inbox.begin(), self.inbox.end());
@@ -328,8 +422,17 @@ void Scheduler::report_stall(std::int64_t outstanding) {
 }
 
 void Scheduler::wait(TaskGroup& group) {
+  await(group.outstanding_);
+  if (group.has_error())
+    if (auto e = group.take_error()) std::rethrow_exception(e);
+}
+
+void Scheduler::await(const std::atomic<std::int64_t>& remaining) {
   const bool watch = options_.watchdog_s > 0.0;
   const int self = current_worker();
+  const auto finished = [&] {
+    return remaining.load(std::memory_order_seq_cst) == 0;
+  };
   if (self >= 0) {
     // Called from one of our own workers: help execute instead of blocking
     // so that recursive submission (nested parallel_for) cannot deadlock.
@@ -339,8 +442,8 @@ void Scheduler::wait(TaskGroup& group) {
     int idle = 0;
     auto last_progress = std::chrono::steady_clock::now();
     std::int64_t last_outstanding =
-        group.outstanding_.load(std::memory_order_seq_cst);
-    while (!group.finished()) {
+        remaining.load(std::memory_order_seq_cst);
+    while (!finished()) {
       Task* task = find_task(w, rng_state);
       if (task) {
         run_task(task, workers_[w].get());
@@ -348,7 +451,7 @@ void Scheduler::wait(TaskGroup& group) {
         if (watch) last_progress = std::chrono::steady_clock::now();
         continue;
       }
-      // The group's remaining tasks are running on other workers.
+      // What remains is running on other workers.
       if (++idle <= kSpinIters)
         cpu_relax();
       else
@@ -356,7 +459,7 @@ void Scheduler::wait(TaskGroup& group) {
       if (watch && idle > kSpinIters) {
         const auto now = std::chrono::steady_clock::now();
         const std::int64_t outstanding =
-            group.outstanding_.load(std::memory_order_seq_cst);
+            remaining.load(std::memory_order_seq_cst);
         if (outstanding != last_outstanding) {
           last_outstanding = outstanding;
           last_progress = now;
@@ -367,19 +470,18 @@ void Scheduler::wait(TaskGroup& group) {
         }
       }
     }
-  } else if (!group.finished()) {
+  } else if (!finished()) {
     std::unique_lock lock(park_mutex_);
     waiters_.fetch_add(1, std::memory_order_seq_cst);
-    const auto done = [&] { return group.finished(); };
     if (!watch) {
-      park_cv_.wait(lock, done);
+      park_cv_.wait(lock, finished);
     } else {
       const auto interval = std::chrono::duration<double>(options_.watchdog_s);
       std::int64_t last_outstanding =
-          group.outstanding_.load(std::memory_order_seq_cst);
-      while (!park_cv_.wait_for(lock, interval, done)) {
+          remaining.load(std::memory_order_seq_cst);
+      while (!park_cv_.wait_for(lock, interval, finished)) {
         const std::int64_t outstanding =
-            group.outstanding_.load(std::memory_order_seq_cst);
+            remaining.load(std::memory_order_seq_cst);
         if (outstanding == last_outstanding) {
           lock.unlock();  // never call user code under the park mutex
           report_stall(outstanding);
@@ -390,8 +492,6 @@ void Scheduler::wait(TaskGroup& group) {
     }
     waiters_.fetch_sub(1, std::memory_order_seq_cst);
   }
-  if (group.has_error())
-    if (auto e = group.take_error()) std::rethrow_exception(e);
 }
 
 std::exception_ptr Scheduler::take_orphan_error() {
@@ -415,42 +515,56 @@ std::vector<WorkerCounters> Scheduler::counters() const {
   return out;
 }
 
+bool Scheduler::run_wave(std::size_t n,
+                         const std::function<void(std::size_t)>& fn,
+                         const CancelToken& cancel, std::size_t chunk) {
+  if (n == 0) return true;
+  chunk = chunk == 0 ? std::max<std::size_t>(1, n / (size() * 8))
+                     : std::min(chunk, n);
+  // One runner per other thread that can claim, and never more runners
+  // than chunks beyond the one the caller takes.
+  const bool external = current_worker() < 0;
+  const std::size_t runners =
+      std::min(external ? size() : size() - 1, (n - 1) / chunk);
+  Wave* wave = new Wave(n, chunk, fn, cancel,
+                        static_cast<std::int64_t>(runners) + 1);
+  if (runners > 0) enqueue_runners(&wave->runner, runners);
+  // A fired token leaves the cursor unspent: close it, so no runner claims
+  // an index (and touches `fn`) once the caller stops waiting.
+  if (!wave->drain()) wave->next.store(n, std::memory_order_seq_cst);
+  if (external) {
+    // The last items usually finish within microseconds of the caller's
+    // own: spin, then yield, before paying for a park and a wake.
+    for (int idle = 0; idle < kSpinIters + kYieldIters &&
+                       wave->in_flight.load(std::memory_order_seq_cst) != 0;
+         ++idle) {
+      if (idle < kSpinIters)
+        cpu_relax();
+      else
+        std::this_thread::yield();
+    }
+  }
+  await(wave->in_flight);
+  const bool complete = wave->done.load(std::memory_order_relaxed) == n;
+  std::exception_ptr error =
+      wave->failed.load(std::memory_order_acquire) ? std::move(wave->error)
+                                                   : nullptr;
+  wave->release();
+  if (error) std::rethrow_exception(error);
+  return complete;
+}
+
 void parallel_for(Scheduler& sched, std::size_t n,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t chunk) {
-  if (n == 0) return;
-  if (chunk == 0) chunk = std::max<std::size_t>(1, n / (sched.size() * 8));
-  TaskGroup group;
-  for (std::size_t lo = 0; lo < n; lo += chunk) {
-    const std::size_t hi = std::min(n, lo + chunk);
-    sched.submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    }, &group);
-  }
-  sched.wait(group);
+  const CancelToken never;
+  parallel_for_cancellable(sched, n, fn, never, chunk);
 }
 
 bool parallel_for_cancellable(Scheduler& sched, std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               const CancelToken& cancel, std::size_t chunk) {
-  if (n == 0) return true;
-  if (chunk == 0) chunk = std::max<std::size_t>(1, n / (sched.size() * 8));
-  TaskGroup group(&cancel);
-  std::atomic<bool> cut_short{false};
-  for (std::size_t lo = 0; lo < n; lo += chunk) {
-    const std::size_t hi = std::min(n, lo + chunk);
-    sched.submit([lo, hi, &fn, &cancel, &cut_short] {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (cancel.stop_requested()) {
-          cut_short.store(true, std::memory_order_release);
-          return;
-        }
-        fn(i);
-      }
-    }, &group);
-  }
-  sched.wait(group);
-  return group.skipped() == 0 && !cut_short.load(std::memory_order_acquire);
+  return sched.run_wave(n, fn, cancel, chunk);
 }
 
 }  // namespace pmpl::runtime

@@ -16,6 +16,12 @@
 /// per worker. Quiescence is per-TaskGroup: every submission may carry a
 /// completion token, so independent waves of work on one scheduler wait
 /// only for their own tasks (unlike the old ThreadPool::wait_idle()).
+///
+/// parallel_for is not a task per chunk: a call is one wave record with a
+/// shared index cursor. It queues at most one runner task per worker in
+/// one batch (one inbox lock per target, one wake), and the caller claims
+/// chunks from the cursor beside the runners, then waits only for chunks
+/// still in flight.
 
 #include <atomic>
 #include <condition_variable>
@@ -51,29 +57,16 @@ struct WorkerCounters {
 ///
 /// A tracked task that throws does not take the process down: the first
 /// exception of the wave is captured here and rethrown by Scheduler::wait
-/// (and therefore by parallel_for) at the join point; later exceptions of
-/// the same wave are dropped, matching the usual fork/join convention.
+/// at the join point; later exceptions of the same wave are dropped,
+/// matching the usual fork/join convention.
 class TaskGroup {
  public:
   TaskGroup() = default;
-  /// Cancel-aware group: once `cancel` fires, tasks of this group that are
-  /// still queued are *dropped* (completion-counted but never executed), so
-  /// a cancelled wave drains in O(queued) pointer work instead of running
-  /// every remaining task — the scheduler half of the bounded-overrun
-  /// guarantee. Tasks already running are expected to poll the same token.
-  explicit TaskGroup(const CancelToken* cancel) noexcept : cancel_(cancel) {}
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   bool finished() const noexcept {
     return outstanding_.load(std::memory_order_seq_cst) == 0;
-  }
-
-  const CancelToken* cancel_token() const noexcept { return cancel_; }
-
-  /// Tasks dropped unexecuted because the group's token fired.
-  std::uint64_t skipped() const noexcept {
-    return skipped_.load(std::memory_order_acquire);
   }
 
   /// True when some tracked task threw and wait() has not yet rethrown it.
@@ -100,8 +93,6 @@ class TaskGroup {
 
   std::atomic<std::int64_t> outstanding_{0};
   std::atomic<bool> has_error_{false};
-  const CancelToken* cancel_ = nullptr;
-  std::atomic<std::uint64_t> skipped_{0};
   std::mutex error_mutex_;
   std::exception_ptr error_;
 };
@@ -118,9 +109,8 @@ struct SchedulerOptions {
   std::function<void(std::int64_t)> on_watchdog;
   /// Tracing sink; nullptr (the default) disables tracing entirely — no
   /// events, no extra work, no behavioral change. When set, each worker
-  /// records task spans, steal instants (arg = victim), cancel-drop
-  /// instants and park spans on its own wall-time thread track. Must
-  /// outlive the scheduler.
+  /// records task spans, steal instants (arg = victim) and park spans on
+  /// its own wall-time thread track. Must outlive the scheduler.
   Tracer* tracer = nullptr;
 };
 
@@ -170,9 +160,19 @@ class Scheduler {
   std::vector<WorkerCounters> counters() const;
 
  private:
+  friend bool parallel_for_cancellable(
+      Scheduler& sched, std::size_t n,
+      const std::function<void(std::size_t)>& fn, const CancelToken& cancel,
+      std::size_t chunk);
+
+  struct Wave;
+
   struct Task {
     std::function<void()> fn;
-    TaskGroup* group;
+    TaskGroup* group = nullptr;
+    /// Set on a wave's runner, which lives inside its Wave and is queued
+    /// once per runner; `fn` and `group` are then unused.
+    Wave* wave = nullptr;
   };
 
   struct Worker {
@@ -180,6 +180,7 @@ class Scheduler {
     std::mutex inbox_mutex;
     std::deque<Task*> inbox;
     std::atomic<std::int64_t> inbox_size{0};
+    std::vector<Task*> drained;  ///< owner-only inbox drain buffer, reused
     // Counters: written by the owning worker only; atomics so that
     // counters() snapshots are race-free while workers run.
     std::atomic<std::uint64_t> executed_local{0};
@@ -193,10 +194,21 @@ class Scheduler {
 
   void worker_loop(std::uint32_t w);
   void enqueue_to(std::uint32_t w, Task* task);
+  /// Queue `runner` `count` times: on the calling worker's deque, or one
+  /// copy per worker inbox (count <= size()); one pending_ update and one
+  /// wake for the batch.
+  void enqueue_runners(Task* runner, std::size_t count);
   void run_task(Task* task, Worker* self_or_null);
+  /// The body of parallel_for_cancellable.
+  bool run_wave(std::size_t n, const std::function<void(std::size_t)>& fn,
+                const CancelToken& cancel, std::size_t chunk);
+  /// Block until `remaining` reads 0: a worker helps run tasks meanwhile,
+  /// another thread parks (both under the watchdog).
+  void await(const std::atomic<std::int64_t>& remaining);
   Task* find_task(std::uint32_t w, std::uint64_t& rng_state);
   Task* try_steal(std::uint32_t w, std::uint32_t victim);
   void wake_all();
+  void wake_waiters();
   void report_stall(std::int64_t outstanding);
 
   SchedulerOptions options_;
@@ -215,18 +227,22 @@ class Scheduler {
   std::exception_ptr orphan_error_;
 };
 
-/// Run fn(i) for i in [0, n), blocking until done. Waits only on this
-/// call's own tasks (per-call TaskGroup), so concurrent parallel_for calls
-/// on one scheduler do not serialize behind each other.
+/// Run fn(i) for i in [0, n), blocking until done: the caller and at most
+/// one runner task per worker claim `chunk` indices at a time (0: about
+/// n / (8 * size())) from one shared cursor. Waits only for this call's own
+/// items, so concurrent parallel_for calls on one scheduler do not
+/// serialize behind each other, and a call from a worker helps run other
+/// tasks while it waits, so nested calls cannot deadlock. The first
+/// exception an item throws is rethrown here once every claimed item has
+/// finished; the other items still run.
 void parallel_for(Scheduler& sched, std::size_t n,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t chunk = 0);
 
-/// Cancel-aware parallel_for: batches poll `cancel` between items, and
-/// batches still queued when it fires are dropped by the scheduler.
-/// Returns true iff every index ran; false means the loop was cut short
-/// (some tail of the index space never executed). Overrun past the stop
-/// signal is bounded by one item plus one task dispatch.
+/// Cancel-aware parallel_for: every claimer polls `cancel` before each
+/// item and stops claiming once it fires. Returns true iff every index
+/// ran; false means the loop was cut short. Overrun past the stop signal
+/// is at most one item per claimer.
 bool parallel_for_cancellable(Scheduler& sched, std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               const CancelToken& cancel,

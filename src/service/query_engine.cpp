@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <thread>
 
 #include "cspace/local_planner.hpp"
@@ -57,7 +58,7 @@ LatencyQuantiles summarize_latency(const runtime::Histogram& h) noexcept {
 
 /// Per-query admission state, written by the caller before the fan-out.
 struct QueryEngine::PreparedQuery {
-  std::unique_ptr<runtime::CancelToken> token;
+  std::optional<runtime::CancelToken> token;  ///< emplaced at admission
   std::uint64_t id = 0;
   std::uint32_t corr = 0;
 };
@@ -305,7 +306,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
   for (std::size_t i = 0; i < n; ++i) {
     const QueryRequest& q = queries[i];
     PreparedQuery& p = prep[i];
-    p.token = std::make_unique<runtime::CancelToken>(q.deadline);
+    p.token.emplace(q.deadline);
     p.corr = runtime::trace_corr(63, static_cast<std::uint32_t>(epoch),
                                  p.id);
     results[i].epoch = epoch;
@@ -329,10 +330,10 @@ std::vector<QueryResult> QueryEngine::run_batch(
   }
   m.stage_admit.observe((now_s() - t0) * 1e6);
 
-  // One task per admitted query: k-NN, edges and A* run end to end on
-  // whichever worker takes it, in that worker's reusable state. Each task
-  // writes only its own result slot, so any interleaving gives the same
-  // results.
+  // One wave item per admitted query: k-NN, edges and A* run end to end
+  // on whichever thread claims it, a worker or this caller (state slot 0),
+  // in that thread's reusable state. Each item writes only its own result
+  // slot, so any interleaving gives the same results.
   for (auto& w : workers_) w->knn_s = w->edges_s = w->astar_s = 0.0;
   const runtime::CancelToken wave;  // engine-level; per-query tokens gate
   runtime::parallel_for_cancellable(

@@ -4,25 +4,26 @@
 ///
 /// The engine answers waves of start/goal queries against one pinned
 /// roadmap snapshot (service/snapshot.hpp). The caller admits the wave:
-/// query ids, deadline tokens, trace flows and endpoint validity. Each
-/// admitted query then becomes one task on the scheduler
-/// (parallel_for_cancellable), which work stealing balances across the
-/// workers. The task runs the query end to end:
+/// query ids, deadline tokens, trace flows and endpoint validity. The
+/// admitted queries then form one parallel_for_cancellable wave: the
+/// scheduler's workers and the calling thread itself claim queries one at
+/// a time from the wave's shared cursor, so the caller answers queries
+/// instead of parking. Whoever claims a query runs it end to end:
 ///
 ///  - k-NN: the query's own k nearest vertices of each endpoint, from the
 ///    snapshot's kd-tree, which the publisher built once for the epoch
 ///    (query_roadmap builds one per call, the dominant per-query cost on
-///    large roadmaps); every worker reads it through its own KnnScratch;
+///    large roadmaps); every thread reads it through its own KnnScratch;
 ///  - edges: the direct start->goal shot, then the start and then the goal
-///    attachments, through the worker's EdgeBatchPlanner window, which
+///    attachments, through the thread's EdgeBatchPlanner window, which
 ///    keeps the wide validity lanes full within the query; a successful
 ///    direct shot answers the query there;
 ///  - A*: guided by the snapshot's landmark table (built once per epoch by
-///    the publisher), in the worker's search scratch, which is never reset
+///    the publisher), in the thread's search scratch, which is never reset
 ///    wholesale.
 ///
-/// Every piece of per-query state is the worker's, reused from query to
-/// query, so a wave allocates little beyond its results.
+/// Every piece of per-query state is the claiming thread's, reused from
+/// query to query, so a wave allocates little beyond its results.
 ///
 /// The roadmap is only read (overlay attach, planner/query.hpp), so any
 /// number of in-flight queries share one snapshot without synchronization.
@@ -36,7 +37,7 @@
 ///
 /// Determinism: a query's answer depends only on the snapshot and on the
 /// request itself (its own k, its own edge window), never on the rest of
-/// the wave or on which worker ran it, and each task writes only its own
+/// the wave or on which thread ran it, and each query writes only its own
 /// result slot. With deadlines off, the same snapshot and the same
 /// requests give bit-identical answers for any worker count, interleaving
 /// or wave composition.
@@ -92,14 +93,15 @@ struct QueryEngineConfig {
   ///   histograms service/latency_us (per query),
   ///              service/stage_us/{admit,knn,edges,astar} (one sample per
   ///              wave; log2 buckets): admit is the caller's wall time,
-  ///              knn/edges/astar the wave's summed per-query worker time
+  ///              knn/edges/astar the wave's per-query time summed over
+  ///              the threads that ran it
   ///   gauges     service/epoch (snapshot answered against)
   runtime::MetricsRegistry* metrics = nullptr;
   /// Tracing sink; nullptr disables. Each query emits an admission instant
   /// + flow arrow (category "query", correlation id from the query id) on
   /// the admitting thread, and a matching flow end + "query" span on the
-  /// worker that runs it, with "knn", "edges" and "astar" spans nested in
-  /// it.
+  /// thread that runs it (a worker, or the admitting thread itself), with
+  /// "knn", "edges" and "astar" spans nested in it.
   runtime::Tracer* tracer = nullptr;
 };
 
@@ -155,7 +157,7 @@ class QueryEngine {
 
   runtime::MetricsRegistry& registry() const noexcept;
   void record(QueryResult& r, double start_s);
-  /// One admitted query end to end (k-NN, edges, A*) on the calling worker.
+  /// One admitted query end to end (k-NN, edges, A*) on the claiming thread.
   void answer(const QueryRequest& q, const PreparedQuery& p,
               const RoadmapSnapshot& snap, WorkerState& w, QueryResult& r,
               double start_s);
@@ -164,8 +166,9 @@ class QueryEngine {
   SnapshotPool* pool_;
   QueryEngineConfig cfg_;
   std::unique_ptr<Instruments> metrics_;
-  // Per-query scratch, one per scheduler worker (index current_worker() + 1;
-  // slot 0 serves a task that runs off the pool).
+  // Per-query scratch, one per scheduler worker (index current_worker() + 1)
+  // plus slot 0 for run_batch's calling thread, which claims queries of its
+  // own wave; run_batch is externally serialized, so slot 0 has one user.
   std::vector<std::unique_ptr<WorkerState>> workers_;
   // Declared after what its tasks use, so its threads stop first.
   std::unique_ptr<runtime::Scheduler> sched_;

@@ -2,8 +2,9 @@
 //  - fixed-seed roadmaps are bit-identical to hashes captured from the
 //    pre-overhaul kernels (recursive AoS kd-tree, sequential local planner,
 //    std::function BVH traversal) — the overhaul may only change speed;
-//  - nearest() and plan() perform zero heap allocations once warm, verified
-//    through a global operator new replacement local to this binary.
+//  - nearest() and plan() perform zero heap allocations once warm, and a
+//    scheduler steal performs none at all, verified through a global
+//    operator new replacement local to this binary.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "core/parallel_build.hpp"
@@ -22,6 +24,7 @@
 #include "planner/knn.hpp"
 #include "planner/prm.hpp"
 #include "planner/rrt.hpp"
+#include "runtime/scheduler.hpp"
 #include "service/snapshot.hpp"
 #include "util/rng.hpp"
 
@@ -115,6 +118,27 @@ TEST(HotPathAllocations, LocalPlanIsAllocationFreeOnceWarm) {
   for (const auto& [a, b] : edges) accepted += lp.plan(a, b, &stats).success;
   const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - before, 0u) << "accepted=" << accepted;
+}
+
+TEST(HotPathAllocations, SchedulerStealIsAllocationFree) {
+  runtime::Scheduler sched(2);
+  constexpr int kTasks = 48;  // fits the deques' initial 64 slots: no grow
+  std::atomic<int> ran{0};
+  std::uint64_t during_steals = ~0ull;
+  runtime::TaskGroup group;
+  // One worker fills its own deque, then spins without running any of it,
+  // so the other worker can only steal (in batches) and run what it stole.
+  sched.submit([&] {
+    for (int i = 0; i < kTasks; ++i) sched.submit([&] { ++ran; }, &group);
+    const std::uint64_t before = allocation_count();
+    while (ran.load() < kTasks) std::this_thread::yield();
+    during_steals = allocation_count() - before;
+  }, &group);
+  sched.wait(group);
+  EXPECT_EQ(during_steals, 0u);
+  std::uint64_t stolen = 0;
+  for (const auto& c : sched.counters()) stolen += c.executed_stolen;
+  EXPECT_GE(stolen, 1u);
 }
 
 // --- golden roadmap hashes ------------------------------------------------

@@ -611,6 +611,159 @@ TEST(Scheduler, ConcurrentParallelForsAreIndependent) {
   EXPECT_TRUE(slow_finished.load());
 }
 
+// --- a wave's shared cursor and the caller that claims items ----------------
+
+/// Keeps one worker of `sched` busy until release(), so an external
+/// parallel_for on a one-worker scheduler runs on its caller alone and its
+/// runner task starts only after release().
+class HeldWorker {
+ public:
+  explicit HeldWorker(Scheduler& sched) : sched_(sched) {
+    sched_.submit([this] {
+      started_.store(true, std::memory_order_release);
+      while (!released_.load(std::memory_order_acquire))
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }, &group_);
+    while (!started_.load(std::memory_order_acquire))
+      std::this_thread::yield();
+  }
+  ~HeldWorker() { release(); }
+  HeldWorker(const HeldWorker&) = delete;
+  HeldWorker& operator=(const HeldWorker&) = delete;
+
+  void release() {
+    released_.store(true, std::memory_order_release);
+    sched_.wait(group_);
+  }
+
+ private:
+  Scheduler& sched_;
+  TaskGroup group_;
+  std::atomic<bool> started_{false};
+  std::atomic<bool> released_{false};
+};
+
+std::uint64_t executed_tasks(const Scheduler& sched) {
+  std::uint64_t n = 0;
+  for (const auto& c : sched.counters())
+    n += c.executed_local + c.executed_stolen;
+  return n;
+}
+
+TEST(Scheduler, ExternalWaveCompletesOnTheCallerAlone) {
+  Scheduler sched(1);
+  HeldWorker held(sched);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  parallel_for(sched, 16, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) ++on_caller;
+  }, /*chunk=*/1);
+  EXPECT_EQ(on_caller.load(), 16);  // returned while the worker is held
+}
+
+// The wave returns before its runner starts; the runner then runs against
+// the spent record. `fn` owns heap memory and dies with its scope, so a
+// runner that called it would be a use-after-free under ASan, and one that
+// touched the record unsynchronized a race under TSan.
+TEST(Scheduler, RunnerThatStartsAfterItsWaveReturnedTouchesNothingOfIt) {
+  Scheduler sched(1);
+  std::atomic<int> ran{0};
+  {
+    HeldWorker held(sched);
+    const std::uint64_t before = executed_tasks(sched);
+    {
+      const std::vector<int> owned(64, 1);
+      const std::function<void(std::size_t)> fn = [&ran, owned](std::size_t) {
+        ran += owned[0];
+      };
+      parallel_for(sched, 16, fn, /*chunk=*/1);
+    }
+    EXPECT_EQ(ran.load(), 16);
+    EXPECT_EQ(executed_tasks(sched), before);  // the runner is still queued
+  }
+  // The held task and the wave's one runner have both run by now, and the
+  // runner ran no item.
+  for (int i = 0; i < 2000 && executed_tasks(sched) < 2; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(executed_tasks(sched), 2u);
+  EXPECT_EQ(ran.load(), 16);
+  parallel_for(sched, 32, [&](std::size_t) { ++ran; }, 1);
+  EXPECT_EQ(ran.load(), 48);
+}
+
+TEST(Scheduler, WaveQueuesAtMostOneRunnerPerWorker) {
+  Scheduler sched(4);
+  std::atomic<int> ran{0};
+  parallel_for(sched, 64, [&](std::size_t) { ++ran; }, /*chunk=*/1);
+  EXPECT_EQ(ran.load(), 64);
+  // Runners may still be finishing after the join; they are tasks, and
+  // there are exactly four of them however the items were shared.
+  for (int i = 0; i < 2000 && executed_tasks(sched) < 4; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(executed_tasks(sched), 4u);
+  // Fewer chunks than workers: one runner per chunk beyond the caller's.
+  parallel_for(sched, 3, [&](std::size_t) { ++ran; }, /*chunk=*/1);
+  for (int i = 0; i < 2000 && executed_tasks(sched) < 6; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(executed_tasks(sched), 6u);
+  EXPECT_EQ(ran.load(), 67);
+}
+
+TEST(Scheduler, CallerItemExceptionIsRethrownAtTheJoinAndTheFirstWins) {
+  Scheduler sched(1);
+  HeldWorker held(sched);
+  std::atomic<int> ran{0};
+  try {
+    parallel_for(sched, 16, [&](std::size_t i) {
+      ++ran;
+      if (i == 3) throw std::runtime_error("item 3");
+      if (i == 7) throw std::logic_error("item 7");
+    }, /*chunk=*/1);
+    FAIL() << "the wave did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "item 3");
+  }
+  EXPECT_EQ(ran.load(), 16);  // the other items still ran
+}
+
+TEST(Scheduler, CancelledWaveReturnsFalseWhileTheCallerClaims) {
+  Scheduler sched(1);
+  HeldWorker held(sched);
+  CancelToken token;
+  std::atomic<int> ran{0};
+  const bool complete = parallel_for_cancellable(
+      sched, 100,
+      [&](std::size_t i) {
+        ++ran;
+        if (i == 10) token.request_cancel();
+      },
+      token, /*chunk=*/1);
+  EXPECT_FALSE(complete);
+  EXPECT_EQ(ran.load(), 11);  // the caller polls before every item
+}
+
+TEST(Scheduler, CancelledWaveOverrunsAtMostOneItemPerClaimer) {
+  Scheduler sched(4);
+  CancelToken token;
+  std::atomic<int> after_cancel{0};
+  std::atomic<bool> cancelled{false};
+  const bool complete = parallel_for_cancellable(
+      sched, 100000,
+      [&](std::size_t i) {
+        if (cancelled.load()) ++after_cancel;
+        if (i == 200) {
+          token.request_cancel();
+          cancelled.store(true);
+        }
+      },
+      token, /*chunk=*/1);
+  EXPECT_FALSE(complete);
+  // An item that sees `cancelled` polled the token before it fired, and
+  // its claimer polls again, sees the token and stops: one such item at
+  // most for each of the caller and the four runners.
+  EXPECT_LE(after_cancel.load(), 5);
+}
+
 // --- work units --------------------------------------------------------------
 
 TEST(WorkUnits, SecondsAreLinearInCounts) {

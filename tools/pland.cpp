@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
     total_us += h.sum();
     waves = h.count();
   }
-  std::printf("stages, worker us per wave over %llu waves (admit on the "
+  std::printf("stages, thread us per wave over %llu waves (admit on the "
               "caller):",
               static_cast<unsigned long long>(waves));
   for (int i = 0; i < 4; ++i)
