@@ -44,9 +44,20 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\nCV of nodes/processor: before=%.3f after=%.3f\n",
               before.cv_nodes_before, after.cv_nodes_after);
+  const double speedup =
+      before.phases.node_connection_s / after.phases.node_connection_s;
   std::printf("node-connection phase: before=%.3fs after=%.3fs (%.2fx)\n",
               before.phases.node_connection_s, after.phases.node_connection_s,
-              before.phases.node_connection_s /
-                  after.phases.node_connection_s);
-  return 0;
+              speedup);
+
+  // DESIGN.md §4's Fig 3 shape: uniform subdivision leaves two of four
+  // ranks empty, and repartitioning evens them out.
+  bench::ShapeGate gate;
+  gate.expect(before.nodes_per_proc[2] == 0 && before.nodes_per_proc[3] == 0,
+              "ranks 2-3 hold no nodes before balancing");
+  gate.expect(before.cv_nodes_before >= 0.9, "CV before >= 0.9");
+  gate.expect(after.cv_nodes_after <= 0.15, "CV after <= 0.15");
+  gate.expect(speedup >= 1.5, "node connection >= 1.5x faster after (" +
+                                  bench::ratio_str(speedup) + ")");
+  return gate.exit_code();
 }

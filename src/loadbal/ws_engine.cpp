@@ -32,7 +32,9 @@ class DesDriver final : public WsLink {
             std::span<const std::uint32_t> initial, std::uint32_t p,
             const WsConfig& config)
       : items_(items), p_(p), config_(config), inject_(config.faults),
-        timers_(WsTimers::virtual_time(config.cluster, config.faults, p)) {
+        timers_(WsTimers::virtual_time(config.cluster, config.faults, p)),
+        sim_({config.cluster.local_latency_s,
+              config.cluster.remote_latency_s}) {
     rank_cfg_.items = items;
     rank_cfg_.initial = initial;
     rank_cfg_.policy = config.policy;
@@ -175,22 +177,23 @@ class DesDriver final : public WsLink {
     return slot;
   }
 
-  /// Frame parked in `slot`, releasing the slot.
-  Frame unpark(std::uint32_t slot) {
+  /// Refill `inbox_` with the frame parked in `slot`, releasing the slot.
+  /// Swapping item lists keeps both vectors' capacity in use.
+  void unpark(std::uint32_t slot) {
     const Wire& w = wires_[slot];
-    Frame f;
-    f.type = w.type;
-    f.from = w.from;
-    f.to = w.to;
-    f.a = w.a;
-    f.b = w.b;
-    f.c = w.c;
+    inbox_.type = w.type;
+    inbox_.from = w.from;
+    inbox_.to = w.to;
+    inbox_.a = w.a;
+    inbox_.b = w.b;
+    inbox_.c = w.c;
     if (w.parcel != kNoParcel) {
-      f.items.swap(parcels_[w.parcel]);
+      inbox_.items.swap(parcels_[w.parcel]);
       free_parcels_.push_back(w.parcel);
+    } else {
+      inbox_.items.clear();
     }
     free_wires_.push_back(slot);
-    return f;
   }
 
   static std::uint32_t take(std::vector<std::uint32_t>& free,
@@ -208,8 +211,9 @@ class DesDriver final : public WsLink {
   }
 
   void on_delivery(std::uint32_t slot) {
-    const Frame f = unpark(slot);
+    unpark(slot);
     if (terminated_) return;
+    const Frame& f = inbox_;  // on_frame only parks: inbox_ stays put
     if (!alive_[f.to]) {
       // Sent into a crash window: gone with the rank.
       if (f.type == FrameType::kToken) ++result_.faults.tokens_lost;
@@ -304,7 +308,7 @@ class DesDriver final : public WsLink {
   runtime::FaultInjector inject_;
   const WsTimers timers_;
   WsRankConfig rank_cfg_;
-  runtime::EventCalendar<Ev> sim_;
+  runtime::EventCalendar<Ev> sim_;  ///< lanes: the two hop latencies
   WsResult result_;
   runtime::DesTransport net_{config_.cluster, inject_, result_.faults};
   std::vector<WsRank> cores_;
@@ -318,6 +322,7 @@ class DesDriver final : public WsLink {
   std::vector<std::uint32_t> free_wires_;
   std::vector<std::vector<std::uint32_t>> parcels_;  ///< their item lists
   std::vector<std::uint32_t> free_parcels_;
+  Frame inbox_;  ///< the frame being delivered
   bool terminated_ = false;
 };
 
@@ -332,6 +337,24 @@ WsResult simulate_work_stealing(std::span<const WsItem> items,
   if (items.size() != initial.size())
     throw std::invalid_argument(
         "simulate_work_stealing: items and initial differ in size");
+  // A zero would divide in ClusterSpec::node_of on the first send; the
+  // latencies also become the calendar's lane delays.
+  const runtime::ClusterSpec& cluster = config.cluster;
+  if (cluster.cores_per_node == 0)
+    throw std::invalid_argument(
+        "simulate_work_stealing: cluster.cores_per_node must be > 0");
+  if (!std::isfinite(cluster.local_latency_s) || cluster.local_latency_s < 0.0)
+    throw std::invalid_argument(
+        "simulate_work_stealing: cluster.local_latency_s is not finite and "
+        ">= 0");
+  if (!std::isfinite(cluster.remote_latency_s) ||
+      cluster.remote_latency_s < 0.0)
+    throw std::invalid_argument(
+        "simulate_work_stealing: cluster.remote_latency_s is not finite and "
+        ">= 0");
+  if (!(cluster.bandwidth_bps > 0.0))
+    throw std::invalid_argument(
+        "simulate_work_stealing: cluster.bandwidth_bps must be > 0");
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (initial[i] >= p)
       throw std::invalid_argument("simulate_work_stealing: initial[" +

@@ -557,6 +557,37 @@ TEST(WsEngine, RejectsBadServiceTimes) {
   }
 }
 
+TEST(WsEngine, RejectsBadClusterSpec) {
+  const auto items = uniform_items(4, 1e-3);
+  const Assignment initial{0, 1, 0, 1};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [&](auto&& edit, const std::string& field) {
+    WsConfig cfg;
+    edit(cfg.cluster);
+    try {
+      simulate_work_stealing(items, initial, 2, cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects([](auto& c) { c.cores_per_node = 0; }, "cores_per_node");
+  for (const double bad : {nan, inf, -1e-6}) {
+    rejects([&](auto& c) { c.local_latency_s = bad; }, "local_latency_s");
+    rejects([&](auto& c) { c.remote_latency_s = bad; }, "remote_latency_s");
+  }
+  for (const double bad : {nan, 0.0, -1.0})
+    rejects([&](auto& c) { c.bandwidth_bps = bad; }, "bandwidth_bps");
+  // The edges stay legal: zero latency, one core per node.
+  WsConfig cfg;
+  cfg.cluster.local_latency_s = 0.0;
+  cfg.cluster.remote_latency_s = 0.0;
+  cfg.cluster.cores_per_node = 1;
+  EXPECT_TRUE(simulate_work_stealing(items, initial, 2, cfg).terminated);
+}
+
 // --- golden DES replay -----------------------------------------------------
 
 /// Folds everything a replay decides into one FNV-1a hash: the event

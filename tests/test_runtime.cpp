@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -172,6 +173,155 @@ TEST(Des, DrainedRunClearsEventLimitFlag) {
   sim.run([](TestEv, std::uint32_t) {}, 1000);
   EXPECT_FALSE(sim.hit_event_limit());
   EXPECT_TRUE(sim.empty());
+}
+
+// --- DES lanes -----------------------------------------------------------
+
+/// The calendar's contract spelled out naively: pending events in a list,
+/// each run step taking the first one of least time (a stable sort on
+/// (time, insertion)), with the calendar's clamps.
+class ReferenceCalendar {
+ public:
+  double now() const { return now_; }
+  void schedule_at(double t, TestEv kind, std::uint32_t arg) {
+    pending_.push_back({(!(t >= now_) ? now_ : t) + 0.0, kind, arg});
+  }
+  void schedule_in(double delay, TestEv kind, std::uint32_t arg) {
+    schedule_at(now_ + (delay < 0.0 ? 0.0 : delay), kind, arg);
+  }
+  template <typename Handler>
+  void run(Handler&& handle) {
+    while (!pending_.empty()) {
+      const auto first = std::min_element(
+          pending_.begin(), pending_.end(),
+          [](const Pending& a, const Pending& b) { return a.time < b.time; });
+      const Pending ev = *first;
+      pending_.erase(first);
+      now_ = ev.time;
+      handle(ev.kind, ev.arg);
+    }
+  }
+
+ private:
+  struct Pending {
+    double time;
+    TestEv kind;
+    std::uint32_t arg;
+  };
+  std::vector<Pending> pending_;
+  double now_ = 0.0;
+};
+
+constexpr double kLocalHop = 4e-7;   // ClusterSpec::hopper()'s latencies
+constexpr double kRemoteHop = 1.6e-6;
+
+/// A seeded script of ~3000 events from `t0` on: lane delays, delays that
+/// miss a lane by one ulp, exact ties (zero delays, `schedule_at(now)`,
+/// and a heap event at a lane event's time), times in the past, and
+/// events scheduled from the handler. Returns each handled event's
+/// argument and the bits of now() when it ran.
+template <typename Cal>
+std::vector<std::pair<std::uint32_t, std::uint64_t>> run_script(
+    Cal& sim, double t0, std::uint64_t seed) {
+  std::uint64_t x = seed;
+  const auto draw = [&x](std::uint64_t n) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % n;
+  };
+  std::uint32_t next_arg = 0;
+  const auto spawn = [&] {
+    const std::uint32_t arg = next_arg++;
+    switch (draw(9)) {
+      case 0: return sim.schedule_in(kLocalHop, TestEv::kSpawn, arg);
+      case 1: return sim.schedule_in(kRemoteHop, TestEv::kSpawn, arg);
+      case 2:
+        return sim.schedule_in(std::nextafter(kRemoteHop, 1.0),
+                               TestEv::kSpawn, arg);
+      case 3: return sim.schedule_in(0.0, TestEv::kSpawn, arg);
+      case 4: return sim.schedule_at(sim.now(), TestEv::kSpawn, arg);
+      case 5:
+        return sim.schedule_at(sim.now() + kRemoteHop, TestEv::kSpawn, arg);
+      case 6:
+        return sim.schedule_at(sim.now() * 0.5 - 1.0, TestEv::kSpawn, arg);
+      case 7:
+        return sim.schedule_in(1e-7 * static_cast<double>(draw(40)),
+                               TestEv::kSpawn, arg);
+      default: return sim.schedule_in(kLocalHop, TestEv::kSpawn, arg);
+    }
+  };
+  for (int i = 0; i < 8; ++i) sim.schedule_at(t0, TestEv::kSpawn, next_arg++);
+  for (int i = 0; i < 8; ++i) spawn();  // from outside run(), at now = 0
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> seen;
+  sim.run([&](TestEv, std::uint32_t arg) {
+    seen.emplace_back(arg, std::bit_cast<std::uint64_t>(sim.now()));
+    for (auto n = draw(4); n > 0 && next_arg < 3000; --n) spawn();
+  });
+  return seen;
+}
+
+TEST(Des, LanesPopInStableSortOrderAcrossMagnitudes) {
+  // At 1e13 a hop is below half an ulp of now: every lane event ties.
+  for (const double t0 : {0.0, 1e-3, 1.0, 3e4, 1e9, 1e13}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      ReferenceCalendar ref;
+      const auto expected = run_script(ref, t0, seed);
+      ASSERT_GE(expected.size(), 1000u) << t0;
+      Calendar plain;
+      EXPECT_EQ(run_script(plain, t0, seed), expected) << t0 << " " << seed;
+      Calendar laned{kLocalHop, kRemoteHop};
+      EXPECT_EQ(run_script(laned, t0, seed), expected) << t0 << " " << seed;
+      EXPECT_TRUE(laned.empty());
+      EXPECT_EQ(laned.events_processed(), expected.size());
+    }
+  }
+}
+
+TEST(Des, UnmatchedDelaysKeepTheClamps) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Lanes at +0 and 0.5: of the delays below only the +0.0 one takes a
+  // lane (-0 does not bit-equal it); the rest fall through to the heap.
+  Calendar sim{0.0, 0.5};
+  std::vector<std::uint32_t> order;
+  std::vector<double> times;
+  sim.schedule_at(2.0, TestEv::kSpawn, 0);
+  sim.run([&](TestEv kind, std::uint32_t arg) {
+    if (kind == TestEv::kSpawn) {
+      sim.schedule_in(std::nextafter(0.5, 1.0), TestEv::kRecord, 1);
+      sim.schedule_in(nan, TestEv::kRecord, 2);
+      sim.schedule_in(-3.0, TestEv::kRecord, 3);
+      sim.schedule_in(-0.0, TestEv::kRecord, 4);
+      sim.schedule_in(0.0, TestEv::kRecord, 5);  // the lane, ties by seq
+      sim.schedule_in(0.25, TestEv::kRecord, 6);
+      return;
+    }
+    order.push_back(arg);
+    times.push_back(sim.now());
+  });
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 3, 4, 5, 6, 1}));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(times[i], 2.0) << i;
+    EXPECT_FALSE(std::signbit(times[i])) << i;
+  }
+  EXPECT_EQ(times[4], 2.25);
+  EXPECT_EQ(times[5], 2.0 + std::nextafter(0.5, 1.0));
+}
+
+TEST(Des, EventCapStopsWithOnlyLaneEventsPending) {
+  Calendar sim{1.0};
+  sim.schedule_in(1.0, TestEv::kSpawn, 0);
+  const auto n = sim.run(
+      [&](TestEv, std::uint32_t) { sim.schedule_in(1.0, TestEv::kSpawn, 0); },
+      1000);
+  EXPECT_EQ(n, 1000u);
+  EXPECT_TRUE(sim.hit_event_limit());
+  EXPECT_FALSE(sim.empty());
+  EXPECT_DOUBLE_EQ(sim.now(), 1000.0);
+}
+
+TEST(Des, RejectsBadLaneDelays) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1e-9})
+    EXPECT_THROW(Calendar({1.0, bad}), std::invalid_argument) << bad;
 }
 
 // --- topology ------------------------------------------------------------
