@@ -8,8 +8,10 @@
 // component — the quantity that decides whether queries succeed), and
 // sampling cost.
 
+#include <algorithm>
+
 #include "figure_common.hpp"
-#include "graph/components.hpp"
+#include "graph/union_find.hpp"
 #include "planner/prm.hpp"
 
 using namespace pmpl;
@@ -43,12 +45,14 @@ int main(int argc, char** argv) {
     prm.build(attempts, seed);
     const auto& g = prm.roadmap();
 
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    auto cc = graph::components_of(g);
+    std::size_t largest = 0;
     for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-      for (const auto& he : g.edges_of(v))
-        if (he.to > v) edges.emplace_back(v, he.to);
-    const auto labels = graph::component_labels(g.num_vertices(), edges);
-    const auto cc = graph::summarize_components(labels);
+      largest = std::max(largest, cc.component_size(v));
+    const double largest_fraction =
+        g.num_vertices() == 0 ? 0.0
+                              : static_cast<double>(largest) /
+                                    static_cast<double>(g.num_vertices());
 
     table.row()
         .cell(c.name)
@@ -57,7 +61,7 @@ int main(int argc, char** argv) {
                  static_cast<double>(prm.stats().samples_attempted),
              1)
         .num(static_cast<std::uint64_t>(g.num_edges()))
-        .num(100.0 * cc.largest_fraction, 1)
+        .num(100.0 * largest_fraction, 1)
         .num(prm.stats().cd.queries);
   }
   table.print();

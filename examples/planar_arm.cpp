@@ -14,7 +14,6 @@
 
 #include "cspace/validity.hpp"
 #include "env/environment.hpp"
-#include "graph/shortest_path.hpp"
 #include "planner/prm.hpp"
 #include "planner/query.hpp"
 #include "util/args.hpp"
@@ -95,26 +94,27 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Attach endpoints and search (mirrors planner::query_roadmap, which is
-  // tied to the environment's own validity checker).
-  const auto s_id = roadmap.add_vertex({start, 0});
-  const auto g_id = roadmap.add_vertex({goal, 0});
-  for (const auto& [vid, c] : {std::pair{s_id, start}, std::pair{g_id, goal}})
+  // Attach the endpoints with the arm's local planner and search through
+  // the planner's overlay query (planner::query_roadmap would attach with
+  // the environment's own validity checker); the roadmap is not changed.
+  const auto attach = [&](const cspace::Config& c) {
+    std::vector<planner::AttachEdge> edges;
     for (const auto& n : finder.nearest(c, 12, &stats))
       if (const auto r = lp.plan(c, roadmap.vertex(n.id).cfg, &stats.cd);
           r.success)
-        roadmap.add_edge(vid, n.id, {r.length});
-
-  const auto path = graph::dijkstra<planner::RoadmapVertex,
-                                    planner::RoadmapEdge>(
-      roadmap, s_id, g_id,
-      [](const planner::RoadmapEdge& edge) { return edge.length; });
+        edges.push_back({n.id, r.length});
+    return edges;
+  };
+  const auto start_edges = attach(start);
+  const auto goal_edges = attach(goal);
+  const auto path = planner::find_path_with_attachments(
+      e, roadmap, start, goal, start_edges, goal_edges);
   if (!path) {
     std::printf("no joint-space path found — increase --attempts\n");
     return 1;
   }
   std::printf("joint-space path: %zu waypoints, cost %.2f rad\n",
-              path->vertices.size(), path->cost);
+              path->size(), planner::path_length(e, *path));
   const auto tip_start = arm.forward_kinematics(start).back();
   const auto tip_goal = arm.forward_kinematics(goal).back();
   std::printf("end effector moves (%.1f, %.1f) -> (%.1f, %.1f) through the "

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "geometry/intersect.hpp"
+#include "graph/union_find.hpp"
 #include "loadbal/partition.hpp"
 #include "runtime/scheduler.hpp"
 #include "util/state_file.hpp"
@@ -45,13 +46,6 @@ std::uint64_t fp_environment(const env::Environment& e) {
   for (const double v : {b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z})
     h = fp_mix(h, v);
   return h;
-}
-
-graph::UnionFind components_of(const planner::Roadmap& g) {
-  graph::UnionFind cc(g.num_vertices());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-    for (const auto& he : g.edges_of(v)) cc.unite(v, he.to);
-  return cc;
 }
 
 bool save_checkpoint_file(const Checkpoint& c, const std::string& path) {
@@ -273,7 +267,7 @@ RegionBuildResult build_regions_anytime(std::size_t num_regions,
   report.connect_completed =
       connect_ran_to_end && !runtime::stop_requested(cancel);
   report.connected_components =
-      components_of(result.roadmap).num_components();
+      graph::components_of(result.roadmap).num_components();
 
   if (!any.checkpoint_path.empty()) {
     if (!report.complete()) {
@@ -302,7 +296,8 @@ ConnectPhase connect_regions(
     runtime::TraceBuffer* tb =
         tracer ? tracer->thread_track(pipeline.connect_track) : nullptr;
     graph::UnionFind cc;
-    if (rc.params.skip_same_component) cc = components_of(merged.roadmap);
+    if (rc.params.skip_same_component)
+      cc = graph::components_of(merged.roadmap);
 
     // Region `r`'s vertices that take part in connecting it to `other`:
     // the only data fetched remotely when the neighbour lives elsewhere.

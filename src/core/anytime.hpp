@@ -37,7 +37,6 @@
 
 #include "env/environment.hpp"
 #include "geometry/shapes.hpp"
-#include "graph/union_find.hpp"
 #include "loadbal/ws_threaded.hpp"
 #include "planner/prm.hpp"
 #include "planner/roadmap.hpp"
@@ -205,9 +204,6 @@ RegionBuildResult build_regions_anytime(std::size_t num_regions,
                                         const RegionPipeline& pipeline,
                                         const RegionTask& build_region,
                                         const ConnectPhase& connect);
-
-/// The connected components of `g`, as a union-find over its vertices.
-graph::UnionFind components_of(const planner::Roadmap& g);
 
 /// One adjacent pair after its connection attempts.
 struct PairConnection {

@@ -52,6 +52,7 @@ loadbal::Assignment naive_assignment(std::size_t regions,
 PrmRunResult simulate_prm_run(const Workload& w, const PrmRunConfig& config) {
   if (config.procs == 0)
     throw std::invalid_argument("simulate_prm_run: procs must be > 0");
+  config.cluster.validate("simulate_prm_run");
   const std::size_t nr = w.regions.size();
   PrmRunResult out;
 

@@ -79,6 +79,7 @@ RrtRunResult simulate_rrt_run(const Workload& w, const env::Environment& e,
                               const RrtRunConfig& config) {
   if (config.procs == 0)
     throw std::invalid_argument("simulate_rrt_run: procs must be > 0");
+  config.cluster.validate("simulate_rrt_run");
   const std::size_t nr = w.regions.size();
   RrtRunResult out;
 

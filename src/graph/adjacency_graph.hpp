@@ -69,16 +69,6 @@ class AdjacencyGraph {
     return true;
   }
 
-  /// Remove an undirected edge; returns false if absent.
-  bool remove_edge(VertexId a, VertexId b) {
-    const bool removed = remove_half(a, b);
-    if (removed) {
-      remove_half(b, a);
-      --edge_count_;
-    }
-    return removed;
-  }
-
   std::size_t degree(VertexId v) const { return adjacency_[v].size(); }
 
   void reserve_vertices(std::size_t n) {
@@ -95,18 +85,6 @@ class AdjacencyGraph {
   }
 
  private:
-  bool remove_half(VertexId from, VertexId to) {
-    auto& adj = adjacency_[from];
-    for (std::size_t i = 0; i < adj.size(); ++i) {
-      if (adj[i].to == to) {
-        adj[i] = adj.back();
-        adj.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
   std::vector<VertexProp> vertices_;
   std::vector<std::vector<HalfEdge>> adjacency_;
   std::size_t edge_count_ = 0;

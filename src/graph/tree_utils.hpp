@@ -1,23 +1,24 @@
 #pragma once
 /// \file tree_utils.hpp
-/// Cycle detection and pruning for tree-structured roadmaps.
+/// Path extraction and cycle checks for tree-structured roadmaps.
 ///
-/// Radial-subdivision RRT connects regional subtrees; if a connection edge
-/// closes a cycle, the cycle is pruned by removing its longest edge
-/// (Algorithm 2, lines 15–17 of the paper).
+/// Radial-subdivision RRT joins its regional subtrees without ever closing
+/// a cycle: a connection attempt between two vertices already in one
+/// component is skipped (`skip_same_component`), so the roadmap stays a
+/// forest and nothing is pruned. RRT-Connect bridges its two trees with
+/// one edge, so its start-goal path is the unique `forest_path`.
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "graph/adjacency_graph.hpp"
+#include "graph/union_find.hpp"
 
 namespace pmpl::graph {
 
-/// Find the unique path a..b in what is assumed to be a forest (used before
-/// adding edge (a,b): if a path exists the new edge would close a cycle).
-/// Returns the path as vertex ids, or nullopt if disconnected.
+/// Find the unique path a..b in what is assumed to be a forest. Returns the
+/// path as vertex ids, or nullopt if disconnected.
 template <typename VP, typename EP>
 std::optional<std::vector<VertexId>> forest_path(
     const AdjacencyGraph<VP, EP>& g, VertexId a, VertexId b) {
@@ -49,62 +50,13 @@ std::optional<std::vector<VertexId>> forest_path(
   return path;
 }
 
-/// Add edge (a,b) to a forest, keeping it acyclic: if a and b are already
-/// connected, the would-be cycle's longest edge (by `edge_cost`, including
-/// the new edge) is removed instead. Returns true if the graph changed.
-template <typename VP, typename EP>
-bool add_edge_acyclic(AdjacencyGraph<VP, EP>& g, VertexId a, VertexId b,
-                      EP prop,
-                      const std::function<double(const EP&)>& edge_cost) {
-  const auto path = forest_path(g, a, b);
-  if (!path) return g.add_edge(a, b, std::move(prop));
-
-  // Cycle = path a..b plus the new edge. Find the max-cost edge on it.
-  const double new_cost = edge_cost(prop);
-  double worst = new_cost;
-  VertexId worst_u = kInvalidVertex, worst_v = kInvalidVertex;
-  for (std::size_t i = 0; i + 1 < path->size(); ++i) {
-    const VertexId u = (*path)[i], v = (*path)[i + 1];
-    for (const auto& e : g.edges_of(u)) {
-      if (e.to == v) {
-        const double c = edge_cost(e.prop);
-        if (c > worst) {
-          worst = c;
-          worst_u = u;
-          worst_v = v;
-        }
-        break;
-      }
-    }
-  }
-  if (worst_u == kInvalidVertex) return false;  // new edge is the worst: skip
-  g.remove_edge(worst_u, worst_v);
-  g.add_edge(a, b, std::move(prop));
-  return true;
-}
-
-/// Is the graph a forest (no cycles)? Checked by union-find over edges.
+/// Is the graph a forest (no cycles)? AdjacencyGraph rejects self-loops
+/// and duplicate edges, so every edge either joins two components or
+/// closes a cycle: the graph is a forest iff E + C = V.
 template <typename VP, typename EP>
 bool is_forest(const AdjacencyGraph<VP, EP>& g) {
-  std::vector<VertexId> parent(g.num_vertices());
-  for (std::size_t i = 0; i < parent.size(); ++i)
-    parent[i] = static_cast<VertexId>(i);
-  std::function<VertexId(VertexId)> find = [&](VertexId x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (const auto& e : g.edges_of(u)) {
-      if (e.to < u) continue;  // each undirected edge once
-      const VertexId ru = find(u), rv = find(e.to);
-      if (ru == rv) return false;
-      parent[ru] = rv;
-    }
-  }
-  return true;
+  return g.num_edges() + components_of(g).num_components() ==
+         g.num_vertices();
 }
 
 }  // namespace pmpl::graph

@@ -3,11 +3,15 @@
 /// Disjoint-set forest with path halving and union by size.
 ///
 /// PRM uses it to track roadmap connected components (skip connection
-/// attempts within a component, report component counts).
+/// attempts within a component, report component counts);
+/// `components_of` labels a whole graph with it (component counts and
+/// sizes, `is_forest`).
 
 #include <cstdint>
 #include <numeric>
 #include <vector>
+
+#include "graph/adjacency_graph.hpp"
 
 namespace pmpl::graph {
 
@@ -21,14 +25,6 @@ class UnionFind {
     size_.assign(n, 1);
     std::iota(parent_.begin(), parent_.end(), 0u);
     components_ = n;
-  }
-
-  /// Add one element in its own set; returns its id.
-  std::uint32_t add() {
-    parent_.push_back(static_cast<std::uint32_t>(parent_.size()));
-    size_.push_back(1);
-    ++components_;
-    return parent_.back();
   }
 
   std::uint32_t find(std::uint32_t x) noexcept {
@@ -71,5 +67,14 @@ class UnionFind {
   std::vector<std::uint32_t> size_;
   std::size_t components_ = 0;
 };
+
+/// The connected components of `g`, as a union-find over its vertices.
+template <typename VP, typename EP>
+UnionFind components_of(const AdjacencyGraph<VP, EP>& g) {
+  UnionFind cc(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    for (const auto& he : g.edges_of(v)) cc.unite(v, he.to);
+  return cc;
+}
 
 }  // namespace pmpl::graph

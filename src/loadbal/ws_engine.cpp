@@ -337,24 +337,8 @@ WsResult simulate_work_stealing(std::span<const WsItem> items,
   if (items.size() != initial.size())
     throw std::invalid_argument(
         "simulate_work_stealing: items and initial differ in size");
-  // A zero would divide in ClusterSpec::node_of on the first send; the
-  // latencies also become the calendar's lane delays.
-  const runtime::ClusterSpec& cluster = config.cluster;
-  if (cluster.cores_per_node == 0)
-    throw std::invalid_argument(
-        "simulate_work_stealing: cluster.cores_per_node must be > 0");
-  if (!std::isfinite(cluster.local_latency_s) || cluster.local_latency_s < 0.0)
-    throw std::invalid_argument(
-        "simulate_work_stealing: cluster.local_latency_s is not finite and "
-        ">= 0");
-  if (!std::isfinite(cluster.remote_latency_s) ||
-      cluster.remote_latency_s < 0.0)
-    throw std::invalid_argument(
-        "simulate_work_stealing: cluster.remote_latency_s is not finite and "
-        ">= 0");
-  if (!(cluster.bandwidth_bps > 0.0))
-    throw std::invalid_argument(
-        "simulate_work_stealing: cluster.bandwidth_bps must be > 0");
+  // The latencies become the calendar's lane delays: check them first.
+  config.cluster.validate("simulate_work_stealing");
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (initial[i] >= p)
       throw std::invalid_argument("simulate_work_stealing: initial[" +

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "graph/shortest_path.hpp"
+#include "graph/tree_utils.hpp"
 #include "planner/samplers.hpp"
 
 namespace pmpl::planner {
@@ -92,16 +92,16 @@ std::optional<std::vector<cspace::Config>> RrtConnect::plan(
       }
     }
     if (reached) {
-      // Bridge the trees at the meeting point and extract the path.
+      // Bridge the trees at the meeting point. The bridged forest is one
+      // tree, so the start-goal path is its unique tree path.
       tree_.add_edge(best_id, *reached,
                      {space.distance(tree_.vertex(*reached).cfg, qtarget)});
-      const auto path = graph::dijkstra<RoadmapVertex, RoadmapEdge>(
-          tree_, start_tree.root(), goal_tree.root(),
-          [](const RoadmapEdge& edge) { return edge.length; });
+      const auto path =
+          graph::forest_path(tree_, start_tree.root(), goal_tree.root());
       if (!path) return std::nullopt;
       std::vector<cspace::Config> configs;
-      configs.reserve(path->vertices.size());
-      for (const graph::VertexId v : path->vertices)
+      configs.reserve(path->size());
+      for (const graph::VertexId v : *path)
         configs.push_back(tree_.vertex(v).cfg);
       return configs;
     }

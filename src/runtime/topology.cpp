@@ -2,8 +2,21 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace pmpl::runtime {
+
+void ClusterSpec::validate(std::string_view caller) const {
+  const auto fail = [&](const char* what) {
+    throw std::invalid_argument(std::string(caller) + ": cluster." + what);
+  };
+  if (cores_per_node == 0) fail("cores_per_node must be > 0");
+  if (!std::isfinite(local_latency_s) || local_latency_s < 0.0)
+    fail("local_latency_s is not finite and >= 0");
+  if (!std::isfinite(remote_latency_s) || remote_latency_s < 0.0)
+    fail("remote_latency_s is not finite and >= 0");
+  if (!(bandwidth_bps > 0.0)) fail("bandwidth_bps must be > 0");
+}
 
 ProcessMesh::ProcessMesh(std::uint32_t p) : p_(p == 0 ? 1 : p) {
   // Largest divisor-free near-square: cols = ceil(sqrt(p)), rows to cover.

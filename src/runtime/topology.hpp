@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pmpl::runtime {
@@ -32,6 +33,12 @@ struct ClusterSpec {
   static ClusterSpec opteron_cluster() {
     return {"opteron-cluster", 8, 6e-7, 3.2e-6, 1.5e9};
   }
+
+  /// Throw std::invalid_argument, naming `caller` and the field, unless
+  /// cores_per_node > 0, both latencies are finite and >= 0 and the
+  /// bandwidth is > 0. A zero cores_per_node would divide in node_of; the
+  /// DES replays call this before their first message.
+  void validate(std::string_view caller) const;
 
   std::uint32_t node_of(std::uint32_t rank) const noexcept {
     return rank / cores_per_node;

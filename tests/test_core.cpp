@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 #include <stdexcept>
 #include <tuple>
 
@@ -211,6 +213,36 @@ TEST(Strategies, NamesAndClassification) {
 
 // --- PRM workload + replay --------------------------------------------------
 
+/// One out-of-range ClusterSpec field per entry; the replays must reject
+/// each one and name it.
+struct BadCluster {
+  const char* field;
+  void (*edit)(runtime::ClusterSpec&);
+};
+constexpr BadCluster kBadClusters[] = {
+    {"cores_per_node", [](runtime::ClusterSpec& c) { c.cores_per_node = 0; }},
+    {"local_latency_s",
+     [](runtime::ClusterSpec& c) { c.local_latency_s = -1e-6; }},
+    {"remote_latency_s",
+     [](runtime::ClusterSpec& c) {
+       c.remote_latency_s = std::numeric_limits<double>::infinity();
+     }},
+    {"bandwidth_bps", [](runtime::ClusterSpec& c) { c.bandwidth_bps = 0.0; }},
+};
+
+/// Run `replay` and expect an std::invalid_argument naming `field`.
+template <typename Replay>
+void expect_rejected(const Replay& replay, const char* field,
+                     Strategy strategy) {
+  try {
+    replay();
+    ADD_FAILURE() << field << " accepted under " << to_string(strategy);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
 class PrmDriverTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -293,6 +325,20 @@ TEST_F(PrmDriverTest, ZeroProcsThrowsInEveryBuild) {
     cfg.strategy = s;
     EXPECT_THROW(simulate_prm_run(*workload_, cfg), std::invalid_argument)
         << to_string(s);
+  }
+}
+
+TEST_F(PrmDriverTest, BadClusterThrowsInEveryBuild) {
+  for (const Strategy s : {Strategy::kNoLB, Strategy::kRepartition,
+                           Strategy::kHybridWS}) {
+    for (const BadCluster& bad : kBadClusters) {
+      PrmRunConfig cfg;
+      cfg.procs = 4;
+      cfg.strategy = s;
+      bad.edit(cfg.cluster);
+      expect_rejected([&] { simulate_prm_run(*workload_, cfg); }, bad.field,
+                      s);
+    }
   }
 }
 
@@ -467,6 +513,21 @@ TEST_F(RrtDriverTest, ZeroProcsThrowsInEveryBuild) {
     EXPECT_THROW(simulate_rrt_run(*workload_, *env_, *regions_, cfg),
                  std::invalid_argument)
         << to_string(s);
+  }
+}
+
+TEST_F(RrtDriverTest, BadClusterThrowsInEveryBuild) {
+  for (const Strategy s : {Strategy::kNoLB, Strategy::kRepartition,
+                           Strategy::kHybridWS}) {
+    for (const BadCluster& bad : kBadClusters) {
+      RrtRunConfig cfg;
+      cfg.procs = 4;
+      cfg.strategy = s;
+      bad.edit(cfg.cluster);
+      expect_rejected(
+          [&] { simulate_rrt_run(*workload_, *env_, *regions_, cfg); },
+          bad.field, s);
+    }
   }
 }
 

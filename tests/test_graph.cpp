@@ -1,11 +1,9 @@
-// Tests for graph/: adjacency graph, union-find, shortest paths, tree
-// utilities, component labeling.
+// Tests for graph/: adjacency graph, union-find, component labelling, tree
+// utilities.
 
 #include <gtest/gtest.h>
 
 #include "graph/adjacency_graph.hpp"
-#include "graph/components.hpp"
-#include "graph/shortest_path.hpp"
 #include "graph/tree_utils.hpp"
 #include "graph/union_find.hpp"
 #include "util/rng.hpp"
@@ -45,20 +43,6 @@ TEST(Graph, RejectsDuplicateAndSelfEdges) {
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
-TEST(Graph, RemoveEdge) {
-  G g;
-  const auto a = g.add_vertex();
-  const auto b = g.add_vertex();
-  const auto c = g.add_vertex();
-  g.add_edge(a, b);
-  g.add_edge(b, c);
-  EXPECT_TRUE(g.remove_edge(a, b));
-  EXPECT_FALSE(g.has_edge(a, b));
-  EXPECT_FALSE(g.remove_edge(a, b));
-  EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_EQ(g.degree(b), 1u);
-}
-
 TEST(Graph, EdgePropertiesStoredBothDirections) {
   G g;
   const auto a = g.add_vertex();
@@ -93,14 +77,6 @@ TEST(UnionFind, UniteMergesComponents) {
   EXPECT_EQ(uf.component_size(1), 3u);
 }
 
-TEST(UnionFind, AddGrows) {
-  UnionFind uf(2);
-  const auto id = uf.add();
-  EXPECT_EQ(id, 2u);
-  EXPECT_EQ(uf.size(), 3u);
-  EXPECT_EQ(uf.num_components(), 3u);
-}
-
 TEST(UnionFind, RandomizedAgainstLabelPropagation) {
   Xoshiro256ss rng(41);
   constexpr std::size_t kN = 200;
@@ -123,97 +99,6 @@ TEST(UnionFind, RandomizedAgainstLabelPropagation) {
                 label[i] == label[j]);
 }
 
-// --- shortest path ---------------------------------------------------------
-
-G grid_graph(int n, std::vector<VertexId>* ids_out = nullptr) {
-  // n x n grid with unit weights.
-  G g;
-  std::vector<VertexId> ids;
-  for (int i = 0; i < n * n; ++i) ids.push_back(g.add_vertex());
-  for (int r = 0; r < n; ++r)
-    for (int c = 0; c < n; ++c) {
-      if (c + 1 < n) g.add_edge(ids[r * n + c], ids[r * n + c + 1], {1.0});
-      if (r + 1 < n) g.add_edge(ids[r * n + c], ids[(r + 1) * n + c], {1.0});
-    }
-  if (ids_out) *ids_out = ids;
-  return g;
-}
-
-TEST(ShortestPath, DijkstraOnGrid) {
-  const G g = grid_graph(5);
-  const auto path = dijkstra<VP, EP>(g, 0, 24,
-                                     [](const EP& e) { return e.w; });
-  ASSERT_TRUE(path.has_value());
-  EXPECT_DOUBLE_EQ(path->cost, 8.0);  // 4 right + 4 down
-  EXPECT_EQ(path->vertices.size(), 9u);
-  EXPECT_EQ(path->vertices.front(), 0u);
-  EXPECT_EQ(path->vertices.back(), 24u);
-}
-
-TEST(ShortestPath, PrefersLighterLongerRoute) {
-  G g;
-  const auto a = g.add_vertex();
-  const auto b = g.add_vertex();
-  const auto c = g.add_vertex();
-  g.add_edge(a, c, {10.0});
-  g.add_edge(a, b, {1.0});
-  g.add_edge(b, c, {1.0});
-  const auto path = dijkstra<VP, EP>(g, a, c, [](const EP& e) { return e.w; });
-  ASSERT_TRUE(path.has_value());
-  EXPECT_DOUBLE_EQ(path->cost, 2.0);
-  EXPECT_EQ(path->vertices.size(), 3u);
-}
-
-TEST(ShortestPath, DisconnectedReturnsNullopt) {
-  G g;
-  const auto a = g.add_vertex();
-  g.add_vertex();  // isolated
-  const auto c = g.add_vertex();
-  const auto none =
-      dijkstra<VP, EP>(g, a, c, [](const EP& e) { return e.w; });
-  EXPECT_FALSE(none.has_value());
-}
-
-TEST(ShortestPath, AStarMatchesDijkstraWithAdmissibleHeuristic) {
-  std::vector<VertexId> ids;
-  const G g = grid_graph(8, &ids);
-  // Manhattan heuristic on grid coordinates is admissible here.
-  auto coord = [&](VertexId v) {
-    return std::pair<int, int>(static_cast<int>(v) / 8,
-                               static_cast<int>(v) % 8);
-  };
-  const VertexId goal = 63;
-  const auto h = [&](VertexId v) {
-    const auto [r, c] = coord(v);
-    const auto [gr, gc] = coord(goal);
-    return static_cast<double>(std::abs(r - gr) + std::abs(c - gc));
-  };
-  const auto d = dijkstra<VP, EP>(g, 0, goal, [](const EP& e) { return e.w; });
-  const auto a = astar<VP, EP>(g, 0, goal, [](const EP& e) { return e.w; }, h);
-  ASSERT_TRUE(d.has_value());
-  ASSERT_TRUE(a.has_value());
-  EXPECT_DOUBLE_EQ(d->cost, a->cost);
-}
-
-TEST(ShortestPath, SourceEqualsDestination) {
-  const G g = grid_graph(3);
-  const auto path = dijkstra<VP, EP>(g, 4, 4, [](const EP& e) { return e.w; });
-  ASSERT_TRUE(path.has_value());
-  EXPECT_DOUBLE_EQ(path->cost, 0.0);
-  EXPECT_EQ(path->vertices.size(), 1u);
-}
-
-TEST(ShortestPath, Reachable) {
-  G g;
-  const auto a = g.add_vertex();
-  const auto b = g.add_vertex();
-  const auto c = g.add_vertex();
-  g.add_edge(a, b);
-  EXPECT_TRUE(reachable(g, a, b));
-  EXPECT_FALSE(reachable(g, a, c));
-  EXPECT_TRUE(reachable(g, c, c));
-}
-
 // --- tree utils -------------------------------------------------------------
 
 TEST(TreeUtils, ForestPathFindsUniquePath) {
@@ -231,36 +116,6 @@ TEST(TreeUtils, ForestPathFindsUniquePath) {
   EXPECT_FALSE(forest_path(g, v[0], v[5]).has_value());
 }
 
-TEST(TreeUtils, AddEdgeAcyclicKeepsForest) {
-  G g;
-  std::vector<VertexId> v;
-  for (int i = 0; i < 4; ++i) v.push_back(g.add_vertex());
-  auto cost = [](const EP& e) { return e.w; };
-  add_edge_acyclic<VP, EP>(g, v[0], v[1], {1.0}, cost);
-  add_edge_acyclic<VP, EP>(g, v[1], v[2], {5.0}, cost);
-  add_edge_acyclic<VP, EP>(g, v[2], v[3], {1.0}, cost);
-  EXPECT_TRUE(is_forest(g));
-  // Closing edge 0-3 with weight 2 removes the worst edge on the cycle
-  // (1-2 at weight 5).
-  EXPECT_TRUE((add_edge_acyclic<VP, EP>(g, v[0], v[3], {2.0}, cost)));
-  EXPECT_TRUE(is_forest(g));
-  EXPECT_FALSE(g.has_edge(v[1], v[2]));
-  EXPECT_TRUE(g.has_edge(v[0], v[3]));
-}
-
-TEST(TreeUtils, AddEdgeAcyclicRejectsWorstNewEdge) {
-  G g;
-  std::vector<VertexId> v;
-  for (int i = 0; i < 3; ++i) v.push_back(g.add_vertex());
-  auto cost = [](const EP& e) { return e.w; };
-  add_edge_acyclic<VP, EP>(g, v[0], v[1], {1.0}, cost);
-  add_edge_acyclic<VP, EP>(g, v[1], v[2], {1.0}, cost);
-  // New edge is the heaviest on its would-be cycle: graph unchanged.
-  EXPECT_FALSE((add_edge_acyclic<VP, EP>(g, v[0], v[2], {9.0}, cost)));
-  EXPECT_FALSE(g.has_edge(v[0], v[2]));
-  EXPECT_TRUE(is_forest(g));
-}
-
 TEST(TreeUtils, IsForestDetectsCycle) {
   G g;
   std::vector<VertexId> v;
@@ -272,42 +127,77 @@ TEST(TreeUtils, IsForestDetectsCycle) {
   EXPECT_FALSE(is_forest(g));
 }
 
-TEST(TreeUtils, RandomizedAcyclicInsertionStaysForest) {
-  Xoshiro256ss rng(43);
-  G g;
-  std::vector<VertexId> v;
-  for (int i = 0; i < 40; ++i) v.push_back(g.add_vertex());
-  auto cost = [](const EP& e) { return e.w; };
-  for (int i = 0; i < 200; ++i) {
-    const auto a = v[rng.index(v.size())];
-    const auto b = v[rng.index(v.size())];
-    if (a == b) continue;
-    add_edge_acyclic<VP, EP>(g, a, b, {rng.uniform(0.1, 10.0)}, cost);
-    ASSERT_TRUE(is_forest(g)) << "iteration " << i;
+/// Reference cycle check: a depth-first search that meets an already
+/// visited vertex other than its parent has closed a cycle.
+bool has_cycle_dfs(const G& g) {
+  std::vector<bool> seen(g.num_vertices(), false);
+  std::vector<std::pair<VertexId, VertexId>> stack;  // (vertex, parent)
+  for (VertexId root = 0; root < g.num_vertices(); ++root) {
+    if (seen[root]) continue;
+    seen[root] = true;
+    stack.push_back({root, kInvalidVertex});
+    while (!stack.empty()) {
+      const auto [u, parent] = stack.back();
+      stack.pop_back();
+      for (const auto& e : g.edges_of(u)) {
+        if (e.to == parent) continue;
+        if (seen[e.to]) return true;
+        seen[e.to] = true;
+        stack.push_back({e.to, u});
+      }
+    }
   }
+  return false;
+}
+
+TEST(TreeUtils, IsForestMatchesDfsOnRandomGraphs) {
+  Xoshiro256ss rng(43);
+  std::size_t forests = 0, cyclic = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    G g;
+    const std::size_t n = 2 + rng.index(20);
+    for (std::size_t i = 0; i < n; ++i) g.add_vertex();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto a = static_cast<VertexId>(rng.index(n));
+      const auto b = static_cast<VertexId>(rng.index(n));
+      if (!g.add_edge(a, b)) continue;  // self-loop or duplicate
+      const bool forest = is_forest(g);
+      ASSERT_EQ(forest, !has_cycle_dfs(g))
+          << "trial " << trial << " edge " << g.num_edges();
+      ++(forest ? forests : cyclic);
+    }
+  }
+  // Both verdicts were exercised.
+  EXPECT_GT(forests, 0u);
+  EXPECT_GT(cyclic, 0u);
 }
 
 // --- components --------------------------------------------------------------
 
 TEST(Components, LabelsAndSummary) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges{
-      {0, 1}, {1, 2}, {3, 4}};
-  const auto labels = component_labels(6, edges);
-  EXPECT_EQ(labels[0], labels[2]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_NE(labels[0], labels[3]);
-  EXPECT_NE(labels[0], labels[5]);
-  const auto s = summarize_components(labels);
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_EQ(s.largest, 3u);
-  EXPECT_DOUBLE_EQ(s.largest_fraction, 0.5);
+  // Components {0,1,2}, {3,4} and the isolated vertices 5 and 6.
+  G g;
+  for (int i = 0; i < 7; ++i) g.add_vertex();
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(3, 4);
+  auto cc = components_of(g);
+  EXPECT_EQ(cc.size(), 7u);
+  EXPECT_EQ(cc.num_components(), 4u);
+  EXPECT_TRUE(cc.connected(0, 2));
+  EXPECT_TRUE(cc.connected(3, 4));
+  EXPECT_FALSE(cc.connected(0, 3));
+  EXPECT_FALSE(cc.connected(5, 6));
+  EXPECT_EQ(cc.component_size(2), 3u);
+  EXPECT_EQ(cc.component_size(4), 2u);
+  EXPECT_EQ(cc.component_size(5), 1u);
+  EXPECT_EQ(cc.component_size(6), 1u);
 }
 
 TEST(Components, EmptyGraph) {
-  const auto labels = component_labels(0, {});
-  EXPECT_TRUE(labels.empty());
-  const auto s = summarize_components(labels);
-  EXPECT_EQ(s.count, 0u);
+  const auto cc = components_of(G{});
+  EXPECT_EQ(cc.size(), 0u);
+  EXPECT_EQ(cc.num_components(), 0u);
 }
 
 }  // namespace

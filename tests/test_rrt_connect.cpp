@@ -2,9 +2,9 @@
 //  - the bidirectional planner returns valid paths with correct endpoints
 //    and keeps the bridged forest a tree (V - 1 edges, regions 0/1);
 //  - a single-target wave is bit-identical to the classic extend loop;
-//  - fixed-seed trees are pinned by golden FNV-1a hashes (width 1 and a
-//    wavefront width) and identical at every SIMD dispatch level on every
-//    space kind.
+//  - fixed-seed trees and their paths are pinned by golden FNV-1a hashes
+//    (width 1 and a wavefront width), and trees are identical at every
+//    SIMD dispatch level on every space kind.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,22 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
     h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t path_hash(const std::vector<cspace::Config>& path) {
+  std::uint64_t h = 14695981039346656037ull;
+  const std::uint64_t n = path.size();
+  h = fnv1a(h, &n, sizeof n);
+  for (const auto& c : path) {
+    const std::uint64_t sz = c.size();
+    h = fnv1a(h, &sz, sizeof sz);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &c[i], sizeof bits);
+      h = fnv1a(h, &bits, sizeof bits);
+    }
   }
   return h;
 }
@@ -207,7 +223,9 @@ TEST(RrtConnect, TreeHashIdenticalAtEverySimdLevelOnEverySpaceKind) {
 
 // --- golden tree hashes -----------------------------------------------------
 // Captured from the first implementation; any change to steering, wave
-// ordering, validity verdicts, or connect decisions shifts these.
+// ordering, validity verdicts, or connect decisions shifts these. The path
+// hashes were captured when the path was extracted by Dijkstra over the
+// bridged tree; the tree path is unique, so any extraction must match.
 
 TEST(GoldenRrtConnect, ClassicWidthOne) {
   const auto e = env::med_cube();
@@ -218,6 +236,7 @@ TEST(GoldenRrtConnect, ClassicWidthOne) {
   const auto path = rrtc.plan(start, goal, 42);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(roadmap_hash(rrtc.tree()), 0xa251cd6c847e364eull);
+  EXPECT_EQ(path_hash(*path), 0xb6b5e82c8632bbc4ull);
 }
 
 TEST(GoldenRrtConnect, WavefrontWidthEight) {
@@ -229,6 +248,7 @@ TEST(GoldenRrtConnect, WavefrontWidthEight) {
   const auto path = rrtc.plan(start, goal, 42);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(roadmap_hash(rrtc.tree()), 0x77ba8cb782226c14ull);
+  EXPECT_EQ(path_hash(*path), 0x2f6d73092e69efadull);
 }
 
 }  // namespace
