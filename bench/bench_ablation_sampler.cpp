@@ -19,7 +19,7 @@ using namespace pmpl;
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const auto attempts =
-      static_cast<std::size_t>(args.get_i64("attempts", 24000));
+      static_cast<std::size_t>(args.get_i64("attempts", 24000, 1));
   const auto seed = static_cast<std::uint64_t>(args.get_i64("seed", 1));
 
   std::printf("=== Ablation: sampling strategy (walls environment) ===\n");

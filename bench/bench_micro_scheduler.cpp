@@ -54,7 +54,7 @@ double time_scheduler(pmpl::runtime::Scheduler& sched, std::size_t tasks,
   pmpl::runtime::TaskGroup group;
   pmpl::WallTimer t;
   for (std::size_t i = 0; i < tasks; ++i)
-    sched.submit([grain_us] { spin_us(grain_us); }, &group);
+    sched.submit([grain_us] { spin_us(grain_us); }, group);
   sched.wait(group);
   return t.elapsed_s();
 }

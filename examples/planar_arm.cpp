@@ -22,7 +22,7 @@ using namespace pmpl;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  const auto links = static_cast<std::size_t>(args.get_i64("links", 4));
+  const auto links = static_cast<std::size_t>(args.get_i64("links", 4, 1));
   const auto attempts =
       static_cast<std::size_t>(args.get_i64("attempts", 6000));
   const auto seed = static_cast<std::uint64_t>(args.get_i64("seed", 21));

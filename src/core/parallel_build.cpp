@@ -22,7 +22,7 @@ std::uint64_t prm_fingerprint(const env::Environment& e,
   h = fp_mix(h, static_cast<std::uint64_t>(config.prm.skip_same_component));
   h = fp_mix(h, static_cast<std::uint64_t>(config.prm.sampler));
   h = fp_mix(h, config.prm.sampler_scale);
-  h = fp_mix(h, static_cast<std::uint64_t>(config.max_boundary_attempts));
+  h = fp_mix(h, static_cast<std::uint64_t>(kPrmBuildBoundaryAttempts));
   return h;
 }
 
@@ -69,7 +69,7 @@ RegionBuildResult parallel_build_prm(const env::Environment& e,
   pipeline.connect.params = config.prm;
   // Whole-region connection keeps every edge it finds, cycles included.
   pipeline.connect.params.skip_same_component = false;
-  pipeline.connect.max_attempts = config.max_boundary_attempts;
+  pipeline.connect.max_attempts = kPrmBuildBoundaryAttempts;
   return build_regions_anytime(
       grid.size(), pipeline, prm_region_task(e, grid, config),
       connect_regions(e, grid.adjacency_edges(), pipeline));

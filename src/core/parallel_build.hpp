@@ -19,11 +19,17 @@
 
 namespace pmpl::core {
 
+/// Local plans per region pair in the connection phase. The threaded
+/// build tries up to 16 candidates per pair; the measured workload behind
+/// the figures (build_prm_workload) tries 4, so a figure's connection
+/// phase is measured on less work than the threaded build does.
+inline constexpr std::size_t kPrmBuildBoundaryAttempts = 16;
+inline constexpr std::size_t kPrmWorkloadBoundaryAttempts = 4;
+
 struct ParallelPrmConfig {
   std::size_t total_attempts = 1 << 14;
   planner::PrmParams prm;
   std::uint32_t workers = 4;
-  std::size_t max_boundary_attempts = 16;
   std::uint64_t seed = 1;
   AnytimeOptions anytime;  ///< deadline/cancel + checkpoint/resume
   /// Tracing sink; nullptr disables. When set, scheduler workers record

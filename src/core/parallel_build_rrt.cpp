@@ -18,13 +18,13 @@ std::uint64_t rrt_fingerprint(const env::Environment& e,
   h = fp_mix(h, static_cast<std::uint64_t>(regions.size()));
   h = fp_mix(h, static_cast<std::uint64_t>(config.total_nodes));
   h = fp_mix(h, config.seed);
-  h = fp_mix(h, config.rrt.step);
-  h = fp_mix(h, config.rrt.resolution);
-  h = fp_mix(h, static_cast<std::uint64_t>(config.rrt.max_nodes));
-  h = fp_mix(h, static_cast<std::uint64_t>(config.rrt.max_iterations));
-  h = fp_mix(h, static_cast<std::uint64_t>(config.iteration_factor));
-  h = fp_mix(h, static_cast<std::uint64_t>(config.max_boundary_attempts));
-  h = fp_mix(h, config.cone_overlap);
+  h = fp_mix(h, kRrtParams.step);
+  h = fp_mix(h, kRrtParams.resolution);
+  h = fp_mix(h, static_cast<std::uint64_t>(kRrtParams.max_nodes));
+  h = fp_mix(h, static_cast<std::uint64_t>(kRrtParams.max_iterations));
+  h = fp_mix(h, static_cast<std::uint64_t>(kRrtIterationFactor));
+  h = fp_mix(h, static_cast<std::uint64_t>(kRrtBoundaryAttempts));
+  h = fp_mix(h, kRrtConeOverlap);
   for (std::size_t i = 0; i < root.size(); ++i) h = fp_mix(h, root[i]);
   return h;
 }
@@ -38,10 +38,10 @@ RegionTask rrt_region_task(const env::Environment& e,
   return [&e, &regions, root, config](std::uint32_t r, planner::Roadmap& local,
                                       planner::PlannerStats&,
                                       planner::PlannerStats& build) {
-    planner::RrtParams params = config.rrt;
+    planner::RrtParams params = kRrtParams;
     params.max_nodes =
         std::max<std::size_t>(2, config.total_nodes / regions.size());
-    params.max_iterations = config.iteration_factor * params.max_nodes;
+    params.max_iterations = kRrtIterationFactor * params.max_nodes;
 
     runtime::TraceBuffer* tb =
         config.tracer ? config.tracer->thread_track() : nullptr;
@@ -50,7 +50,7 @@ RegionTask rrt_region_task(const env::Environment& e,
     Xoshiro256ss rng(derive_seed(config.seed, r));
     branch.grow(
         [&](Xoshiro256ss& g) {
-          const geo::Vec3 p = regions.sample_in_cone(r, g, config.cone_overlap);
+          const geo::Vec3 p = regions.sample_in_cone(r, g, kRrtConeOverlap);
           return e.space().at_position(p, g);
         },
         rng, build, config.anytime.cancel);
@@ -70,10 +70,10 @@ RegionBuildResult parallel_build_rrt(const env::Environment& e,
   pipeline.tracer = config.tracer;
   pipeline.task_span = "branch";
   pipeline.connect_track = "branch-connect";
-  pipeline.connect.params.resolution = config.rrt.resolution;
+  pipeline.connect.params.resolution = kRrtParams.resolution;
   // Branch connection never closes a cycle.
   pipeline.connect.params.skip_same_component = true;
-  pipeline.connect.max_attempts = config.max_boundary_attempts;
+  pipeline.connect.max_attempts = kRrtBoundaryAttempts;
   return build_regions_anytime(
       regions.size(), pipeline, rrt_region_task(e, regions, root, config),
       connect_regions(e, regions.adjacency_edges(), pipeline));

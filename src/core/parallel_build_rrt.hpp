@@ -18,12 +18,18 @@
 
 namespace pmpl::core {
 
+/// Branch growth and connection, shared by parallel_build_rrt and
+/// build_rrt_workload. Each branch grows with kRrtParams' step and
+/// resolution, up to its share of the node budget and kRrtIterationFactor
+/// growth targets per node, drawn in its cone widened by kRrtConeOverlap;
+/// adjacent branches get up to kRrtBoundaryAttempts local plans per pair.
+inline constexpr planner::RrtParams kRrtParams{};
+inline constexpr std::size_t kRrtIterationFactor = 8;
+inline constexpr double kRrtConeOverlap = 1.5;
+inline constexpr std::size_t kRrtBoundaryAttempts = 8;
+
 struct ParallelRrtConfig {
   std::size_t total_nodes = 1 << 13;
-  planner::RrtParams rrt;
-  std::size_t iteration_factor = 8;
-  std::size_t max_boundary_attempts = 8;
-  double cone_overlap = 1.5;
   std::uint32_t workers = 4;
   std::uint64_t seed = 1;
   AnytimeOptions anytime;  ///< deadline/cancel + checkpoint/resume
@@ -51,8 +57,8 @@ RegionBuildResult parallel_build_rrt(const env::Environment& e,
 /// Algorithm 2's region task, shared by `parallel_build_rrt` and
 /// `build_rrt_workload`: grow region r's branch from `root` toward its
 /// cone, into a branch-local roadmap whose vertex 0 is the root. Reads
-/// total_nodes, rrt, iteration_factor, cone_overlap, seed, anytime.cancel
-/// and tracer from `config`; `e` and `regions` must outlive the task.
+/// total_nodes, seed, anytime.cancel and tracer from `config`; `e` and
+/// `regions` must outlive the task.
 RegionTask rrt_region_task(const env::Environment& e,
                            const RadialRegions& regions,
                            const cspace::Config& root,

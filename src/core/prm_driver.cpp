@@ -28,7 +28,7 @@ Workload build_prm_workload(const env::Environment& e, const RegionGrid& grid,
 
   WorkloadMeasure m;
   m.connect.params = config.prm;
-  m.connect.max_attempts = config.max_boundary_attempts;
+  m.connect.max_attempts = kPrmWorkloadBoundaryAttempts;
   // Candidate band: a third of a cell — only samples this close to the
   // shared face participate in boundary connection.
   const geo::Vec3 cell = grid.cell_box(0).size();
@@ -38,7 +38,6 @@ Workload build_prm_workload(const env::Environment& e, const RegionGrid& grid,
     m.connect.boxes.push_back(grid.cell_box(r));
   m.vertex_bytes = 8;     // vertex id
   m.edge_end_bytes = 12;  // edge record
-  m.costs = config.costs;
   m.cancel = config.cancel;
   measure_workload(e, prm_region_task(e, grid, task), m, w);
   return w;

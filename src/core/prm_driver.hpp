@@ -23,10 +23,7 @@ namespace pmpl::core {
 struct PrmWorkloadConfig {
   std::size_t total_attempts = 1 << 15;  ///< N sampling attempts overall
   planner::PrmParams prm;                ///< k, resolution, ...
-  std::size_t max_boundary_attempts = 4; ///< per region-graph edge
   std::uint64_t seed = 1;
-  /// Work-unit costs (paper_fidelity reproduces the paper's regime).
-  runtime::CostModel costs = runtime::CostModel::paper_fidelity();
   /// Cooperative stop: measurement ends after the current granule and the
   /// workload comes back partial (see Workload::regions_measured).
   const runtime::CancelToken* cancel = nullptr;

@@ -11,6 +11,7 @@ namespace pmpl::core {
 
 void measure_workload(const env::Environment& e, const RegionTask& task,
                       const WorkloadMeasure& m, Workload& w) {
+  const runtime::CostModel costs = runtime::CostModel::paper_fidelity();
   RegionPipeline pipeline;
   pipeline.workers = std::max(1u, std::thread::hardware_concurrency());
   pipeline.anytime.cancel = m.cancel;
@@ -23,7 +24,7 @@ void measure_workload(const env::Environment& e, const RegionTask& task,
     ep.a = pair.a;
     ep.b = pair.b;
     ep.edges_added = static_cast<std::uint32_t>(pair.edges_added);
-    ep.service_s = m.costs.seconds(to_work_counts(pair.stats));
+    ep.service_s = costs.seconds(to_work_counts(pair.stats));
     // The executor fetches the neighbour region's candidates.
     ep.vertex_reads = static_cast<std::uint32_t>(pair.near_b.size());
     for (const graph::VertexId v : pair.near_b)
@@ -43,9 +44,9 @@ void measure_workload(const env::Environment& e, const RegionTask& task,
     if (!built.region_completed[r]) continue;
     RegionProfile& profile = w.regions[r];
     profile.sampling_ops = to_work_counts(built.region_sampling[r]);
-    profile.sampling_s = m.costs.seconds(profile.sampling_ops);
+    profile.sampling_s = costs.seconds(profile.sampling_ops);
     profile.build_ops = to_work_counts(built.region_build[r]);
-    profile.build_s = m.costs.seconds(profile.build_ops);
+    profile.build_s = costs.seconds(profile.build_ops);
     const auto& ids = w.region_vertices[r];
     profile.samples = static_cast<std::uint32_t>(ids.size());
     // Migration payload: a region descriptor, the region's vertices and

@@ -122,7 +122,6 @@ struct WorkloadMeasure {
   /// intra-region edge (on top of a fixed region descriptor).
   std::uint64_t vertex_bytes = 0;
   std::uint64_t edge_end_bytes = 0;
-  runtime::CostModel costs = runtime::CostModel::paper_fidelity();
   /// Cooperative stop: see Workload::regions_measured.
   const runtime::CancelToken* cancel = nullptr;
 };

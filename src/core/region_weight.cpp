@@ -15,23 +15,6 @@ std::vector<double> weights_from_sample_counts(
   return w;
 }
 
-std::vector<double> weights_free_volume(const env::Environment& e,
-                                        const RegionGrid& grid,
-                                        std::size_t mc_samples_per_region,
-                                        std::uint64_t seed) {
-  std::vector<double> w(grid.size(), 0.0);
-  for (std::uint32_t id = 0; id < grid.size(); ++id) {
-    const geo::Aabb box = grid.cell_box(id);
-    const double frac =
-        e.free_fraction_in(box, mc_samples_per_region, derive_seed(seed, id));
-    const geo::Vec3 size = box.size();
-    const double vol =
-        size.z > 0.0 ? box.volume() : size.x * size.y;  // 2D: area
-    w[id] = frac * vol + 1e-9;
-  }
-  return w;
-}
-
 std::vector<double> weights_k_rays(const env::Environment& e,
                                    const RadialRegions& regions,
                                    std::size_t k_rays, std::uint64_t seed,

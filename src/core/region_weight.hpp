@@ -5,8 +5,8 @@
 /// PRM: "a good metric for approximating the amount of work that a region
 /// will generate is the number of samples in the roadmap that lie within
 /// that region" — `weights_from_sample_counts`. The analytic alternative
-/// for the model environment is the region's free volume —
-/// `weights_free_volume` (Monte Carlo here, exact in model/model_env.hpp).
+/// for the model environment is the region's exact free volume
+/// (model/model_env.hpp).
 ///
 /// RRT: the k-random-rays probe — cast k rays from the region origin and
 /// average the distance to the first obstacle — which the paper shows is a
@@ -25,12 +25,6 @@ namespace pmpl::core {
 /// sampling phase).
 std::vector<double> weights_from_sample_counts(
     const std::vector<std::uint32_t>& samples_per_region);
-
-/// Free-volume weight: Monte-Carlo free fraction x cell volume per region.
-std::vector<double> weights_free_volume(const env::Environment& e,
-                                        const RegionGrid& grid,
-                                        std::size_t mc_samples_per_region,
-                                        std::uint64_t seed);
 
 /// RRT k-random-rays weight: for each radial region, cast `k_rays` rays
 /// from the root in directions inside the region's cone and average

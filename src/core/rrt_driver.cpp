@@ -13,6 +13,9 @@ namespace pmpl::core {
 
 namespace {
 
+/// Probe rays per region of kRepartition's k-rays weight estimate.
+constexpr std::size_t kProbeRays = 16;
+
 double pearson(std::span<const double> x, std::span<const double> y) {
   const std::size_t n = std::min(x.size(), y.size());
   if (n < 2) return 0.0;
@@ -52,9 +55,6 @@ Workload build_rrt_workload(const env::Environment& e,
 
   ParallelRrtConfig task;
   task.total_nodes = config.total_nodes;
-  task.rrt = config.rrt;
-  task.iteration_factor = config.iteration_factor;
-  task.cone_overlap = config.cone_overlap;
   task.seed = config.seed;
   task.anytime.cancel = config.cancel;
 
@@ -64,11 +64,10 @@ Workload build_rrt_workload(const env::Environment& e,
   // component: skipping same-component attempts keeps the result a forest
   // (the "prune" of Algorithm 2 realized as prune-before-insert).
   WorkloadMeasure m;
-  m.connect.params.resolution = config.rrt.resolution;
+  m.connect.params.resolution = kRrtParams.resolution;
   m.connect.params.skip_same_component = true;
-  m.connect.max_attempts = config.max_boundary_attempts;
+  m.connect.max_attempts = kRrtBoundaryAttempts;
   m.vertex_bytes = 20;  // tree-node record beyond its config
-  m.costs = config.costs;
   m.cancel = config.cancel;
   measure_workload(e, rrt_region_task(e, regions, root, task), m, w);
   return w;
@@ -107,8 +106,8 @@ RrtRunResult simulate_rrt_run(const Workload& w, const env::Environment& e,
       // Probe with k random rays — both the probe cost and the (poorly
       // correlated) weights it yields are charged to this strategy.
       std::uint64_t ray_casts = 0;
-      const auto weights = weights_k_rays(e, regions, config.k_rays,
-                                          config.seed, &ray_casts);
+      const auto weights =
+          weights_k_rays(e, regions, kProbeRays, config.seed, &ray_casts);
       out.weight_correlation = pearson(weights, w.build_times());
 
       const auto centroids = w.centroids();
@@ -119,8 +118,9 @@ RrtRunResult simulate_rrt_run(const Workload& w, const env::Environment& e,
 
       runtime::WorkCounts probe;
       probe.ray_casts = ray_casts;
+      // The probes run in parallel, one share per processor.
       const double probe_s =
-          config.costs.seconds(probe) / config.procs;  // probes run in parallel
+          runtime::CostModel::paper_fidelity().seconds(probe) / config.procs;
       out.redistribution_s =
           probe_s + loadbal::redistribution_time(w.region_bytes(), initial,
                                                  assignment, config.procs,

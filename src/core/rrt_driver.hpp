@@ -14,20 +14,13 @@
 #include "core/strategies.hpp"
 #include "env/environment.hpp"
 #include "loadbal/ws_engine.hpp"
-#include "planner/rrt.hpp"
 
 namespace pmpl::core {
 
 /// Workload-construction parameters.
 struct RrtWorkloadConfig {
   std::size_t total_nodes = 1 << 13;  ///< N tree nodes overall
-  planner::RrtParams rrt;
-  std::size_t iteration_factor = 8;   ///< max_iters = factor * quota
-  std::size_t max_boundary_attempts = 8;
-  double cone_overlap = 1.5;
   std::uint64_t seed = 1;
-  /// Work-unit costs (paper_fidelity reproduces the paper's regime).
-  runtime::CostModel costs = runtime::CostModel::paper_fidelity();
   /// Cooperative stop: measurement ends after the current granule and the
   /// workload comes back partial (see Workload::regions_measured).
   const runtime::CancelToken* cancel = nullptr;
@@ -50,9 +43,6 @@ struct RrtRunConfig {
   runtime::ClusterSpec cluster = runtime::ClusterSpec::opteron_cluster();
   Strategy strategy = Strategy::kNoLB;
   std::uint64_t seed = 1;
-  std::size_t k_rays = 16;  ///< probe rays per region for kRepartition
-  /// Cost of the k-rays probe (must match the workload's model).
-  runtime::CostModel costs = runtime::CostModel::paper_fidelity();
 };
 
 /// Replay outcome.

@@ -37,12 +37,6 @@ struct Aabb {
     return s.x * s.y * s.z;
   }
 
-  /// Surface area (SAH-style BVH heuristics).
-  constexpr double surface_area() const noexcept {
-    const Vec3 s = size();
-    return 2.0 * (s.x * s.y + s.y * s.z + s.z * s.x);
-  }
-
   constexpr bool contains(Vec3 p) const noexcept {
     return p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y &&
            p.z >= lo.z && p.z <= hi.z;

@@ -25,11 +25,6 @@ struct Transform {
     return {rotation * o.rotation, rotation.rotate(o.translation) + translation};
   }
 
-  Transform inverse() const noexcept {
-    const Quat inv = rotation.conjugate();
-    return {inv, inv.rotate(-translation)};
-  }
-
   /// Place a body-frame OBB in the world.
   Obb apply(const Obb& box) const noexcept {
     return {apply(box.center), box.half,

@@ -15,6 +15,16 @@ namespace pmpl::loadbal {
 
 namespace {
 
+// Chance per schedule of each fault kind beyond the kills.
+constexpr double kPauseProb = 0.35;      ///< SIGSTOP window (wall seconds)
+constexpr double kLossProb = 0.5;        ///< all-links drop sweep
+constexpr double kDelayProb = 0.35;      ///< all-links extra delay
+constexpr double kTokenLossProb = 0.35;
+constexpr double kPartitionProb = 0.3;   ///< one partition window
+
+/// Per-rank liveness backstop of every schedule's children.
+constexpr double kChildRunTimeoutS = 4.0;
+
 // Entries in /proc/self/fd (minus . and ..) — the parent's open-fd count.
 // The readdir fd itself is open during the scan on both sides of a
 // before/after comparison, so it cancels out.
@@ -52,29 +62,25 @@ runtime::FaultPlan make_chaos_plan(const ChaosConfig& config,
   Xoshiro256ss rng(derive_seed(schedule_seed, 0xc4a05u));
 
   // Kills. Each becomes a SIGKILL at a supervisor-restartable instant;
-  // per-rank count stays below the restart budget so a schedule can never
-  // legitimately exhaust it (an exhausted budget would leave a rank down,
-  // which is a different scenario than resurrection).
+  // per-rank count stays below the restart budget (see kChaosRestart).
   std::vector<std::uint32_t> kills_per_rank(config.ranks, 0);
   const std::uint32_t n_kills =
-      config.max_kills == 0
-          ? 0
-          : 1 + static_cast<std::uint32_t>(rng.uniform_u64(config.max_kills));
+      1 + static_cast<std::uint32_t>(rng.uniform_u64(kChaosMaxKills));
   for (std::uint32_t k = 0; k < n_kills; ++k) {
     const auto r = static_cast<std::uint32_t>(rng.uniform_u64(config.ranks));
-    if (kills_per_rank[r] >= config.max_kills_per_rank) continue;
+    if (kills_per_rank[r] >= kChaosMaxKillsPerRank) continue;
     ++kills_per_rank[r];
-    plan.crash(r, rng.uniform(0.05, 1.0) * config.horizon_s);
+    plan.crash(r, rng.uniform(0.05, 1.0) * kChaosHorizonS);
   }
 
   // Pause window (the zombie precursor): wall-sized so that death
   // detection has time to fire while the rank is frozen. Never pause a
   // rank we also kill — SIGKILL on a stopped process still reaps, but the
   // overlap makes the schedule's intent ambiguous.
-  if (rng.uniform() < config.pause_prob) {
+  if (rng.uniform() < kPauseProb) {
     std::uint32_t r = static_cast<std::uint32_t>(rng.uniform_u64(config.ranks));
     if (kills_per_rank[r] == 0) {
-      const double from = rng.uniform(0.1, 0.9) * config.horizon_s;
+      const double from = rng.uniform(0.1, 0.9) * kChaosHorizonS;
       const double dur =
           rng.uniform(0.3, 0.8) / std::max(config.time_scale, 1e-9);
       plan.pause(r, from, from + dur);
@@ -83,25 +89,25 @@ runtime::FaultPlan make_chaos_plan(const ChaosConfig& config,
 
   // Link-level noise: drops and delays over all links, bounded windows so
   // the run always gets a clean tail to finish in.
-  if (rng.uniform() < config.loss_prob)
+  if (rng.uniform() < kLossProb)
     plan.lossy_links(rng.uniform(0.05, 0.35), 0.0, 0.0,
-                     rng.uniform(0.3, 1.0) * config.horizon_s);
-  if (rng.uniform() < config.delay_prob)
+                     rng.uniform(0.3, 1.0) * kChaosHorizonS);
+  if (rng.uniform() < kDelayProb)
     plan.lossy_links(0.0, rng.uniform(0.5e-3, 3e-3), 0.0,
-                     rng.uniform(0.3, 1.0) * config.horizon_s);
-  if (rng.uniform() < config.token_loss_prob)
+                     rng.uniform(0.3, 1.0) * kChaosHorizonS);
+  if (rng.uniform() < kTokenLossProb)
     plan.lose_tokens(rng.uniform(0.2, 0.8), 0.0,
-                     rng.uniform(0.3, 1.0) * config.horizon_s);
+                     rng.uniform(0.3, 1.0) * kChaosHorizonS);
 
   // One partition window: a random nonempty strict subset on side A.
-  if (config.ranks >= 2 && rng.uniform() < config.partition_prob) {
+  if (config.ranks >= 2 && rng.uniform() < kPartitionProb) {
     std::vector<std::uint32_t> side;
     for (std::uint32_t r = 0; r < config.ranks; ++r)
       if (rng.uniform() < 0.5) side.push_back(r);
     if (!side.empty() && side.size() < config.ranks) {
-      const double from = rng.uniform(0.0, 0.5) * config.horizon_s;
+      const double from = rng.uniform(0.0, 0.5) * kChaosHorizonS;
       plan.partition(std::move(side), from,
-                     from + rng.uniform(0.2, 0.5) * config.horizon_s);
+                     from + rng.uniform(0.2, 0.5) * kChaosHorizonS);
     }
   }
   return plan;
@@ -135,9 +141,9 @@ ChaosScheduleResult run_chaos_schedule(const ChaosConfig& config,
   cc.rank.time_scale = config.time_scale;
   // Short liveness backstop: a replacement forked after the termination
   // wave has passed can find nobody to talk to and must wedge out fast.
-  cc.rank.run_timeout_s = config.child_run_timeout_s;
+  cc.rank.run_timeout_s = kChildRunTimeoutS;
   cc.faults = out.plan;
-  cc.restart = config.restart;
+  cc.restart = kChaosRestart;
   cc.timeout_s = config.cluster_timeout_s;
 
   const auto res = run_ws_cluster(cc);

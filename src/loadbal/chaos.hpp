@@ -31,6 +31,22 @@
 
 namespace pmpl::loadbal {
 
+/// Fault instants are drawn inside [0, kChaosHorizonS) simulated seconds
+/// — roughly the active makespan of ChaosConfig's default workload.
+inline constexpr double kChaosHorizonS = 0.12;
+
+/// Kills drawn per schedule, and the most any one rank takes.
+inline constexpr std::uint32_t kChaosMaxKills = 3;
+inline constexpr std::uint32_t kChaosMaxKillsPerRank = 2;
+
+/// The supervisor policy every schedule runs under.
+inline constexpr RestartPolicy kChaosRestart{.enabled = true,
+                                             .max_restarts = 3};
+
+// A rank's kills stay below its restart budget, so a schedule never
+// legitimately leaves a rank down (a different scenario than resurrection).
+static_assert(kChaosMaxKillsPerRank < kChaosRestart.max_restarts);
+
 struct ChaosConfig {
   std::uint64_t seed = 0xc4a05ULL;
   std::uint32_t schedules = 20;  ///< soak width
@@ -39,26 +55,7 @@ struct ChaosConfig {
   std::uint32_t regions = 48;
   double time_scale = 1.0;  ///< wall seconds per simulated service second
 
-  /// Fault instants are drawn inside [0, horizon_s) simulated seconds —
-  /// roughly the active makespan of the workload above.
-  double horizon_s = 0.12;
-
-  std::uint32_t max_kills = 3;           ///< per schedule
-  std::uint32_t max_kills_per_rank = 2;  ///< keep below restart budget
-  double pause_prob = 0.35;      ///< SIGSTOP window (drawn in wall seconds)
-  double loss_prob = 0.5;        ///< all-links drop sweep
-  double delay_prob = 0.35;      ///< all-links extra delay
-  double token_loss_prob = 0.35;
-  double partition_prob = 0.3;   ///< one partition window
-
-  double child_run_timeout_s = 4.0;  ///< per-rank liveness backstop
-  double cluster_timeout_s = 30.0;   ///< parent watchdog per schedule
-
-  RestartPolicy restart = {.enabled = true,
-                           .max_restarts = 3,
-                           .backoff_initial_s = 0.02,
-                           .backoff_max_s = 0.5,
-                           .suspect_after_s = 0.0};
+  double cluster_timeout_s = 30.0;  ///< parent watchdog per schedule
 };
 
 /// Outcome of one schedule, with the plan that produced it (so a failure

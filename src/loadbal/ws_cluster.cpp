@@ -25,6 +25,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Each child's budget to bring up its share of the socket mesh.
+constexpr double kLaunchTimeoutS = 10.0;
+/// A rank's restart backoff starts here and doubles per consecutive
+/// restart up to the cap.
+constexpr double kRestartBackoffInitialS = 0.02;
+constexpr double kRestartBackoffMaxS = 0.5;
+
 double steady_seconds() {
   timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -206,8 +213,8 @@ void on_fatal_signal(int sig) {
   net_cfg.generation = gen;
   net_cfg.dial_all = gen > 0;
   net_cfg.epoch_steady_s = epoch;
-  net_cfg.connect_timeout_s = cfg.launch_timeout_s;
-  net_cfg.accept_timeout_s = cfg.launch_timeout_s;
+  net_cfg.connect_timeout_s = kLaunchTimeoutS;
+  net_cfg.accept_timeout_s = kLaunchTimeoutS;
   // Crashes and pauses are the parent's job; children only see the
   // link/token/partition part, mapped from simulated onto wall seconds.
   net_cfg.faults = runtime::scaled_fault_plan(cfg.faults,
@@ -559,9 +566,8 @@ ClusterResult run_ws_cluster(const ClusterConfig& config) {
                                  (code >= 128 || !termination_seen);
         if (restartable) {
           s.backoff = s.backoff == 0.0
-                          ? config.restart.backoff_initial_s
-                          : std::min(s.backoff * 2.0,
-                                     config.restart.backoff_max_s);
+                          ? kRestartBackoffInitialS
+                          : std::min(s.backoff * 2.0, kRestartBackoffMaxS);
           s.restart_at = t + s.backoff;
         } else {
           s.lifecycle_done = true;

@@ -57,12 +57,11 @@ std::vector<bool> completed_set(const WsResult& des);
 /// checkpoints its protocol state into the cluster dir and the parent
 /// re-forks a child that dies by signal or exits unhealthy (fenced,
 /// wedged, any nonzero code) as generation+1, pointed at the newest
-/// checkpoint its predecessors left, after a capped exponential backoff.
+/// checkpoint its predecessors left, after a capped exponential backoff
+/// (20 ms doubling to 0.5 s).
 struct RestartPolicy {
   bool enabled = false;
   std::uint32_t max_restarts = 3;   ///< re-forks per rank
-  double backoff_initial_s = 0.02;  ///< doubles per consecutive restart
-  double backoff_max_s = 0.5;
 
   /// >0: a rank whose checkpoint file stops advancing for this long is
   /// *suspected* and a replacement is forked WITHOUT killing it — the
@@ -107,8 +106,7 @@ struct ClusterConfig {
   /// Directory for socket and result files; empty = fresh mkdtemp.
   std::string dir;
 
-  double launch_timeout_s = 10.0;  ///< per-child mesh bring-up budget
-  double timeout_s = 90.0;         ///< parent's whole-run watchdog
+  double timeout_s = 90.0;  ///< parent's whole-run watchdog
 };
 
 struct ClusterResult {

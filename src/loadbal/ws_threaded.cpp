@@ -28,7 +28,7 @@ std::vector<WorkerStats> run_on_scheduler(
                                             std::memory_order_relaxed);
                           tasks[i]();
                         },
-                        &group);
+                        group);
   }
   scheduler.wait(group);
 

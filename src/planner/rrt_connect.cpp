@@ -17,6 +17,9 @@ namespace {
 /// the tolerance only absorbs interpolation round-off.
 constexpr double kReachedTol = 1e-9;
 
+/// Extensions one greedy CONNECT may take toward its target.
+constexpr std::size_t kMaxConnectSteps = 64;
+
 }  // namespace
 
 std::optional<std::vector<cspace::Config>> RrtConnect::plan(
@@ -80,7 +83,7 @@ std::optional<std::vector<cspace::Config>> RrtConnect::plan(
     // the nearest), so progress toward the target is monotone.
     const cspace::Config qtarget = tree_.vertex(best_id).cfg;
     std::optional<graph::VertexId> reached;
-    for (std::size_t c = 0; c < params_.max_connect_steps &&
+    for (std::size_t c = 0; c < kMaxConnectSteps &&
                             tree_.num_vertices() < params_.max_nodes;
          ++c) {
       if (runtime::stop_requested(cancel)) return std::nullopt;

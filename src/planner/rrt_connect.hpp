@@ -38,7 +38,6 @@ struct RrtConnectParams {
   /// config validity (one wide valid_mask) and edge validation (cross-edge
   /// window) per round.
   std::size_t batch_width = 1;
-  std::size_t max_connect_steps = 64;  ///< greedy-connect extension cap
 };
 
 /// Bidirectional planner: grow from `start` and `goal` simultaneously,

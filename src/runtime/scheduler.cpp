@@ -186,9 +186,9 @@ void Scheduler::enqueue_runners(Task* runner, std::size_t count) {
   wake_all();
 }
 
-void Scheduler::submit(std::function<void()> fn, TaskGroup* group) {
-  if (group) group->outstanding_.fetch_add(1, std::memory_order_seq_cst);
-  Task* task = new Task{std::move(fn), group};
+void Scheduler::submit(std::function<void()> fn, TaskGroup& group) {
+  group.outstanding_.fetch_add(1, std::memory_order_seq_cst);
+  Task* task = new Task{std::move(fn), &group};
   const int self = current_worker();
   if (self >= 0) {
     workers_[static_cast<std::size_t>(self)]->deque.push(task);
@@ -203,10 +203,10 @@ void Scheduler::submit(std::function<void()> fn, TaskGroup* group) {
 }
 
 void Scheduler::submit_to(std::uint32_t worker, std::function<void()> fn,
-                          TaskGroup* group) {
+                          TaskGroup& group) {
   assert(worker < size());
-  if (group) group->outstanding_.fetch_add(1, std::memory_order_seq_cst);
-  Task* task = new Task{std::move(fn), group};
+  group.outstanding_.fetch_add(1, std::memory_order_seq_cst);
+  Task* task = new Task{std::move(fn), &group};
   if (current_worker() == static_cast<int>(worker)) {
     workers_[worker]->deque.push(task);
     pending_.fetch_add(1, std::memory_order_seq_cst);
@@ -235,20 +235,13 @@ void Scheduler::run_task(Task* task, Worker* self) {
   try {
     task->fn();
   } catch (...) {
-    // Never let a task exception unwind the worker loop (std::terminate).
-    // Grouped: latched on the group, rethrown at its join. Ungrouped:
-    // latched on the scheduler for take_orphan_error().
-    if (group) {
-      group->store_error(std::current_exception());
-    } else {
-      std::lock_guard lock(orphan_mutex_);
-      if (!orphan_error_) orphan_error_ = std::current_exception();
-    }
+    // Never let a task exception unwind the worker loop (std::terminate):
+    // latch it on the group, which rethrows it at its join.
+    group->store_error(std::current_exception());
   }
   if (trace) trace->end_at("task", options_.tracer->now_s());
   delete task;
-  if (group &&
-      group->outstanding_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+  if (group->outstanding_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
     // Last task of the wave: the group may be a stack object about to be
     // destroyed by its waiter, so only scheduler members are touched here.
     wake_all();
@@ -410,17 +403,6 @@ void Scheduler::worker_loop(std::uint32_t w) {
   }
 }
 
-void Scheduler::report_stall(std::int64_t outstanding) {
-  if (options_.on_watchdog) {
-    options_.on_watchdog(outstanding);
-    return;
-  }
-  std::fprintf(stderr,
-               "[pmpl] scheduler watchdog: wait() stalled for %.1fs with "
-               "%lld task(s) outstanding\n",
-               options_.watchdog_s, static_cast<long long>(outstanding));
-}
-
 void Scheduler::wait(TaskGroup& group) {
   await(group.outstanding_);
   if (group.has_error())
@@ -428,7 +410,6 @@ void Scheduler::wait(TaskGroup& group) {
 }
 
 void Scheduler::await(const std::atomic<std::int64_t>& remaining) {
-  const bool watch = options_.watchdog_s > 0.0;
   const int self = current_worker();
   const auto finished = [&] {
     return remaining.load(std::memory_order_seq_cst) == 0;
@@ -440,15 +421,11 @@ void Scheduler::await(const std::atomic<std::int64_t>& remaining) {
     std::uint64_t rng_state =
         mix_seed(options_.seed, 0x5157ull + static_cast<std::uint64_t>(w));
     int idle = 0;
-    auto last_progress = std::chrono::steady_clock::now();
-    std::int64_t last_outstanding =
-        remaining.load(std::memory_order_seq_cst);
     while (!finished()) {
       Task* task = find_task(w, rng_state);
       if (task) {
         run_task(task, workers_[w].get());
         idle = 0;
-        if (watch) last_progress = std::chrono::steady_clock::now();
         continue;
       }
       // What remains is running on other workers.
@@ -456,47 +433,13 @@ void Scheduler::await(const std::atomic<std::int64_t>& remaining) {
         cpu_relax();
       else
         std::this_thread::yield();
-      if (watch && idle > kSpinIters) {
-        const auto now = std::chrono::steady_clock::now();
-        const std::int64_t outstanding =
-            remaining.load(std::memory_order_seq_cst);
-        if (outstanding != last_outstanding) {
-          last_outstanding = outstanding;
-          last_progress = now;
-        } else if (std::chrono::duration<double>(now - last_progress)
-                       .count() >= options_.watchdog_s) {
-          report_stall(outstanding);
-          last_progress = now;
-        }
-      }
     }
   } else if (!finished()) {
     std::unique_lock lock(park_mutex_);
     waiters_.fetch_add(1, std::memory_order_seq_cst);
-    if (!watch) {
-      park_cv_.wait(lock, finished);
-    } else {
-      const auto interval = std::chrono::duration<double>(options_.watchdog_s);
-      std::int64_t last_outstanding =
-          remaining.load(std::memory_order_seq_cst);
-      while (!park_cv_.wait_for(lock, interval, finished)) {
-        const std::int64_t outstanding =
-            remaining.load(std::memory_order_seq_cst);
-        if (outstanding == last_outstanding) {
-          lock.unlock();  // never call user code under the park mutex
-          report_stall(outstanding);
-          lock.lock();
-        }
-        last_outstanding = outstanding;
-      }
-    }
+    park_cv_.wait(lock, finished);
     waiters_.fetch_sub(1, std::memory_order_seq_cst);
   }
-}
-
-std::exception_ptr Scheduler::take_orphan_error() {
-  std::lock_guard lock(orphan_mutex_);
-  return std::exchange(orphan_error_, nullptr);
 }
 
 std::vector<WorkerCounters> Scheduler::counters() const {

@@ -13,7 +13,7 @@
 ///
 /// Idle workers back off (spin → yield → park on a condition variable), so
 /// a draining scheduler does not burn 100% CPU; parked time is recorded
-/// per worker. Quiescence is per-TaskGroup: every submission may carry a
+/// per worker. Quiescence is per-TaskGroup: every submission carries a
 /// completion token, so independent waves of work on one scheduler wait
 /// only for their own tasks (unlike the old ThreadPool::wait_idle()).
 ///
@@ -55,7 +55,7 @@ struct WorkerCounters {
 /// atomic — sleeping waiters park on the scheduler's condition variable, so
 /// the group itself can be a short-lived stack object.
 ///
-/// A tracked task that throws does not take the process down: the first
+/// A task that throws does not take the process down: the first
 /// exception of the wave is captured here and rethrown by Scheduler::wait
 /// at the join point; later exceptions of the same wave are dropped,
 /// matching the usual fork/join convention.
@@ -65,11 +65,7 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  bool finished() const noexcept {
-    return outstanding_.load(std::memory_order_seq_cst) == 0;
-  }
-
-  /// True when some tracked task threw and wait() has not yet rethrown it.
+  /// True when a task of the group threw and wait() has not yet rethrown it.
   bool has_error() const noexcept {
     return has_error_.load(std::memory_order_acquire);
   }
@@ -99,14 +95,6 @@ class TaskGroup {
 
 struct SchedulerOptions {
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;  ///< victim-selection streams
-  /// Quiescence watchdog: when > 0, a wait() whose group makes no progress
-  /// for this many seconds reports the apparent hang (and keeps reporting
-  /// every further stalled interval) instead of blocking silently.
-  double watchdog_s = 0.0;
-  /// Watchdog sink; stderr when unset. Called outside scheduler locks, but
-  /// must not call back into the scheduler. Receives the stalled group's
-  /// outstanding-task count.
-  std::function<void(std::int64_t)> on_watchdog;
   /// Tracing sink; nullptr (the default) disables tracing entirely — no
   /// events, no extra work, no behavioral change. When set, each worker
   /// records task spans, steal instants (arg = victim) and park spans on
@@ -132,26 +120,21 @@ class Scheduler {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Enqueue a task, optionally tracked by `group`. From a worker thread
-  /// this is a lock-free push onto its own deque; from outside, tasks
-  /// round-robin across worker inboxes.
-  void submit(std::function<void()> fn, TaskGroup* group = nullptr);
+  /// Enqueue a task tracked by `group`. From a worker thread this is a
+  /// lock-free push onto its own deque; from outside, tasks round-robin
+  /// across worker inboxes.
+  void submit(std::function<void()> fn, TaskGroup& group);
 
   /// Enqueue a task for a specific worker. This is an initial placement
   /// hint: an idle worker may still steal the task.
   void submit_to(std::uint32_t worker, std::function<void()> fn,
-                 TaskGroup* group = nullptr);
+                 TaskGroup& group);
 
   /// Block until every task tracked by `group` has finished. Called from a
   /// worker of this scheduler, the worker helps execute queued tasks
   /// instead of blocking (recursive parallel_for does not deadlock).
   /// Rethrows the first exception thrown by a task of the group.
   void wait(TaskGroup& group);
-
-  /// First exception thrown by a task submitted *without* a group (nobody
-  /// joins those, so it is latched here instead of silently swallowed).
-  /// Returns nullptr when none; clears the slot.
-  std::exception_ptr take_orphan_error();
 
   /// Index of the calling scheduler worker, or -1 for external threads.
   int current_worker() const noexcept;
@@ -169,7 +152,7 @@ class Scheduler {
 
   struct Task {
     std::function<void()> fn;
-    TaskGroup* group = nullptr;
+    TaskGroup* group = nullptr;  ///< set on every submitted task
     /// Set on a wave's runner, which lives inside its Wave and is queued
     /// once per runner; `fn` and `group` are then unused.
     Wave* wave = nullptr;
@@ -203,13 +186,12 @@ class Scheduler {
   bool run_wave(std::size_t n, const std::function<void(std::size_t)>& fn,
                 const CancelToken& cancel, std::size_t chunk);
   /// Block until `remaining` reads 0: a worker helps run tasks meanwhile,
-  /// another thread parks (both under the watchdog).
+  /// another thread parks.
   void await(const std::atomic<std::int64_t>& remaining);
   Task* find_task(std::uint32_t w, std::uint64_t& rng_state);
   Task* try_steal(std::uint32_t w, std::uint32_t victim);
   void wake_all();
   void wake_waiters();
-  void report_stall(std::int64_t outstanding);
 
   SchedulerOptions options_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -223,8 +205,6 @@ class Scheduler {
   std::atomic<std::int32_t> waiters_{0};
   std::mutex park_mutex_;
   std::condition_variable park_cv_;
-  std::mutex orphan_mutex_;
-  std::exception_ptr orphan_error_;
 };
 
 /// Run fn(i) for i in [0, n), blocking until done: the caller and at most

@@ -31,6 +31,15 @@ void set_nonblocking(int fd) {
 /// this is a protocol violation, not a big frame.
 constexpr std::size_t kMaxPayload = 64 + 4ull * kMaxFrameItems;
 
+/// A dial retries with a nap that doubles from the first value up to the
+/// second.
+constexpr double kConnectBackoffInitialS = 5e-4;
+constexpr double kConnectBackoffMaxS = 0.25;
+/// How long one send polls for writability before it counts as dropped.
+constexpr double kSendTimeoutS = 2.0;
+/// Re-dials per connect-side peer over the transport's life.
+constexpr std::uint32_t kReconnectBudget = 3;
+
 int make_socket() {
   return socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
 }
@@ -59,7 +68,7 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
       clock_known_(config_.size, 0) {
   epoch_steady_s_ = config_.epoch_steady_s > 0.0 ? config_.epoch_steady_s
                                                  : steady_seconds();
-  for (auto& p : peers_) p.redials_left = config_.reconnect_budget;
+  for (auto& p : peers_) p.redials_left = kReconnectBudget;
   if (config_.tracer)
     trace_ = config_.tracer->track(
         config_.track_name.empty()
@@ -179,7 +188,7 @@ bool SocketTransport::start(std::string* error) {
 
 bool SocketTransport::dial(std::uint32_t peer, double budget_s) {
   const double deadline = now() + budget_s;
-  double backoff = config_.connect_backoff_initial_s;
+  double backoff = kConnectBackoffInitialS;
   const std::string path = sock_path(peer);
   for (;;) {
     const int fd = make_socket();
@@ -232,7 +241,7 @@ bool SocketTransport::dial(std::uint32_t peer, double budget_s) {
     ts.tv_nsec = static_cast<long>((nap - static_cast<double>(ts.tv_sec)) *
                                    1e9);
     nanosleep(&ts, nullptr);
-    backoff = std::min(backoff * 2.0, config_.connect_backoff_max_s);
+    backoff = std::min(backoff * 2.0, kConnectBackoffMaxS);
   }
 }
 
@@ -268,7 +277,7 @@ bool SocketTransport::send(std::uint32_t to, const Frame& f) {
   stamped.seq = ++send_seq_;
   std::vector<std::uint8_t> wire;
   encode_frame(stamped, wire);
-  const double deadline = now() + config_.send_timeout_s;
+  const double deadline = now() + kSendTimeoutS;
   bool redialed = false;
   for (;;) {
     Peer& p = peers_[to];
@@ -284,7 +293,7 @@ bool SocketTransport::send(std::uint32_t to, const Frame& f) {
         // never closes), so a redial that needs longer than this is a
         // dead peer — and blocking here longer would silence our own
         // heartbeat acks enough to get *us* fenced.
-        if (dial(to, std::min(0.02, config_.send_timeout_s / 2.0))) {
+        if (dial(to, 0.02)) {
           ++metrics_.reconnects;
           trace_instant("reconnect", to);
           continue;

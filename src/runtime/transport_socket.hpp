@@ -59,11 +59,7 @@ struct SocketTransportConfig {
   double epoch_steady_s = 0.0;
 
   double connect_timeout_s = 10.0;   ///< total budget to reach one peer
-  double connect_backoff_initial_s = 5e-4;
-  double connect_backoff_max_s = 0.25;
   double accept_timeout_s = 10.0;    ///< budget to hear from higher ranks
-  double send_timeout_s = 2.0;
-  std::uint32_t reconnect_budget = 3;  ///< re-dials per connect-side peer
 
   FaultPlan faults;  ///< link/token faults, times already in wall seconds
 

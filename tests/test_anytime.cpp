@@ -595,6 +595,63 @@ TEST(AnytimeRrt, InterruptedAndResumedBuildIsBitIdentical) {
   std::remove(path.c_str());
 }
 
+// --- checkpoint fingerprints ------------------------------------------------
+
+// A build resumes only from a checkpoint whose fingerprint matches its own
+// configuration, so the fingerprint of a given configuration must never
+// drift: a checkpoint written by an earlier build of the library has to
+// keep resuming. These pin the PRM and RRT fingerprints of one fixed
+// configuration each, read from the snapshot a pre-cancelled build leaves.
+std::uint64_t pinned_fingerprint(const std::string& path,
+                                 std::uint32_t kind) {
+  const auto ckpt = core::load_checkpoint_file(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(ckpt.has_value());
+  if (!ckpt) return 0;
+  EXPECT_EQ(ckpt->kind, kind);
+  EXPECT_TRUE(ckpt->regions.empty());
+  return ckpt->fingerprint;
+}
+
+TEST(CheckpointFingerprint, PrmIsPinned) {
+  const auto e = env::small_cube();
+  const auto grid = core::RegionGrid::make_auto(
+      e->space().position_bounds(), 27, false);
+  const auto path = temp_path("ckpt_fingerprint_prm.bin");
+  runtime::CancelToken token;
+  token.request_cancel();
+  core::ParallelPrmConfig cfg;
+  cfg.total_attempts = 2048;
+  cfg.workers = 2;
+  cfg.seed = 91;
+  cfg.anytime.cancel = &token;
+  cfg.anytime.checkpoint_path = path;
+  const auto r = core::parallel_build_prm(*e, grid, cfg);
+  ASSERT_TRUE(r.degradation.checkpoint_written);
+  EXPECT_EQ(pinned_fingerprint(path, core::kCheckpointKindPrm),
+            7376344903738730875ull);
+}
+
+TEST(CheckpointFingerprint, RrtIsPinned) {
+  const auto e = env::mixed(0.30);
+  const core::RadialRegions regions({50, 50, 50}, 45.0, 48, 4, 111, false);
+  Xoshiro256ss rng(112);
+  const auto root = e->space().at_position({50, 50, 50}, rng);
+  const auto path = temp_path("ckpt_fingerprint_rrt.bin");
+  runtime::CancelToken token;
+  token.request_cancel();
+  core::ParallelRrtConfig cfg;
+  cfg.total_nodes = 1 << 13;
+  cfg.workers = 2;
+  cfg.seed = 113;
+  cfg.anytime.cancel = &token;
+  cfg.anytime.checkpoint_path = path;
+  const auto r = core::parallel_build_rrt(*e, regions, root, cfg);
+  ASSERT_TRUE(r.degradation.checkpoint_written);
+  EXPECT_EQ(pinned_fingerprint(path, core::kCheckpointKindRrt),
+            11215057826940535022ull);
+}
+
 // A PRM checkpoint must never resume an RRT build (kind mismatch).
 TEST(AnytimeRrt, RefusesPrmCheckpoint) {
   const auto path = temp_path("ckpt_kind_mismatch.bin");

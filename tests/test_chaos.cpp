@@ -210,10 +210,11 @@ TEST(ChaosPlan, DeterministicAndBounded) {
     for (const auto& c : a.crashes) {
       ASSERT_LT(c.rank, cfg.ranks);
       EXPECT_GT(c.at_s, 0.0);
-      EXPECT_LE(c.at_s, cfg.horizon_s);
+      EXPECT_LE(c.at_s, loadbal::kChaosHorizonS);
       ++kills[c.rank];
     }
-    for (std::uint32_t k : kills) EXPECT_LE(k, cfg.max_kills_per_rank);
+    for (std::uint32_t k : kills)
+      EXPECT_LE(k, loadbal::kChaosMaxKillsPerRank);
     // A killed rank is never also paused (ambiguous schedules excluded).
     for (const auto& pz : a.pauses) EXPECT_EQ(kills[pz.rank], 0u);
     for (const auto& pt : a.partitions) {
@@ -224,6 +225,23 @@ TEST(ChaosPlan, DeterministicAndBounded) {
   // Different seeds diverge (probabilistically certain over 5 seeds).
   EXPECT_NE(runtime::fault_plan_to_json(loadbal::make_chaos_plan(cfg, 1)),
             runtime::fault_plan_to_json(loadbal::make_chaos_plan(cfg, 2)));
+}
+
+// The default schedule generator is pinned plan for plan: a soak report
+// names its schedules by seed, so a seed must keep drawing the same plan.
+// Seed 1 kills one rank twice; seeds 10 and 13 between them draw every
+// other fault kind (pause, drop and delay sweeps, token loss, partition).
+TEST(ChaosPlan, DefaultPlansArePinned) {
+  const loadbal::ChaosConfig cfg;
+  EXPECT_EQ(
+      runtime::fault_plan_to_json(loadbal::make_chaos_plan(cfg, 1)),
+      R"({"seed": "2903691316201645484", "crashes": [{"rank": 3, "at_s": 0.11732404007735243}, {"rank": 3, "at_s": 0.11766026070797271}, {"rank": 1, "at_s": 0.0073756914371894567}], "stragglers": [], "links": [{"from": "any", "to": "any", "drop_prob": 0, "extra_delay_s": 0.0025513604374343083, "from_s": 0, "until_s": 0.048776329271331839}], "tokens": [], "pauses": [], "partitions": []})");
+  EXPECT_EQ(
+      runtime::fault_plan_to_json(loadbal::make_chaos_plan(cfg, 10)),
+      R"({"seed": "3859734002883574538", "crashes": [{"rank": 1, "at_s": 0.056321296286701128}, {"rank": 1, "at_s": 0.022808852644908277}, {"rank": 2, "at_s": 0.11755077491594014}], "stragglers": [], "links": [{"from": "any", "to": "any", "drop_prob": 0, "extra_delay_s": 0.0021750294984766096, "from_s": 0, "until_s": 0.11331807770143827}], "tokens": [{"drop_prob": 0.48080636320623082, "from_s": 0, "until_s": 0.064608912972978619}], "pauses": [{"rank": 0, "from_s": 0.06173892148665272, "until_s": 0.40343304866783714}], "partitions": [{"ranks": [2], "from_s": 0.01051389913618578, "until_s": 0.042801332354620032}]})");
+  EXPECT_EQ(
+      runtime::fault_plan_to_json(loadbal::make_chaos_plan(cfg, 13)),
+      R"({"seed": "8763129941917772234", "crashes": [{"rank": 0, "at_s": 0.037055041927231282}, {"rank": 0, "at_s": 0.04316909930641686}], "stragglers": [], "links": [{"from": "any", "to": "any", "drop_prob": 0.17542880057202892, "extra_delay_s": 0, "from_s": 0, "until_s": 0.061493248250340832}, {"from": "any", "to": "any", "drop_prob": 0, "extra_delay_s": 0.0020532271075361548, "from_s": 0, "until_s": 0.044165814839781492}], "tokens": [], "pauses": [{"rank": 1, "from_s": 0.08727006011471837, "until_s": 0.83778893955449563}], "partitions": [{"ranks": [1, 3], "from_s": 0.038433774847587129, "until_s": 0.079121497973865057}]})");
 }
 
 // A failure reproduces from the report alone: every run's "plan" in the

@@ -163,17 +163,6 @@ TEST(RegionWeight, SampleCountsSmoothed) {
   EXPECT_DOUBLE_EQ(w[2], 11.0);
 }
 
-TEST(RegionWeight, FreeVolumeDetectsObstacle) {
-  const auto e = env::med_cube();
-  const RegionGrid grid(e->space().position_bounds(), 4, 4, 4);
-  const auto w = weights_free_volume(*e, grid, 200, 17);
-  ASSERT_EQ(w.size(), 64u);
-  // Center cells overlap the cube heavily; corner cells are free.
-  const auto center = grid.cell_of({50, 50, 50});
-  const auto corner = grid.cell_of({5, 5, 5});
-  EXPECT_LT(w[center], 0.5 * w[corner]);
-}
-
 TEST(RegionWeight, KRaysSeesBlockedDirections) {
   // Environment blocked on +x side only.
   auto e = env::mixed(0.60);

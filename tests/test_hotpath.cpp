@@ -129,11 +129,11 @@ TEST(HotPathAllocations, SchedulerStealIsAllocationFree) {
   // One worker fills its own deque, then spins without running any of it,
   // so the other worker can only steal (in batches) and run what it stole.
   sched.submit([&] {
-    for (int i = 0; i < kTasks; ++i) sched.submit([&] { ++ran; }, &group);
+    for (int i = 0; i < kTasks; ++i) sched.submit([&] { ++ran; }, group);
     const std::uint64_t before = allocation_count();
     while (ran.load() < kTasks) std::this_thread::yield();
     during_steals = allocation_count() - before;
-  }, &group);
+  }, group);
   sched.wait(group);
   EXPECT_EQ(during_steals, 0u);
   std::uint64_t stolen = 0;

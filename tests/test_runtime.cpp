@@ -508,7 +508,7 @@ TEST(Scheduler, ExecutesAllExternalTasks) {
   Scheduler sched(4);
   TaskGroup group;
   std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i) sched.submit([&] { ++count; }, &group);
+  for (int i = 0; i < 500; ++i) sched.submit([&] { ++count; }, group);
   sched.wait(group);
   EXPECT_EQ(count.load(), 500);
 }
@@ -528,10 +528,10 @@ TEST(Scheduler, RecursiveSubmissionQuiesces) {
     ++count;
     if (depth < 4) {
       for (int i = 0; i < 3; ++i)
-        sched.submit([&, depth] { spawn(depth + 1); }, &group);
+        sched.submit([&, depth] { spawn(depth + 1); }, group);
     }
   };
-  sched.submit([&] { spawn(0); }, &group);
+  sched.submit([&] { spawn(0); }, group);
   sched.wait(group);
   // 1 + 3 + 9 + 27 + 81 = 121 nodes of the spawn tree.
   EXPECT_EQ(count.load(), 121);
@@ -555,9 +555,9 @@ TEST(Scheduler, PerGroupWaitIgnoresOtherGroups) {
     while (!release_slow.load(std::memory_order_acquire))
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     slow_done.store(true, std::memory_order_release);
-  }, &slow_group);
+  }, slow_group);
   std::atomic<int> fast{0};
-  for (int i = 0; i < 32; ++i) sched.submit([&] { ++fast; }, &fast_group);
+  for (int i = 0; i < 32; ++i) sched.submit([&] { ++fast; }, fast_group);
   sched.wait(fast_group);  // must return while the slow task still runs
   EXPECT_EQ(fast.load(), 32);
   EXPECT_FALSE(slow_done.load());
@@ -572,7 +572,7 @@ TEST(Scheduler, CountersAccountForEveryTask) {
   for (int i = 0; i < 300; ++i)
     sched.submit([] {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }, &group);
+    }, group);
   sched.wait(group);
   const auto counters = sched.counters();
   ASSERT_EQ(counters.size(), 4u);
@@ -594,7 +594,7 @@ TEST(Scheduler, ParksWhenIdleAndWakesOnSubmit) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50 << attempt));
     TaskGroup group;
     std::atomic<int> count{0};
-    for (int i = 0; i < 16; ++i) sched.submit([&] { ++count; }, &group);
+    for (int i = 0; i < 16; ++i) sched.submit([&] { ++count; }, group);
     sched.wait(group);
     EXPECT_EQ(count.load(), 16);
     parked = 0.0;
@@ -614,8 +614,8 @@ TEST(Scheduler, StressWavesOfRecursiveTasks) {
       sched.submit([&, i] {
         ++count;
         if (i % 7 == 0)
-          sched.submit([&] { ++count; }, &group);
-      }, &group);
+          sched.submit([&] { ++count; }, group);
+      }, group);
     }
     sched.wait(group);
     const int spawned = (400 + 6) / 7;
@@ -623,7 +623,7 @@ TEST(Scheduler, StressWavesOfRecursiveTasks) {
   }
 }
 
-// --- scheduler error propagation & watchdog ---------------------------------
+// --- scheduler error propagation -------------------------------------------
 
 TEST(Scheduler, ThrowingTaskPropagatesAtParallelForJoin) {
   Scheduler sched(4);
@@ -644,7 +644,7 @@ TEST(Scheduler, FirstExceptionWinsAndGroupIsReusable) {
   Scheduler sched(4);
   TaskGroup group;
   for (int i = 0; i < 16; ++i)
-    sched.submit([] { throw std::runtime_error("boom"); }, &group);
+    sched.submit([] { throw std::runtime_error("boom"); }, group);
   int caught = 0;
   try {
     sched.wait(group);
@@ -654,7 +654,7 @@ TEST(Scheduler, FirstExceptionWinsAndGroupIsReusable) {
   EXPECT_EQ(caught, 1);  // later exceptions of the wave are dropped
   EXPECT_FALSE(group.has_error());  // wait() consumed the latched error
   std::atomic<int> ok{0};
-  sched.submit([&] { ++ok; }, &group);
+  sched.submit([&] { ++ok; }, group);
   sched.wait(group);  // must not rethrow a stale error
   EXPECT_EQ(ok.load(), 1);
 }
@@ -670,39 +670,6 @@ TEST(Scheduler, NestedThrowPropagatesThroughWorkerHelp) {
         }, 1);
       }, 1),
       std::runtime_error);
-}
-
-TEST(Scheduler, OrphanTaskErrorIsLatched) {
-  Scheduler sched(2);
-  sched.submit([] { throw std::runtime_error("orphan"); });  // no group
-  std::exception_ptr e;
-  for (int i = 0; i < 2000 && !e; ++i) {
-    e = sched.take_orphan_error();
-    if (!e) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(e);
-  EXPECT_THROW(std::rethrow_exception(e), std::runtime_error);
-  EXPECT_FALSE(sched.take_orphan_error());  // slot cleared
-}
-
-TEST(Scheduler, WatchdogReportsStalledWait) {
-  SchedulerOptions options;
-  options.watchdog_s = 0.05;
-  std::atomic<int> fired{0};
-  std::atomic<bool> release{false};
-  options.on_watchdog = [&](std::int64_t outstanding) {
-    EXPECT_GE(outstanding, 1);
-    ++fired;
-    release.store(true, std::memory_order_release);
-  };
-  Scheduler sched(2, options);
-  TaskGroup group;
-  sched.submit([&] {
-    while (!release.load(std::memory_order_acquire))
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }, &group);
-  sched.wait(group);  // stalls until the watchdog releases the task
-  EXPECT_GE(fired.load(), 1);
 }
 
 // --- parallel_for on the scheduler ------------------------------------------
@@ -773,7 +740,7 @@ class HeldWorker {
       started_.store(true, std::memory_order_release);
       while (!released_.load(std::memory_order_acquire))
         std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }, &group_);
+    }, group_);
     while (!started_.load(std::memory_order_acquire))
       std::this_thread::yield();
   }

@@ -422,7 +422,7 @@ TEST(TraceConcurrency, SchedulerWorkersEmitConcurrently) {
     runtime::TaskGroup group;
     for (int i = 0; i < 512; ++i)
       sched.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
-                   &group);
+                   group);
     sched.wait(group);
   }  // workers joined: the trace buffers are quiescent before export
   EXPECT_EQ(ran.load(), 512);
