@@ -34,7 +34,7 @@ std::uint32_t RigidBodyValidity::valid_mask(
   std::size_t i = 0;
   while (i < cs.size()) {
     geo::PoseBlock block;
-    std::size_t owner[geo::PoseBlock::kCapacity];
+    std::size_t owner[geo::PoseBlock::kCapacity] = {};
     // Out-of-bounds configs are invalid without a collision query (exactly
     // like `valid()`): they simply never enter the block.
     std::size_t consumed = 0;

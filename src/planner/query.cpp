@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cmath>
 #include <limits>
 
 #include "cspace/local_planner.hpp"
@@ -19,9 +18,6 @@ constexpr double kNoGoal = std::numeric_limits<double>::infinity();
 // The landmark bound is a difference of two rounded Dijkstra sums; shrink it
 // by far more than their rounding error so it never overestimates.
 constexpr double kLandmarkShrink = 1.0 - 1e-9;
-
-// The goal edges span more than one component.
-constexpr std::uint32_t kMixedComponents = 0xffffffffu;
 
 void prefetch(const void* p) noexcept { __builtin_prefetch(p); }
 
@@ -75,43 +71,42 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
     return g.vertex(v).cfg;
   };
 
-  // The goal edges' landmark rows, copied flat so the per-touch bound reads
-  // one contiguous array; when every goal edge lies in one component, the
-  // component test runs once per touch instead of once per goal edge.
+  // The virtual goal's landmark rows, one per component that holds goal
+  // edges, so that a touch costs O(L) however many goal edges there are.
   constexpr std::size_t L = LandmarkTable::kLandmarks;
-  std::uint32_t goal_component = kMixedComponents;
+  using GoalRow = SearchScratch::GoalRow;
+  const auto goal_row = [&](std::uint32_t c) -> GoalRow* {
+    for (GoalRow& r : sc.goal_rows)
+      if (r.component == c) return &r;
+    return nullptr;
+  };
   if (landmarks != nullptr) {
-    sc.goal_dist.clear();
-    sc.goal_len.clear();
-    sc.goal_component.clear();
+    sc.goal_rows.clear();
     for (const AttachEdge& a : goal_edges) {
-      const double* row = landmarks->row(a.to);
-      sc.goal_dist.insert(sc.goal_dist.end(), row, row + L);
-      sc.goal_len.push_back(a.length);
-      sc.goal_component.push_back(landmarks->component(a.to));
+      const std::uint32_t c = landmarks->component(a.to);
+      GoalRow* r = goal_row(c);
+      if (r == nullptr) {
+        r = &sc.goal_rows.emplace_back();
+        r->component = c;
+        r->lo.fill(-kNoGoal);
+        r->hi.fill(kNoGoal);
+      }
+      const double* d = landmarks->row(a.to);
+      for (std::size_t l = 0; l < L; ++l) {
+        r->lo[l] = std::max(r->lo[l], d[l] - a.length);
+        r->hi[l] = std::min(r->hi[l], d[l] + a.length);
+      }
     }
-    goal_component = sc.goal_component.front();
-    for (const std::uint32_t c : sc.goal_component)
-      if (c != goal_component) goal_component = kMixedComponents;
   }
   // ALT bound for roadmap vertex v; kNoGoal when v cannot reach the goal.
   const auto landmark_bound = [&](graph::VertexId v) {
-    const std::uint32_t cv = landmarks->component(v);
-    if (goal_component != kMixedComponents && cv != goal_component)
-      return kNoGoal;
-    const double* dv = landmarks->row(v);
-    std::array<double, L> best;
-    best.fill(kNoGoal);
-    const double* row = sc.goal_dist.data();
-    for (std::size_t i = 0; i < sc.goal_len.size(); ++i, row += L) {
-      if (goal_component == kMixedComponents && sc.goal_component[i] != cv)
-        continue;
-      const double len = sc.goal_len[i];
-      for (std::size_t l = 0; l < L; ++l)
-        best[l] = std::min(best[l], std::abs(dv[l] - row[l]) + len);
-    }
-    const double bound = *std::max_element(best.begin(), best.end());
-    return bound == kNoGoal ? kNoGoal : bound * kLandmarkShrink;
+    const GoalRow* r = goal_row(landmarks->component(v));
+    if (r == nullptr) return kNoGoal;
+    const double* d = landmarks->row(v);
+    std::array<double, L> gap;
+    for (std::size_t l = 0; l < L; ++l)
+      gap[l] = std::max(d[l] - r->lo[l], r->hi[l] - d[l]);
+    return *std::max_element(gap.begin(), gap.end()) * kLandmarkShrink;
   };
   const auto heuristic = [&](graph::VertexId v) {
     if (v == t) return 0.0;
@@ -188,14 +183,13 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
   }
 
   if (nodes[t].dist >= kInf) return std::nullopt;
-  std::vector<graph::VertexId> vertices;
+  // Walk the predecessors twice, so that the path is its one allocation.
+  std::size_t hops = 0;
   for (graph::VertexId v = t; v != graph::kInvalidVertex; v = nodes[v].prev)
-    vertices.push_back(v);
-  std::reverse(vertices.begin(), vertices.end());
-
-  std::vector<cspace::Config> configs;
-  configs.reserve(vertices.size());
-  for (graph::VertexId v : vertices) configs.push_back(cfg_of(v));
+    ++hops;
+  std::vector<cspace::Config> configs(hops);
+  for (graph::VertexId v = t; v != graph::kInvalidVertex; v = nodes[v].prev)
+    configs[--hops] = cfg_of(v);
   return configs;
 }
 

@@ -10,6 +10,7 @@
 /// (Earlier revisions appended the two query vertices to the caller's
 /// roadmap; that wart is gone.)
 
+#include <array>
 #include <optional>
 #include <span>
 #include <vector>
@@ -55,11 +56,15 @@ struct SearchScratch {
   std::uint32_t generation = 0;
   /// Open set keyed by f = dist + h, ties by ascending vertex id.
   graph::IndexedHeap<NodeHeapPos> open;
-  /// The goal edges' landmark rows, copied flat once per search:
-  /// goal_dist[i * kLandmarks + l], goal_len[i], goal_component[i].
-  std::vector<double> goal_dist;
-  std::vector<double> goal_len;
-  std::vector<std::uint32_t> goal_component;
+  /// The virtual goal's landmark row in one component that holds goal
+  /// edges, folded once per search over that component's goal edges i:
+  /// lo[l] = max_i (d_l(a_i) - len_i), hi[l] = min_i (d_l(a_i) + len_i).
+  struct GoalRow {
+    std::uint32_t component;
+    std::array<double, LandmarkTable::kLandmarks> lo, hi;
+  };
+  /// One row per distinct goal component, in order of first goal edge.
+  std::vector<GoalRow> goal_rows;
   std::size_t expanded = 0;  ///< vertices expanded by the last search
 };
 
@@ -71,15 +76,20 @@ struct SearchScratch {
 ///
 /// The heuristic is the C-space metric distance to `goal` (admissible: edge
 /// lengths are metric lengths). With `landmarks` (built over this same `g`)
-/// it is the larger of that and the ALT bound
-///   max over landmarks l of min over goal edges a in v's component of
-///   |d_l(v) - d_l(a.to)| + a.length,
-/// which is admissible and consistent on the overlay graph; vertices whose
-/// component holds no goal edge are never queued, and when no start edge
-/// shares a component with any goal edge the call returns nullopt without
-/// searching. The table only prunes the search: the answer is the same
-/// shortest path. It can differ only when two paths cost exactly the same,
-/// where either heuristic may settle the tie its own way.
+/// it is the larger of that and the ALT bound against the virtual goal,
+///   max over landmarks l of max(d_l(v) - lo_l, hi_l - d_l(v)),
+/// with lo_l, hi_l folded from the goal edges in v's component
+/// (`SearchScratch::GoalRow`): O(L) per touched vertex whatever the number
+/// of goal edges. hi_l is landmark l's exact overlay distance to the goal,
+/// and each goal edge's own bound |d_l(v) - d_l(a.to)| + a.length is at
+/// least the row's, so the bound is admissible; it has slope +-1 in d_l(v)
+/// and is at most a.length at a.to, so it is consistent on the overlay
+/// graph. Vertices whose component holds no goal edge are never queued,
+/// and when no start edge shares a component with any goal edge the call
+/// returns nullopt without searching. The table only prunes the search:
+/// the answer is the same shortest path. It can differ only when two paths
+/// cost exactly the same, where either heuristic may settle the tie its own
+/// way.
 ///
 /// Deterministic: ties in the open set break by ascending vertex id, and
 /// the attachment lists are consumed in the order given — so identical

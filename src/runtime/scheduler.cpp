@@ -144,18 +144,6 @@ void Scheduler::wake_all() {
   }
 }
 
-void Scheduler::enqueue_to(std::uint32_t w, Task* task) {
-  Worker& target = *workers_[w];
-  {
-    std::lock_guard lock(target.inbox_mutex);
-    target.inbox.push_back(task);
-    target.inbox_size.store(static_cast<std::int64_t>(target.inbox.size()),
-                            std::memory_order_seq_cst);
-  }
-  pending_.fetch_add(1, std::memory_order_seq_cst);
-  wake_all();
-}
-
 void Scheduler::wake_waiters() {
   if (waiters_.load(std::memory_order_seq_cst) > 0) {
     std::lock_guard lock(park_mutex_);
@@ -187,33 +175,32 @@ void Scheduler::enqueue_runners(Task* runner, std::size_t count) {
 }
 
 void Scheduler::submit(std::function<void()> fn, TaskGroup& group) {
-  group.outstanding_.fetch_add(1, std::memory_order_seq_cst);
-  Task* task = new Task{std::move(fn), &group};
   const int self = current_worker();
-  if (self >= 0) {
-    workers_[static_cast<std::size_t>(self)]->deque.push(task);
-    pending_.fetch_add(1, std::memory_order_seq_cst);
-    wake_all();
-  } else {
-    const std::uint32_t target =
-        next_inbox_.fetch_add(1, std::memory_order_relaxed) %
-        static_cast<std::uint32_t>(size());
-    enqueue_to(target, task);
-  }
+  enqueue(new Task{std::move(fn), &group},
+          self >= 0 ? static_cast<std::uint32_t>(self)
+                    : next_inbox_.fetch_add(1, std::memory_order_relaxed) %
+                          static_cast<std::uint32_t>(size()));
 }
 
 void Scheduler::submit_to(std::uint32_t worker, std::function<void()> fn,
                           TaskGroup& group) {
   assert(worker < size());
-  group.outstanding_.fetch_add(1, std::memory_order_seq_cst);
-  Task* task = new Task{std::move(fn), &group};
-  if (current_worker() == static_cast<int>(worker)) {
-    workers_[worker]->deque.push(task);
-    pending_.fetch_add(1, std::memory_order_seq_cst);
-    wake_all();
+  enqueue(new Task{std::move(fn), &group}, worker);
+}
+
+void Scheduler::enqueue(Task* task, std::uint32_t target) {
+  task->group->outstanding_.fetch_add(1, std::memory_order_seq_cst);
+  Worker& w = *workers_[target];
+  if (current_worker() == static_cast<int>(target)) {
+    w.deque.push(task);
   } else {
-    enqueue_to(worker, task);
+    std::lock_guard lock(w.inbox_mutex);
+    w.inbox.push_back(task);
+    w.inbox_size.store(static_cast<std::int64_t>(w.inbox.size()),
+                       std::memory_order_seq_cst);
   }
+  pending_.fetch_add(1, std::memory_order_seq_cst);
+  wake_all();
 }
 
 void Scheduler::run_task(Task* task, Worker* self) {

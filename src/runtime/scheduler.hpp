@@ -176,7 +176,9 @@ class Scheduler {
   };
 
   void worker_loop(std::uint32_t w);
-  void enqueue_to(std::uint32_t w, Task* task);
+  /// Count `task` into its group and queue it for worker `target`: on its
+  /// deque when the caller is that worker, else in its inbox.
+  void enqueue(Task* task, std::uint32_t target);
   /// Queue `runner` `count` times: on the calling worker's deque, or one
   /// copy per worker inbox (count <= size()); one pending_ update and one
   /// wake for the batch.

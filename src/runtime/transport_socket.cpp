@@ -176,8 +176,11 @@ bool SocketTransport::start(std::string* error) {
   if (missing() && !config_.dial_all) {
     all_ok = false;
     if (first_err.empty()) {
-      first_err = "rank " + std::to_string(config_.rank) +
-                  ": higher ranks never connected:";
+      // Appended piecewise: `"..." + std::string` draws a false -Wrestrict
+      // from GCC 12 at -O3.
+      first_err = "rank ";
+      first_err += std::to_string(config_.rank);
+      first_err += ": higher ranks never connected:";
       for (std::uint32_t r = config_.rank + 1; r < config_.size; ++r)
         if (peers_[r].fd < 0) first_err += " " + std::to_string(r);
     }

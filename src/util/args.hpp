@@ -40,7 +40,9 @@ class ArgParser {
       } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
         flags_[std::string(arg)] = argv[++i];
       } else {
-        flags_[std::string(arg)] = "1";
+        // Move-assigned: GCC 12 at -O3 flags assigning the literal itself
+        // (a false -Wrestrict inside basic_string).
+        flags_[std::string(arg)] = std::string("1");
       }
     }
   }

@@ -62,8 +62,11 @@ std::optional<StateBlob> load_state_file(const std::string& path,
 
 /// Append-only little-endian serialization helpers for payloads.
 inline void put_bytes(std::vector<char>& out, const void* p, std::size_t n) {
-  const char* c = static_cast<const char*>(p);
-  out.insert(out.end(), c, c + n);
+  // Not a range insert: GCC 12 at -O3 reports a false -Wstringop-overflow
+  // on one.
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  if (n > 0) std::memcpy(out.data() + at, p, n);
 }
 inline void put_u32(std::vector<char>& out, std::uint32_t v) {
   put_bytes(out, &v, sizeof v);

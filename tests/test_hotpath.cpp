@@ -2,9 +2,10 @@
 //  - fixed-seed roadmaps are bit-identical to hashes captured from the
 //    pre-overhaul kernels (recursive AoS kd-tree, sequential local planner,
 //    std::function BVH traversal) — the overhaul may only change speed;
-//  - nearest() and plan() perform zero heap allocations once warm, and a
-//    scheduler steal performs none at all, verified through a global
-//    operator new replacement local to this binary.
+//  - nearest() and plan() perform zero heap allocations once warm, a warm
+//    guided A* allocates only the path it returns, and a scheduler steal
+//    performs none at all, verified through a global operator new
+//    replacement local to this binary.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,9 @@
 #include "cspace/local_planner.hpp"
 #include "env/builders.hpp"
 #include "planner/knn.hpp"
+#include "planner/landmarks.hpp"
 #include "planner/prm.hpp"
+#include "planner/query.hpp"
 #include "planner/rrt.hpp"
 #include "runtime/scheduler.hpp"
 #include "service/snapshot.hpp"
@@ -118,6 +121,54 @@ TEST(HotPathAllocations, LocalPlanIsAllocationFreeOnceWarm) {
   for (const auto& [a, b] : edges) accepted += lp.plan(a, b, &stats).success;
   const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - before, 0u) << "accepted=" << accepted;
+}
+
+TEST(HotPathAllocations, GuidedSearchAllocatesOnlyItsPath) {
+  // A 12 x 12 unit lattice and a 3-vertex island: two components.
+  const auto e = env::maze_2d();
+  constexpr int kSide = 12;
+  planner::Roadmap g;
+  for (int y = 0; y < kSide; ++y)
+    for (int x = 0; x < kSide; ++x)
+      g.add_vertex({cspace::Config{1.0 + x, 1.0 + y, 0.0}, 0});
+  for (int y = 0; y < kSide; ++y)
+    for (int x = 0; x < kSide; ++x) {
+      const auto v = static_cast<graph::VertexId>(y * kSide + x);
+      if (x + 1 < kSide) g.add_edge(v, v + 1, {1.0});
+      if (y + 1 < kSide) g.add_edge(v, v + kSide, {1.0});
+    }
+  const graph::VertexId island = g.add_vertex({cspace::Config{15, 15, 0}, 0});
+  g.add_vertex({cspace::Config{16, 15, 0}, 0});
+  g.add_vertex({cspace::Config{17, 15, 0}, 0});
+  g.add_edge(island, island + 1, {1.0});
+  g.add_edge(island + 1, island + 2, {1.0});
+  const planner::LandmarkTable table(g);
+  ASSERT_EQ(table.num_components(), 2u);
+
+  const cspace::Config start{1, 1, 0}, goal{12, 12, 0};
+  const std::vector<planner::AttachEdge> se{{0, 0.0}};
+  const auto many = [&] {  // 40 into the lattice, 3 into the island
+    std::vector<planner::AttachEdge> out;
+    for (graph::VertexId v = 0; v < 40; ++v) out.push_back({143 - v, 1.0 + v});
+    for (graph::VertexId v = island; v < island + 3; ++v)
+      out.push_back({v, 4.0});
+    return out;
+  }();
+  const std::vector<planner::AttachEdge> few{{143, 0.0}};
+
+  // Warm-up sizes the scratch: per-vertex records, heap, goal rows.
+  planner::SearchScratch scratch;
+  for (const auto* ge : {&many, &few})
+    ASSERT_TRUE(planner::find_path_with_attachments(*e, g, start, goal, se,
+                                                    *ge, &table, &scratch));
+  for (const auto* ge : {&many, &few}) {
+    const std::uint64_t before = allocation_count();
+    const auto path = planner::find_path_with_attachments(
+        *e, g, start, goal, se, *ge, &table, &scratch);
+    const std::uint64_t after = allocation_count();
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(after - before, 1u) << "the path's one buffer, and nothing more";
+  }
 }
 
 TEST(HotPathAllocations, SchedulerStealIsAllocationFree) {

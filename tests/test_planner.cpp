@@ -521,13 +521,20 @@ struct LandmarkSweep {
   std::uint64_t plain_expanded = 0, guided_expanded = 0;
 };
 
+/// Called after each guided search of a sweep that searched (did not
+/// return before bumping the scratch's generation), with its goal edges.
+using GuidedSearchObserver =
+    std::function<void(const SearchScratch&, const std::vector<AttachEdge>&)>;
+
 /// `n` seeded overlay queries: both endpoints attach to their 8 nearest
 /// vertices with metric-length edges; every fourth query starts on a vertex
-/// outside the largest component and attaches only inside its island. Each query runs with and without the
-/// table, and the two answers must be bit-identical.
+/// outside the largest component and attaches only inside its island. Each
+/// query runs with and without the table, and the two answers must be
+/// bit-identical.
 LandmarkSweep sweep_landmark_queries(const env::Environment& e,
                                      const Roadmap& g, std::size_t n,
-                                     std::uint64_t seed) {
+                                     std::uint64_t seed,
+                                     const GuidedSearchObserver& observe = {}) {
   const LandmarkTable table(g);
   std::vector<std::size_t> comp_size(table.num_components(), 0);
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
@@ -565,8 +572,11 @@ LandmarkSweep sweep_landmark_queries(const env::Environment& e,
       });
     const auto plain = find_path_with_attachments(e, g, start, goal, se, ge,
                                                   nullptr, &plain_scratch);
+    const std::uint32_t generation = guided_scratch.generation;
     const auto guided = find_path_with_attachments(e, g, start, goal, se, ge,
                                                    &table, &guided_scratch);
+    if (observe && guided_scratch.generation != generation)
+      observe(guided_scratch, ge);
     ++sw.queries;
     sw.plain_expanded += plain_scratch.expanded;
     sw.guided_expanded += guided_scratch.expanded;
@@ -582,16 +592,23 @@ LandmarkSweep sweep_landmark_queries(const env::Environment& e,
   return sw;
 }
 
-/// Reference single-source Dijkstra on a lazy std::priority_queue, kept
-/// apart from graph::IndexedHeap so that it can check the landmark table.
+/// Reference Dijkstra on a lazy std::priority_queue, kept apart from
+/// graph::IndexedHeap so that it can check the landmark table and the
+/// guided heuristic: graph distance to the nearest source, where source
+/// `a.to` starts at `a.length` (the goal edges give distances to a virtual
+/// goal).
 std::vector<double> reference_distances(const Roadmap& g,
-                                        graph::VertexId src) {
+                                        const std::vector<AttachEdge>& srcs) {
   std::vector<double> dist(g.num_vertices(),
                            std::numeric_limits<double>::infinity());
   using Entry = std::pair<double, graph::VertexId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
-  dist[src] = 0.0;
-  open.emplace(0.0, src);
+  for (const AttachEdge& a : srcs) {
+    if (a.length < dist[a.to]) {
+      dist[a.to] = a.length;
+      open.emplace(a.length, a.to);
+    }
+  }
   while (!open.empty()) {
     const auto [d, u] = open.top();
     open.pop();
@@ -665,7 +682,7 @@ TEST(LandmarkTable, LabelsComponentsAndStoresGraphDistances) {
     const auto v = static_cast<graph::VertexId>(rng() % g.num_vertices());
     const std::uint32_t c = table.component(v);
     for (std::size_t l = 0; l < L; ++l) {
-      const double d = reference_distances(g, landmark[c][l])[v];
+      const double d = reference_distances(g, {{landmark[c][l], 0.0}})[v];
       ASSERT_TRUE(std::isfinite(d));
       EXPECT_DOUBLE_EQ(table.row(v)[l], d);
     }
@@ -687,6 +704,38 @@ TEST(LandmarkTable, DeterministicAndEmptySafe) {
   const LandmarkTable empty{Roadmap{}};
   EXPECT_EQ(empty.num_vertices(), 0u);
   EXPECT_EQ(empty.num_components(), 0u);
+}
+
+/// Checks the heuristic a guided search left in `sc` against reference
+/// distances to its virtual goal (reached through `ge`): admissible on every
+/// roadmap vertex the search touched, consistent on every roadmap edge
+/// between two of them and on every goal edge. Returns how many roadmap
+/// vertices the search touched.
+std::size_t check_guided_heuristic(const Roadmap& g, const SearchScratch& sc,
+                                   const std::vector<AttachEdge>& ge) {
+  const std::vector<double> to_goal = reference_distances(g, ge);
+  const auto touched = [&](graph::VertexId v) {
+    return sc.nodes[v].stamp == sc.generation;
+  };
+  std::size_t count = 0;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (!touched(v)) continue;
+    ++count;
+    const double h = sc.nodes[v].h;
+    EXPECT_LE(h, to_goal[v]) << "vertex " << v;
+    for (const auto& ed : g.edges_of(v)) {
+      if (touched(ed.to)) {
+        EXPECT_LE(h, ed.prop.length + sc.nodes[ed.to].h)
+            << "edge " << v << " -> " << ed.to;
+      }
+    }
+  }
+  for (const AttachEdge& a : ge) {
+    if (touched(a.to)) {
+      EXPECT_LE(sc.nodes[a.to].h, a.length) << "goal edge at " << a.to;
+    }
+  }
+  return count;
 }
 
 TEST(LandmarkAStar, BitIdenticalToMetricAStarOnMaze2d) {
@@ -779,6 +828,79 @@ TEST(LandmarkAStar, DisjointIslandsAnswerUnreachableWithoutSearching) {
   ASSERT_TRUE(plain.has_value());
   ASSERT_TRUE(guided.has_value());
   EXPECT_TRUE(same_path(*plain, *guided));
+}
+
+TEST(LandmarkAStar, HeuristicNeverOverestimatesAndIsConsistent) {
+  const auto e = env::maze_2d();
+  {
+    const Roadmap g = cyclic_roadmap(*e, 3000, 44);
+    std::size_t searches = 0, touched = 0;
+    const auto sw = sweep_landmark_queries(
+        *e, g, 400, 52,
+        [&](const SearchScratch& sc, const std::vector<AttachEdge>& ge) {
+          ++searches;
+          touched += check_guided_heuristic(g, sc, ge);
+        });
+    EXPECT_GT(sw.solved, 200u);
+    EXPECT_GE(searches, sw.solved);
+    EXPECT_GT(touched, 100 * searches);
+  }
+
+  // Goal edges into two components, start edges into two components; only
+  // component A holds both. A's far side is the only way to the goal; the
+  // start-only chain C lies straight toward it, and B holds goal edges
+  // only.
+  Roadmap g;
+  const auto add = [&](double x, double y) {
+    return g.add_vertex({Config{x, y, 0.0}, 0});
+  };
+  const auto link = [&](graph::VertexId a, graph::VertexId b) {
+    g.add_edge(a, b, {e->space().distance(g.vertex(a).cfg,
+                                          g.vertex(b).cfg)});
+  };
+  const graph::VertexId a0 = add(2, 4), a1 = add(2, 10), a2 = add(12, 10),
+                        a3 = add(12, 4);
+  link(a0, a1);
+  link(a1, a2);
+  link(a2, a3);
+  const graph::VertexId c0 = add(4, 2);
+  add(6, 2);
+  add(8, 2);
+  const graph::VertexId c3 = add(10, 2);
+  for (graph::VertexId v = c0; v < c3; ++v) link(v, v + 1);
+  const graph::VertexId b0 = add(14, 2), b1 = add(16, 2);
+  link(b0, b1);
+  const LandmarkTable table(g);
+  ASSERT_EQ(table.num_components(), 3u);
+
+  const Config start{2.0, 2.0, 0.0}, goal{12.0, 2.0, 0.0};
+  const auto edge_to = [&](const Config& c, graph::VertexId v) {
+    return AttachEdge{v, e->space().distance(c, g.vertex(v).cfg)};
+  };
+  const std::vector<AttachEdge> se{edge_to(start, a0), edge_to(start, c0)};
+  const std::vector<AttachEdge> ge{edge_to(goal, b0), edge_to(goal, a3),
+                                   edge_to(goal, b1)};
+  SearchScratch plain_scratch, guided_scratch;
+  const auto plain = find_path_with_attachments(*e, g, start, goal, se, ge,
+                                                nullptr, &plain_scratch);
+  const auto guided = find_path_with_attachments(*e, g, start, goal, se, ge,
+                                                 &table, &guided_scratch);
+  ASSERT_TRUE(plain.has_value());
+  ASSERT_TRUE(guided.has_value());
+  EXPECT_TRUE(same_path(*plain, *guided));
+  EXPECT_EQ(guided->size(), 6u);  // start, a0..a3, goal
+  EXPECT_GT(check_guided_heuristic(g, guided_scratch, ge), 0u);
+  EXPECT_LT(guided_scratch.expanded, plain_scratch.expanded);
+
+  const auto& nodes = guided_scratch.nodes;
+  const std::uint32_t gen = guided_scratch.generation;
+  // B holds no start edge: not even touched.
+  for (const graph::VertexId v : {b0, b1}) EXPECT_NE(nodes[v].stamp, gen) << v;
+  // C holds no goal edge: touched through the start edge, never queued.
+  for (graph::VertexId v = c0; v <= c3; ++v)
+    EXPECT_TRUE(nodes[v].stamp != gen ||
+                nodes[v].prev == graph::kInvalidVertex)
+        << v;
 }
 
 TEST(LandmarkAStar, ScratchReuseAcrossRoadmapsMatchesFreshScratch) {
