@@ -7,6 +7,7 @@
 // reporting makespan, steal traffic, and the stolen-work fraction.
 
 #include "figure_common.hpp"
+#include "loadbal/partition.hpp"
 
 using namespace pmpl;
 
@@ -17,7 +18,7 @@ loadbal::WsResult run(const core::Workload& w, std::uint32_t procs,
   std::vector<loadbal::WsItem> items(w.regions.size());
   for (std::size_t r = 0; r < items.size(); ++r)
     items[r] = {w.regions[r].service_s(), w.regions[r].bytes};
-  const auto initial = core::naive_assignment(items.size(), procs);
+  const auto initial = loadbal::partition_block(items.size(), procs);
   return loadbal::simulate_work_stealing(items, initial, procs, cfg);
 }
 

@@ -1,6 +1,7 @@
 // Figure 6: PRM in med-cube on HOPPER at higher core counts
 // (p = 384..3072): the repartitioning benefit persists at scale, with the
-// margin narrowing as regions per processor shrink.
+// margin narrowing as regions per processor shrink. Exits 1 naming any
+// DESIGN.md §4 shape the numbers miss.
 
 #include "figure_common.hpp"
 
@@ -33,5 +34,21 @@ int main(int argc, char** argv) {
   std::printf("\n# regions/processor: ");
   for (const auto p : procs) std::printf("%u->%zu  ", p, grid.size() / p);
   std::printf("\n");
-  return 0;
+
+  const auto speedup = [&](std::uint32_t p) {
+    return bench::sweep_time(rows, p, core::Strategy::kNoLB) /
+           bench::sweep_time(rows, p, core::Strategy::kRepartition);
+  };
+  bench::ShapeGate gate;
+  for (const auto p : procs)
+    gate.expect(speedup(p) >= 1.2, "Repartitioning >= 1.2x NoLB at p=" +
+                                       std::to_string(p) + " (" +
+                                       bench::ratio_str(speedup(p)) + ")");
+  gate.expect(speedup(procs.back()) < speedup(procs.front()),
+              "Repartitioning speedup narrows from p=" +
+                  std::to_string(procs.front()) + " (" +
+                  bench::ratio_str(speedup(procs.front())) + ") to p=" +
+                  std::to_string(procs.back()) + " (" +
+                  bench::ratio_str(speedup(procs.back())) + ")");
+  return gate.exit_code();
 }

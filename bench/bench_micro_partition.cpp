@@ -14,7 +14,6 @@ using namespace pmpl;
 struct Instance {
   std::vector<double> weights;
   std::vector<geo::Vec3> centroids;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
 };
 
 Instance make_instance(std::size_t n, std::uint64_t seed) {
@@ -27,37 +26,22 @@ Instance make_instance(std::size_t n, std::uint64_t seed) {
     inst.centroids.push_back(
         {rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0, 100)});
   }
-  for (std::size_t i = 0; i + 1 < n; ++i)
-    inst.edges.emplace_back(static_cast<std::uint32_t>(i),
-                            static_cast<std::uint32_t>(i + 1));
   return inst;
 }
 
 void BM_GreedyLpt(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 1);
-  const loadbal::PartitionProblem p{inst.weights, inst.centroids, inst.edges,
-                                    geo::Aabb{{0, 0, 0}, {100, 100, 100}},
-                                    64};
   for (auto _ : state)
-    benchmark::DoNotOptimize(loadbal::partition_greedy_lpt(p));
+    benchmark::DoNotOptimize(loadbal::partition_greedy_lpt(inst.weights, 64));
 }
 BENCHMARK(BM_GreedyLpt)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_Rcb(benchmark::State& state) {
-  const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 2);
-  const loadbal::PartitionProblem p{inst.weights, inst.centroids, inst.edges,
-                                    geo::Aabb{{0, 0, 0}, {100, 100, 100}},
-                                    64};
-  for (auto _ : state) benchmark::DoNotOptimize(loadbal::partition_rcb(p));
-}
-BENCHMARK(BM_Rcb)->Arg(1000)->Arg(10000)->Arg(100000);
-
 void BM_Sfc(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 3);
-  const loadbal::PartitionProblem p{inst.weights, inst.centroids, inst.edges,
-                                    geo::Aabb{{0, 0, 0}, {100, 100, 100}},
-                                    64};
-  for (auto _ : state) benchmark::DoNotOptimize(loadbal::partition_sfc(p));
+  const geo::Aabb bounds{{0, 0, 0}, {100, 100, 100}};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        loadbal::partition_sfc(inst.weights, inst.centroids, bounds, 64));
 }
 BENCHMARK(BM_Sfc)->Arg(1000)->Arg(10000)->Arg(100000);
 

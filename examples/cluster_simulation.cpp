@@ -47,6 +47,7 @@
 
 #include "core/prm_driver.hpp"
 #include "env/builders.hpp"
+#include "loadbal/partition.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/fault_io.hpp"
 #include "runtime/metrics_registry.hpp"
@@ -214,7 +215,7 @@ int main(int argc, char** argv) {
     std::uint64_t moved = r.ws.regions_migrated;
     if (s == core::Strategy::kRepartition) {
       moved = 0;
-      const auto naive = core::naive_assignment(grid.size(), procs);
+      const auto naive = loadbal::partition_block(grid.size(), procs);
       for (std::size_t i = 0; i < naive.size(); ++i)
         if (naive[i] != r.assignment[i]) ++moved;
     }

@@ -75,21 +75,6 @@ struct RigidBody {
     r.spheres.push_back(Sphere{{0, 0, 0}, radius});
     return r;
   }
-
-  /// Conservative bound on the robot's circumscribed radius: used for
-  /// broad-phase query boxes.
-  double bounding_radius() const noexcept {
-    double r = 0.0;
-    for (const auto& b : boxes) {
-      const double d = (b.center.norm() + b.half.norm());
-      r = r < d ? d : r;
-    }
-    for (const auto& s : spheres) {
-      const double d = s.center.norm() + s.radius;
-      r = r < d ? d : r;
-    }
-    return r;
-  }
 };
 
 }  // namespace pmpl::collision

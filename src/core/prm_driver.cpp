@@ -43,11 +43,6 @@ Workload build_prm_workload(const env::Environment& e, const RegionGrid& grid,
   return w;
 }
 
-loadbal::Assignment naive_assignment(std::size_t regions,
-                                     std::uint32_t procs) {
-  return loadbal::partition_block(regions, procs);
-}
-
 PrmRunResult simulate_prm_run(const Workload& w, const PrmRunConfig& config) {
   if (config.procs == 0)
     throw std::invalid_argument("simulate_prm_run: procs must be > 0");
@@ -55,7 +50,8 @@ PrmRunResult simulate_prm_run(const Workload& w, const PrmRunConfig& config) {
   const std::size_t nr = w.regions.size();
   PrmRunResult out;
 
-  const loadbal::Assignment initial = naive_assignment(nr, config.procs);
+  const loadbal::Assignment initial =
+      loadbal::partition_block(nr, config.procs);
   out.cv_nodes_before =
       cv_of_counts(nodes_per_processor(w, initial, config.procs));
 
@@ -111,15 +107,12 @@ PrmRunResult simulate_prm_run(const Workload& w, const PrmRunConfig& config) {
 
     loadbal::Assignment assignment = initial;
     if (config.strategy == Strategy::kRepartition) {
-      // Algorithm 4: weight by sample count, repartition with RCB (which
-      // preserves the spatial geometry), migrate.
+      // Algorithm 4: weight by sample count, repartition along the
+      // space-filling curve (which preserves the spatial geometry),
+      // migrate.
       const auto weights = weights_from_sample_counts(w.sample_counts());
-      const auto centroids = w.centroids();
-      const loadbal::PartitionProblem problem{weights, centroids,
-                                              w.region_edges, w.bounds,
-                                              config.procs};
-      assignment = loadbal::partition_rcb(problem);
-      loadbal::refine_edge_cut(problem, assignment);
+      assignment = loadbal::partition_sfc(weights, w.centroids(), w.bounds,
+                                          config.procs);
       out.phases.redistribution_s = loadbal::redistribution_time(
           w.region_bytes(), initial, assignment, config.procs,
           config.cluster);

@@ -102,8 +102,4 @@ struct PrmRunResult {
 PrmRunResult simulate_prm_run(const Workload& workload,
                               const PrmRunConfig& config);
 
-/// The naive mapping of Algorithm 1: contiguous blocks of the x-major
-/// region ordering, i.e. balanced columns of the region mesh.
-loadbal::Assignment naive_assignment(std::size_t regions, std::uint32_t procs);
-
 }  // namespace pmpl::core

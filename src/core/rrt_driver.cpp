@@ -110,11 +110,8 @@ RrtRunResult simulate_rrt_run(const Workload& w, const env::Environment& e,
           weights_k_rays(e, regions, kProbeRays, config.seed, &ray_casts);
       out.weight_correlation = pearson(weights, w.build_times());
 
-      const auto centroids = w.centroids();
-      const loadbal::PartitionProblem problem{weights, centroids,
-                                              w.region_edges, w.bounds,
-                                              config.procs};
-      assignment = loadbal::partition_rcb(problem);
+      assignment = loadbal::partition_sfc(weights, w.centroids(), w.bounds,
+                                          config.procs);
 
       runtime::WorkCounts probe;
       probe.ray_casts = ray_casts;

@@ -10,9 +10,8 @@ Environment::Environment(std::string name, cspace::CSpace space,
     : name_(std::move(name)),
       space_(std::move(space)),
       checker_(std::move(obstacles)),
-      robot_(std::move(robot)),
-      model_(model) {
-  switch (model_) {
+      robot_(std::move(robot)) {
+  switch (model) {
     case RobotModel::kPoint:
       validity_ = std::make_unique<cspace::PointValidity>(space_, checker_);
       break;
@@ -34,20 +33,6 @@ double Environment::blocked_fraction(std::size_t samples,
     if (checker_.point_in_collision(p)) ++blocked;
   }
   return static_cast<double>(blocked) / static_cast<double>(samples);
-}
-
-double Environment::free_fraction_in(const geo::Aabb& box, std::size_t samples,
-                                     std::uint64_t seed) const {
-  Xoshiro256ss rng(seed);
-  std::size_t free = 0;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const geo::Vec3 p{rng.uniform(box.lo.x, box.hi.x),
-                      rng.uniform(box.lo.y, box.hi.y),
-                      box.lo.z == box.hi.z ? box.lo.z
-                                           : rng.uniform(box.lo.z, box.hi.z)};
-    if (!checker_.point_in_collision(p)) ++free;
-  }
-  return static_cast<double>(free) / static_cast<double>(samples);
 }
 
 }  // namespace pmpl::env

@@ -44,14 +44,9 @@ class Environment {
     return *validity_;
   }
   const collision::RigidBody& robot() const noexcept { return robot_; }
-  RobotModel robot_model() const noexcept { return model_; }
 
   /// Monte-Carlo estimate of the blocked volume fraction (point samples).
   double blocked_fraction(std::size_t samples = 20000,
-                          std::uint64_t seed = 12345) const;
-
-  /// Monte-Carlo estimate of the free-space fraction of `box`.
-  double free_fraction_in(const geo::Aabb& box, std::size_t samples = 256,
                           std::uint64_t seed = 12345) const;
 
  private:
@@ -59,7 +54,6 @@ class Environment {
   cspace::CSpace space_;
   collision::CollisionChecker checker_;
   collision::RigidBody robot_;
-  RobotModel model_;
   std::unique_ptr<cspace::ValidityChecker> validity_;
 };
 

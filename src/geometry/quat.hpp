@@ -42,8 +42,6 @@ struct Quat {
     return {w / n, x / n, y / n, z / n};
   }
 
-  constexpr Quat conjugate() const noexcept { return {w, -x, -y, -z}; }
-
   constexpr Quat operator*(Quat o) const noexcept {
     return {w * o.w - x * o.x - y * o.y - z * o.z,
             w * o.x + x * o.w + y * o.z - z * o.y,

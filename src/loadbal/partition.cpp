@@ -24,33 +24,36 @@ Assignment partition_block(std::size_t items, std::uint32_t parts) {
   return a;
 }
 
-Assignment partition_greedy_lpt(const PartitionProblem& p) {
-  assert(p.parts > 0);
-  const std::size_t n = p.weights.size();
+Assignment partition_greedy_lpt(std::span<const double> weights,
+                                std::uint32_t parts) {
+  assert(parts > 0);
+  const std::size_t n = weights.size();
   Assignment a(n, 0);
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-    return p.weights[x] > p.weights[y];
+    return weights[x] > weights[y];
   });
   // Min-heap of (load, part).
   using Entry = std::pair<double, std::uint32_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (std::uint32_t part = 0; part < p.parts; ++part)
+  for (std::uint32_t part = 0; part < parts; ++part)
     heap.emplace(0.0, part);
   for (std::uint32_t item : order) {
     auto [load, part] = heap.top();
     heap.pop();
     a[item] = part;
-    heap.emplace(load + p.weights[item], part);
+    heap.emplace(load + weights[item], part);
   }
   return a;
 }
 
-Assignment partition_sfc(const PartitionProblem& p) {
-  assert(p.parts > 0);
-  const std::size_t n = p.weights.size();
-  assert(p.centroids.size() == n);
+Assignment partition_sfc(std::span<const double> weights,
+                         std::span<const geo::Vec3> centroids,
+                         const geo::Aabb& bounds, std::uint32_t parts) {
+  assert(parts > 0);
+  const std::size_t n = weights.size();
+  assert(centroids.size() == n);
   Assignment a(n, 0);
   if (n == 0) return a;
 
@@ -58,165 +61,31 @@ Assignment partition_sfc(const PartitionProblem& p) {
   std::iota(order.begin(), order.end(), 0u);
   std::vector<std::uint64_t> keys(n);
   for (std::size_t i = 0; i < n; ++i)
-    keys[i] = geo::morton_key(p.centroids[i], p.bounds);
+    keys[i] = geo::morton_key(centroids[i], bounds);
   std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
     return keys[x] < keys[y];
   });
 
-  const double total = std::accumulate(p.weights.begin(), p.weights.end(), 0.0);
-  const double target = total / p.parts;
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  const double target = total / parts;
   double acc = 0.0;
   std::uint32_t part = 0;
   for (std::size_t idx = 0; idx < n; ++idx) {
     const std::uint32_t item = order[idx];
     const std::size_t items_left = n - idx;
-    const std::uint32_t parts_left = p.parts - part;
+    const std::uint32_t parts_left = parts - part;
     // Close the current part when it reached its weight target, or when
     // the remaining items are only just enough to keep every remaining
     // part non-empty.
     const bool weight_full =
-        acc >= target * static_cast<double>(part + 1) && part + 1 < p.parts;
+        acc >= target * static_cast<double>(part + 1) && part + 1 < parts;
     const bool must_advance =
-        items_left <= parts_left - 1 && part + 1 < p.parts;
+        items_left <= parts_left - 1 && part + 1 < parts;
     if (weight_full || must_advance) ++part;
     a[item] = part;
-    acc += p.weights[item];
+    acc += weights[item];
   }
   return a;
-}
-
-namespace {
-
-/// Recursive weighted bisection of `items` (indices) into `parts` parts
-/// starting at id `first_part`, writing into `out`.
-void rcb_recurse(const PartitionProblem& p, std::vector<std::uint32_t>& items,
-                 std::size_t lo, std::size_t hi, std::uint32_t first_part,
-                 std::uint32_t parts, Assignment& out) {
-  if (parts == 1 || hi - lo <= 1) {
-    for (std::size_t i = lo; i < hi; ++i) out[items[i]] = first_part;
-    return;
-  }
-  if (hi - lo <= parts) {
-    // Scarce regime: one item per part keeps every part non-empty.
-    for (std::size_t i = lo; i < hi; ++i)
-      out[items[i]] = first_part + static_cast<std::uint32_t>(i - lo);
-    return;
-  }
-  // Split along the axis with the largest centroid spread.
-  geo::Aabb box = geo::Aabb::empty();
-  for (std::size_t i = lo; i < hi; ++i) {
-    const geo::Vec3 c = p.centroids[items[i]];
-    box = box.merged(geo::Aabb{c, c});
-  }
-  const geo::Vec3 size = box.size();
-  std::size_t axis = 0;
-  if (size.y > size.x) axis = 1;
-  if (size.z > size[axis]) axis = 2;
-
-  std::sort(items.begin() + static_cast<long>(lo),
-            items.begin() + static_cast<long>(hi),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return p.centroids[a][axis] < p.centroids[b][axis];
-            });
-
-  // Weighted split proportional to the child part counts.
-  const std::uint32_t left_parts = parts / 2;
-  const std::uint32_t right_parts = parts - left_parts;
-  double total = 0.0;
-  for (std::size_t i = lo; i < hi; ++i) total += p.weights[items[i]];
-  const double left_target =
-      total * static_cast<double>(left_parts) / static_cast<double>(parts);
-
-  double acc = 0.0;
-  std::size_t split = lo;
-  while (split < hi - 1) {
-    const double w = p.weights[items[split]];
-    // Stop when adding the next item overshoots the target more than
-    // stopping here undershoots it.
-    if (acc + w > left_target &&
-        (acc + w - left_target) > (left_target - acc))
-      break;
-    acc += w;
-    ++split;
-  }
-  // Guarantee both sides non-empty.
-  split = std::max(split, lo + 1);
-  split = std::min(split, hi - 1);
-
-  rcb_recurse(p, items, lo, split, first_part, left_parts, out);
-  rcb_recurse(p, items, split, hi, first_part + left_parts, right_parts, out);
-}
-
-}  // namespace
-
-Assignment partition_rcb(const PartitionProblem& p) {
-  assert(p.parts > 0);
-  const std::size_t n = p.weights.size();
-  assert(p.centroids.size() == n);
-  Assignment a(n, 0);
-  if (n == 0) return a;
-  std::vector<std::uint32_t> items(n);
-  std::iota(items.begin(), items.end(), 0u);
-  rcb_recurse(p, items, 0, n, 0, p.parts, a);
-  return a;
-}
-
-void refine_edge_cut(const PartitionProblem& p, Assignment& assignment,
-                     int passes, double balance_tol) {
-  const std::size_t n = assignment.size();
-  if (n == 0 || p.edges.empty()) return;
-
-  // Adjacency in CSR-ish form.
-  std::vector<std::vector<std::uint32_t>> adj(n);
-  for (const auto& [a, b] : p.edges) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  }
-
-  auto loads = per_part_load(p.weights, assignment, p.parts);
-  std::vector<std::size_t> part_sizes(p.parts, 0);
-  for (const auto part : assignment) ++part_sizes[part];
-  const double mean =
-      std::accumulate(loads.begin(), loads.end(), 0.0) / p.parts;
-  const double cap = mean * balance_tol;
-
-  for (int pass = 0; pass < passes; ++pass) {
-    bool moved_any = false;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const std::uint32_t cur = assignment[v];
-      // Count neighbor parts.
-      std::size_t same = 0;
-      std::uint32_t best_part = cur;
-      std::size_t best_count = 0;
-      // Small linear count over neighbor parts (degrees are tiny).
-      for (std::uint32_t u : adj[v]) {
-        const std::uint32_t part = assignment[u];
-        if (part == cur) {
-          ++same;
-          continue;
-        }
-        std::size_t count = 0;
-        for (std::uint32_t w : adj[v])
-          if (assignment[w] == part) ++count;
-        if (count > best_count) {
-          best_count = count;
-          best_part = part;
-        }
-      }
-      // Gain = edges internalized - edges externalized.
-      if (best_part == cur || best_count <= same) continue;
-      if (part_sizes[cur] <= 1) continue;  // never empty a part
-      const double w = p.weights[v];
-      if (loads[best_part] + w > cap) continue;  // would unbalance
-      loads[cur] -= w;
-      loads[best_part] += w;
-      --part_sizes[cur];
-      ++part_sizes[best_part];
-      assignment[v] = best_part;
-      moved_any = true;
-    }
-    if (!moved_any) break;
-  }
 }
 
 }  // namespace pmpl::loadbal

@@ -12,15 +12,13 @@
 ///    blocks of the (row-major) region ordering, i.e. the "1D partitioning
 ///    of the region mesh" baseline of §IV-B.
 ///  - `partition_greedy_lpt` — longest-processing-time greedy onto the
-///    least-loaded part; the best-balance bound, ignores geometry/edge cut.
-///  - `partition_sfc`        — Morton space-filling-curve ordering with a
-///    weighted contiguous split: balanced *and* spatially compact.
-///  - `partition_rcb`        — weighted recursive coordinate bisection of
-///    the region centroids: the geometry-preserving repartitioner used by
-///    the PRM experiments.
-///  - `refine_edge_cut`      — greedy boundary refinement that moves
-///    regions between adjacent parts to shrink edge cut without exceeding
-///    a balance tolerance (a lightweight KL/FM pass).
+///    least-loaded part; the best-balance bound of Fig 4, ignores geometry
+///    and edge cut.
+///  - `partition_sfc`        — the repartitioner of both drivers: Morton
+///    space-filling-curve ordering of the region centroids, then one
+///    weighted contiguous split of the curve. Balanced *and* spatially
+///    compact; a 1D split of a curve order does not compound its error
+///    level by level as recursive bisection does (Saule et al.).
 
 #include <span>
 
@@ -29,35 +27,20 @@
 
 namespace pmpl::loadbal {
 
-/// Inputs common to all partitioners. `centroids`/`edges` may be empty for
-/// methods that do not use them (documented per function).
-struct PartitionProblem {
-  std::span<const double> weights;      ///< per-item load estimate
-  std::span<const geo::Vec3> centroids; ///< per-item spatial position
-  std::span<const std::pair<std::uint32_t, std::uint32_t>> edges;
-  geo::Aabb bounds;                     ///< enclosing box of the centroids
-  std::uint32_t parts = 1;
-};
-
 /// Contiguous equal-count blocks by item index (weights/geometry ignored).
 Assignment partition_block(std::size_t items, std::uint32_t parts);
 
 /// Greedy LPT: heaviest item first onto the least-loaded part. Near-optimal
-/// balance; arbitrary geometry. Needs `weights`.
-Assignment partition_greedy_lpt(const PartitionProblem& p);
+/// balance; arbitrary geometry.
+Assignment partition_greedy_lpt(std::span<const double> weights,
+                                std::uint32_t parts);
 
-/// Morton-order the centroids, then split the curve into `parts` contiguous
-/// weighted chunks. Needs `weights`, `centroids`, `bounds`.
-Assignment partition_sfc(const PartitionProblem& p);
-
-/// Weighted recursive coordinate bisection. Needs `weights`, `centroids`.
-Assignment partition_rcb(const PartitionProblem& p);
-
-/// Greedy edge-cut refinement: up to `passes` sweeps moving boundary items
-/// to a neighboring part when that strictly reduces the cut and keeps every
-/// part's load within `balance_tol` (multiplicative) of the mean. Needs
-/// `weights`, `edges`.
-void refine_edge_cut(const PartitionProblem& p, Assignment& assignment,
-                     int passes = 2, double balance_tol = 1.10);
+/// Morton-order `centroids` (keys taken inside `bounds`), then split the
+/// curve into `parts` contiguous weighted chunks. A part closes once its
+/// running total reaches its share of the weight, so every part's load is
+/// at most total/parts + the heaviest item.
+Assignment partition_sfc(std::span<const double> weights,
+                         std::span<const geo::Vec3> centroids,
+                         const geo::Aabb& bounds, std::uint32_t parts);
 
 }  // namespace pmpl::loadbal

@@ -41,9 +41,7 @@ std::vector<double> ModelEnvironment::naive_load(std::uint32_t procs) const {
 }
 
 std::vector<double> ModelEnvironment::best_load(std::uint32_t procs) const {
-  const loadbal::PartitionProblem problem{
-      vfree_, {}, {}, geo::Aabb{{0, 0, 0}, {1, 1, 1}}, procs};
-  const auto assignment = loadbal::partition_greedy_lpt(problem);
+  const auto assignment = loadbal::partition_greedy_lpt(vfree_, procs);
   return loadbal::per_part_load(vfree_, assignment, procs);
 }
 

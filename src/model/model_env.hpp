@@ -32,12 +32,6 @@ class ModelEnvironment {
   std::size_t num_regions() const noexcept { return vfree_.size(); }
   double blocked_fraction() const noexcept { return blocked_; }
 
-  /// Exact free area of region id (x-major ordering, matching RegionGrid).
-  double vfree(std::uint32_t region) const noexcept { return vfree_[region]; }
-
-  /// All per-region free areas (the model's load weights).
-  const std::vector<double>& vfree_weights() const noexcept { return vfree_; }
-
   /// Per-processor V_free under the naive mapping (contiguous blocks of
   /// region columns).
   std::vector<double> naive_load(std::uint32_t procs) const;

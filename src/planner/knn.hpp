@@ -65,9 +65,6 @@ struct KnnBatch {
   std::span<const Neighbor> of(std::size_t i) const noexcept {
     return {neighbors.data() + offsets[i], neighbors.data() + offsets[i + 1]};
   }
-  std::size_t query_count() const noexcept {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
 };
 
 /// Search state of the `const` kd-tree queries: the candidate heap and the

@@ -15,7 +15,6 @@ RrtBranch::RrtBranch(const env::Environment& e, Roadmap& tree,
       region_(region),
       root_id_(tree.add_vertex({root, region})),
       finder_(e.space()) {
-  node_ids_.push_back(root_id_);
   finder_.insert(root_id_, root);
 }
 
@@ -47,7 +46,7 @@ std::optional<graph::VertexId> RrtBranch::extend(const cspace::Config& target,
 
   const graph::VertexId id = tree_->add_vertex({qnew, region_});
   tree_->add_edge(near_id, id, {r.length});
-  node_ids_.push_back(id);
+  ++num_nodes_;
   finder_.insert(id, tree_->vertex(id).cfg);
   return id;
 }
@@ -109,7 +108,7 @@ std::size_t RrtBranch::extend_wave(std::span<const cspace::Config> targets,
       ++stats.rrt_extends_success;
       const graph::VertexId id = tree_->add_vertex({wave_cfg_[i], region_});
       tree_->add_edge(wave_near_[i], id, {out.result.length});
-      node_ids_.push_back(id);
+      ++num_nodes_;
       finder_.insert(id, tree_->vertex(id).cfg);
       if (added != nullptr) added->push_back(id);
       ++n_added;
@@ -123,7 +122,7 @@ void RrtBranch::grow(
     Xoshiro256ss& rng, PlannerStats& stats,
     const runtime::CancelToken* cancel) {
   for (std::size_t iter = 0;
-       iter < params_.max_iterations && node_ids_.size() < params_.max_nodes;
+       iter < params_.max_iterations && num_nodes_ < params_.max_nodes;
        ++iter) {
     if (runtime::stop_requested(cancel)) return;
     ++stats.samples_attempted;

@@ -83,11 +83,7 @@ class RrtBranch {
     return finder_.nearest(q, k, &stats);
   }
 
-  std::size_t num_nodes() const noexcept { return node_ids_.size(); }
   graph::VertexId root() const noexcept { return root_id_; }
-  const std::vector<graph::VertexId>& node_ids() const noexcept {
-    return node_ids_;
-  }
   std::uint32_t region() const noexcept { return region_; }
 
  private:
@@ -98,7 +94,7 @@ class RrtBranch {
   RrtParams params_;
   std::uint32_t region_;
   graph::VertexId root_id_;
-  std::vector<graph::VertexId> node_ids_;
+  std::size_t num_nodes_ = 1;  ///< the root plus every extension
   KdTreeKnn finder_;
 
   // Wavefront scratch, created on first extend_wave (classic extend/grow

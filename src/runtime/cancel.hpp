@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 
 namespace pmpl::runtime {
 
@@ -47,14 +46,6 @@ class Deadline {
   bool armed() const noexcept { return armed_; }
 
   bool expired() const noexcept { return armed_ && Clock::now() >= when_; }
-
-  /// Seconds until expiry; +inf for never, clamped at 0 once expired.
-  double remaining_s() const noexcept {
-    if (!armed_) return std::numeric_limits<double>::infinity();
-    const double r =
-        std::chrono::duration<double>(when_ - Clock::now()).count();
-    return r > 0.0 ? r : 0.0;
-  }
 
  private:
   Clock::time_point when_{};

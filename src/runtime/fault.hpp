@@ -132,12 +132,6 @@ struct FaultPlan {
                      until_s});
     return *this;
   }
-  FaultPlan& lossy_link(std::uint32_t from, std::uint32_t to,
-                        double drop_prob, double extra_delay_s = 0.0) {
-    links.push_back({from, to, drop_prob, extra_delay_s, 0.0,
-                     std::numeric_limits<double>::infinity()});
-    return *this;
-  }
   FaultPlan& lose_tokens(double drop_prob, double from_s = 0.0,
                          double until_s =
                              std::numeric_limits<double>::infinity()) {
@@ -196,14 +190,6 @@ class FaultInjector {
   bool active() const noexcept { return active_; }
 
   const FaultPlan& plan() const noexcept { return plan_; }
-
-  /// Scheduled crash time of `rank` (+inf when it never crashes).
-  double crash_time(std::uint32_t rank) const noexcept {
-    double t = std::numeric_limits<double>::infinity();
-    for (const auto& c : plan_.crashes)
-      if (c.rank == rank && c.at_s < t) t = c.at_s;
-    return t;
-  }
 
   /// Fate of a basic message sent from->to at time `t`.
   struct MessageFate {

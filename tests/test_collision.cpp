@@ -77,10 +77,10 @@ TEST(Shape, SegmentVsTriangleObstacle) {
 TEST(Shape, RigidBodyFactoryAndRadius) {
   const RigidBody box = RigidBody::box({1, 2, 3});
   EXPECT_EQ(box.boxes.size(), 1u);
-  EXPECT_NEAR(box.bounding_radius(), std::sqrt(14.0), 1e-12);
+  EXPECT_EQ(box.boxes[0].half, (Vec3{1, 2, 3}));
   const RigidBody ball = RigidBody::sphere(2.5);
   EXPECT_EQ(ball.spheres.size(), 1u);
-  EXPECT_DOUBLE_EQ(ball.bounding_radius(), 2.5);
+  EXPECT_DOUBLE_EQ(ball.spheres[0].radius, 2.5);
 }
 
 // --- BVH ----------------------------------------------------------------

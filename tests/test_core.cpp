@@ -20,6 +20,7 @@
 #include "core/strategies.hpp"
 #include "env/builders.hpp"
 #include "graph/tree_utils.hpp"
+#include "loadbal/partition.hpp"
 #include "util/io_status.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -300,7 +301,7 @@ TEST_F(PrmDriverTest, WorkloadDeterministic) {
 }
 
 TEST_F(PrmDriverTest, NaiveAssignmentIsBlockContiguous) {
-  const auto a = naive_assignment(512, 8);
+  const auto a = loadbal::partition_block(512, 8);
   EXPECT_EQ(a.size(), 512u);
   for (std::size_t i = 1; i < a.size(); ++i) EXPECT_GE(a[i], a[i - 1]);
   EXPECT_EQ(a.back(), 7u);
@@ -346,7 +347,7 @@ TEST_F(PrmDriverTest, RepartitioningImprovesBalanceAndTime) {
   EXPECT_GT(lb.phases.redistribution_s, 0.0);
   EXPECT_EQ(base.phases.redistribution_s, 0.0);
   // NoLB never moves a region.
-  EXPECT_EQ(base.assignment, naive_assignment(512, 16));
+  EXPECT_EQ(base.assignment, loadbal::partition_block(512, 16));
 }
 
 TEST_F(PrmDriverTest, WorkStealingImprovesOverNoLB) {

@@ -5,9 +5,26 @@
 
 #include "env/builders.hpp"
 #include "env/environment.hpp"
+#include "util/rng.hpp"
 
 namespace pmpl::env {
 namespace {
+
+/// Monte-Carlo estimate of the free-space fraction of `box` (point
+/// samples; a flat box samples its z plane).
+double free_fraction_in(const Environment& e, const geo::Aabb& box,
+                        std::size_t samples) {
+  Xoshiro256ss rng(12345);
+  std::size_t free = 0;
+  for (std::size_t i = 0; i < samples; ++i) {
+    const geo::Vec3 p{rng.uniform(box.lo.x, box.hi.x),
+                      rng.uniform(box.lo.y, box.hi.y),
+                      box.lo.z == box.hi.z ? box.lo.z
+                                           : rng.uniform(box.lo.z, box.hi.z)};
+    if (!e.checker().point_in_collision(p)) ++free;
+  }
+  return static_cast<double>(free) / static_cast<double>(samples);
+}
 
 TEST(Env, FreeEnvironmentIsEmpty) {
   const auto e = free_env();
@@ -43,7 +60,8 @@ TEST(Env, MixedIsSpatiallySkewed) {
   const auto e = mixed(0.60);
   const geo::Aabb left{{0, 0, 0}, {50, 100, 100}};
   const geo::Aabb right{{50, 0, 0}, {100, 100, 100}};
-  EXPECT_GT(e->free_fraction_in(left, 4000), e->free_fraction_in(right, 4000));
+  EXPECT_GT(free_fraction_in(*e, left, 4000),
+            free_fraction_in(*e, right, 4000));
 }
 
 TEST(Env, WallsHaveObstaclesAndPassages) {
@@ -64,10 +82,11 @@ TEST(Env, Walls45UsesRotatedBoxes) {
 
 TEST(Env, Model2dBlockedFraction) {
   const auto e = model_2d(0.25);
-  EXPECT_EQ(e->robot_model(), RobotModel::kPoint);
+  EXPECT_NE(dynamic_cast<const cspace::PointValidity*>(&e->validity()),
+            nullptr);
   // 2D workspace: sample z collapses to the slab; estimate via region box.
   const geo::Aabb plane{{0, 0, 0}, {1, 1, 0}};
-  const double free = e->free_fraction_in(plane, 20000);
+  const double free = free_fraction_in(*e, plane, 20000);
   EXPECT_NEAR(free, 0.75, 0.02);
 }
 
@@ -84,8 +103,8 @@ TEST(Env, Imbalanced2dQuadrantsDiffer) {
   // Upper-left quadrant (Fig 3's open R0) is much freer than the right.
   const geo::Aabb open_quad{{0, 50, -1}, {50, 100, 1}};
   const geo::Aabb busy_quad{{50, 0, -1}, {100, 50, 1}};
-  EXPECT_GT(e->free_fraction_in(open_quad, 4000),
-            e->free_fraction_in(busy_quad, 4000) + 0.3);
+  EXPECT_GT(free_fraction_in(*e, open_quad, 4000),
+            free_fraction_in(*e, busy_quad, 4000) + 0.3);
 }
 
 TEST(Env, MazeAndWarehouseBuild) {
@@ -101,9 +120,9 @@ TEST(Env, FreeFractionInBlockedRegionIsZero) {
   const auto e = med_cube();
   // A box fully inside the central cube.
   const geo::Aabb inside{{45, 45, 45}, {55, 55, 55}};
-  EXPECT_DOUBLE_EQ(e->free_fraction_in(inside, 500), 0.0);
+  EXPECT_DOUBLE_EQ(free_fraction_in(*e, inside, 500), 0.0);
   const geo::Aabb corner{{0, 0, 0}, {5, 5, 5}};
-  EXPECT_DOUBLE_EQ(e->free_fraction_in(corner, 500), 1.0);
+  EXPECT_DOUBLE_EQ(free_fraction_in(*e, corner, 500), 1.0);
 }
 
 TEST(Env, ValidityRespectsRobotModel) {

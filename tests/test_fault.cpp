@@ -21,6 +21,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Earliest planned crash of `rank` (+inf when it never crashes).
+double crash_time(const runtime::FaultPlan& plan, std::uint32_t rank) {
+  double t = kInf;
+  for (const auto& c : plan.crashes)
+    if (c.rank == rank && c.at_s < t) t = c.at_s;
+  return t;
+}
+
 // --- FaultInjector -----------------------------------------------------------
 
 TEST(FaultInjector, EmptyPlanIsInactive) {
@@ -30,12 +38,12 @@ TEST(FaultInjector, EmptyPlanIsInactive) {
 }
 
 TEST(FaultInjector, CrashTimeIsEarliestForRank) {
+  // The crash clock `expect_regions_conserved` checks completions against.
   runtime::FaultPlan plan;
   plan.crash(3, 2.0).crash(3, 1.0).crash(5, 4.0);
-  const runtime::FaultInjector inject(plan);
-  EXPECT_DOUBLE_EQ(inject.crash_time(3), 1.0);
-  EXPECT_DOUBLE_EQ(inject.crash_time(5), 4.0);
-  EXPECT_EQ(inject.crash_time(0), kInf);
+  EXPECT_DOUBLE_EQ(crash_time(plan, 3), 1.0);
+  EXPECT_DOUBLE_EQ(crash_time(plan, 5), 4.0);
+  EXPECT_EQ(crash_time(plan, 0), kInf);
 }
 
 TEST(FaultInjector, StretchedServiceIdentityWithoutWindows) {
@@ -72,7 +80,7 @@ TEST(FaultInjector, StretchedServiceCrossesWindowBoundary) {
 
 TEST(FaultInjector, TargetedLinkDropsAndDelays) {
   runtime::FaultPlan plan;
-  plan.lossy_link(1, 2, 1.0);                 // always drop 1->2
+  plan.links.push_back({1, 2, 1.0});          // always drop 1->2
   plan.links.push_back({3, 4, 0.0, 5e-4, 0.0, kInf});  // delay only
   runtime::FaultInjector inject(plan);
   EXPECT_TRUE(inject.on_message(1, 2, 0.0).dropped);
@@ -102,7 +110,7 @@ TEST(FaultInjector, TokenFaultsHitTokensNotMessages) {
 
 TEST(FaultInjector, TokensAlsoSubjectToLinkFaults) {
   runtime::FaultPlan plan;
-  plan.lossy_link(0, 1, 1.0);  // no token fault, but the link eats all
+  plan.links.push_back({0, 1, 1.0});  // no token fault; the link eats all
   runtime::FaultInjector inject(plan);
   EXPECT_TRUE(inject.on_token(0, 1, 0.0).dropped);
 }
@@ -140,7 +148,7 @@ loadbal::WsConfig base_config(loadbal::StealPolicyKind policy =
 /// only after all of that work completed.
 void expect_regions_conserved(const loadbal::WsResult& r,
                               std::size_t n,
-                              const runtime::FaultInjector& inject) {
+                              const runtime::FaultPlan& plan) {
   ASSERT_TRUE(r.terminated);
   ASSERT_FALSE(r.hit_event_limit);
   ASSERT_EQ(r.completion_s.size(), n);
@@ -150,7 +158,7 @@ void expect_regions_conserved(const loadbal::WsResult& r,
     EXPECT_LE(r.completion_s[i], r.makespan_s)
         << "region " << i << " completed after declared termination";
     const auto owner = r.final_owner[i];
-    EXPECT_LT(r.completion_s[i], inject.crash_time(owner))
+    EXPECT_LT(r.completion_s[i], crash_time(plan, owner))
         << "region " << i << " 'completed' on rank " << owner
         << " after that rank crashed";
   }
@@ -202,9 +210,8 @@ TEST(FaultWs, CrashedRankRegionsAreRecovered) {
   // Rank 1 holds ~12 regions of ~4e-4 s each; crashing at 5e-4 leaves most
   // of its queue (plus one in-progress region) to recover.
   cfg.faults.crash(1, 5e-4);
-  const runtime::FaultInjector inject(cfg.faults);
   const auto r = loadbal::simulate_work_stealing(items, initial, 8, cfg);
-  expect_regions_conserved(r, items.size(), inject);
+  expect_regions_conserved(r, items.size(), cfg.faults);
   EXPECT_EQ(r.faults.crashes, 1u);
   EXPECT_GT(r.faults.regions_recovered, 0u);
   EXPECT_GT(r.faults.recovery_latency_max_s, 0.0);
@@ -218,9 +225,8 @@ TEST(FaultWs, LeaderCrashMigratesTerminationLeader) {
   const auto initial = block_assignment(items.size(), 8);
   auto cfg = base_config();
   cfg.faults.crash(0, 5e-4);  // rank 0 initiates rounds until it dies
-  const runtime::FaultInjector inject(cfg.faults);
   const auto r = loadbal::simulate_work_stealing(items, initial, 8, cfg);
-  expect_regions_conserved(r, items.size(), inject);
+  expect_regions_conserved(r, items.size(), cfg.faults);
   EXPECT_EQ(r.faults.crashes, 1u);
 }
 
@@ -242,9 +248,8 @@ TEST(FaultWs, StragglerWindowAddsAccountedDelay) {
   const auto initial = block_assignment(items.size(), 8);
   auto cfg = base_config();
   cfg.faults.straggler(2, 8.0, 0.0, kInf);
-  const runtime::FaultInjector inject(cfg.faults);
   const auto r = loadbal::simulate_work_stealing(items, initial, 8, cfg);
-  expect_regions_conserved(r, items.size(), inject);
+  expect_regions_conserved(r, items.size(), cfg.faults);
   EXPECT_GT(r.faults.straggler_delay_s, 0.0);
 }
 
@@ -253,9 +258,8 @@ TEST(FaultWs, LossyLinksDelayButNeverLoseRegions) {
   const auto initial = block_assignment(items.size(), 8);
   auto cfg = base_config();
   cfg.faults.lossy_links(0.25, 1e-5);
-  const runtime::FaultInjector inject(cfg.faults);
   const auto r = loadbal::simulate_work_stealing(items, initial, 8, cfg);
-  expect_regions_conserved(r, items.size(), inject);
+  expect_regions_conserved(r, items.size(), cfg.faults);
   EXPECT_GT(r.faults.messages_dropped, 0u);
   EXPECT_GT(r.faults.heartbeat_probes, 0u);
   EXPECT_EQ(r.faults.fenced, 0u);  // detector must ride out 25% loss
@@ -266,9 +270,8 @@ TEST(FaultWs, TokenLossIsRecoveredByRetryAndRegeneration) {
   const auto initial = block_assignment(items.size(), 8);
   auto cfg = base_config();
   cfg.faults.lose_tokens(0.5);
-  const runtime::FaultInjector inject(cfg.faults);
   const auto r = loadbal::simulate_work_stealing(items, initial, 8, cfg);
-  expect_regions_conserved(r, items.size(), inject);
+  expect_regions_conserved(r, items.size(), cfg.faults);
   EXPECT_GT(r.faults.tokens_lost, 0u);
 }
 
@@ -279,10 +282,9 @@ TEST(FaultWs, MutedRankIsFencedAndItsWorkRecovered) {
   // Every message rank 5 sends is lost: it can never ack a heartbeat, so
   // the detector must declare it dead (a false positive from the protocol's
   // point of view — rank 5 is then fenced so the recovery is safe).
-  cfg.faults.lossy_link(5, runtime::kAnyRank, 1.0);
-  const runtime::FaultInjector inject(cfg.faults);
+  cfg.faults.links.push_back({5, runtime::kAnyRank, 1.0});
   const auto r = loadbal::simulate_work_stealing(items, initial, 8, cfg);
-  expect_regions_conserved(r, items.size(), inject);
+  expect_regions_conserved(r, items.size(), cfg.faults);
   EXPECT_GE(r.faults.fenced, 1u);
   EXPECT_GT(r.faults.regions_recovered, 0u);
 }
@@ -303,14 +305,13 @@ TEST(FaultWs, RegionConservationPropertySweep) {
       loadbal::StealPolicyKind::kRandK, loadbal::StealPolicyKind::kDiffusive,
       loadbal::StealPolicyKind::kHybrid};
   for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-    const runtime::FaultInjector inject(plans[pi]);
     for (const auto policy : policies) {
       auto cfg = base_config(policy);
       cfg.faults = plans[pi];
       const auto r = loadbal::simulate_work_stealing(items, initial, 8, cfg);
       SCOPED_TRACE(::testing::Message()
                    << "plan " << pi << " policy " << static_cast<int>(policy));
-      expect_regions_conserved(r, items.size(), inject);
+      expect_regions_conserved(r, items.size(), plans[pi]);
     }
   }
 }

@@ -140,7 +140,8 @@ TEST(Quat, MatrixAgreesWithRotate) {
 TEST(Quat, ConjugateInvertsRotation) {
   const Quat q = Quat::from_axis_angle({1, 1, 0}, 0.9);
   const Vec3 v{2, -1, 4};
-  const Vec3 back = q.conjugate().rotate(q.rotate(v));
+  const Quat conj{q.w, -q.x, -q.y, -q.z};
+  const Vec3 back = conj.rotate(q.rotate(v));
   EXPECT_NEAR(back.x, v.x, 1e-9);
   EXPECT_NEAR(back.y, v.y, 1e-9);
   EXPECT_NEAR(back.z, v.z, 1e-9);

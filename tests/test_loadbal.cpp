@@ -87,8 +87,7 @@ TEST(Partition, BlockMorePartsThanItems) {
 TEST(Partition, GreedyLptNearOptimal) {
   // Classic LPT instance: optimum makespan 11, LPT known to achieve it here.
   const std::vector<double> w{7, 6, 5, 4};
-  PartitionProblem p{w, {}, {}, {}, 2};
-  const auto a = partition_greedy_lpt(p);
+  const auto a = partition_greedy_lpt(w, 2);
   EXPECT_DOUBLE_EQ(makespan(w, a, 2), 11.0);
 }
 
@@ -109,64 +108,51 @@ class PartitionProperty : public ::testing::TestWithParam<PartitionCase> {
       centroids_.push_back({rng.uniform(0, 100), rng.uniform(0, 100),
                             rng.uniform(0, 100)});
     }
-    // Random sparse adjacency for the refinement test.
-    for (std::size_t i = 0; i + 1 < c.items; ++i)
-      edges_.emplace_back(static_cast<std::uint32_t>(i),
-                          static_cast<std::uint32_t>(i + 1));
-    problem_ = PartitionProblem{weights_, centroids_, edges_,
-                                geo::Aabb{{0, 0, 0}, {100, 100, 100}},
-                                c.parts};
+    parts_ = c.parts;
   }
 
-  void check_valid(const Assignment& a, std::uint32_t parts) {
+  Assignment sfc() const {
+    return partition_sfc(weights_, centroids_,
+                         geo::Aabb{{0, 0, 0}, {100, 100, 100}}, parts_);
+  }
+
+  void check_valid(const Assignment& a) const {
     ASSERT_EQ(a.size(), weights_.size());
-    for (const auto part : a) EXPECT_LT(part, parts);
+    for (const auto part : a) EXPECT_LT(part, parts_);
     // Every part used when items >= parts.
-    if (weights_.size() >= parts) {
+    if (weights_.size() >= parts_) {
       std::set<std::uint32_t> used(a.begin(), a.end());
-      EXPECT_EQ(used.size(), parts);
+      EXPECT_EQ(used.size(), parts_);
     }
   }
 
   std::vector<double> weights_;
   std::vector<geo::Vec3> centroids_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
-  PartitionProblem problem_;
+  std::uint32_t parts_ = 1;
 };
 
 TEST_P(PartitionProperty, GreedyLptValidAndBetterThanBlock) {
   build(GetParam());
-  const auto lpt = partition_greedy_lpt(problem_);
-  check_valid(lpt, problem_.parts);
-  const auto block = partition_block(weights_.size(), problem_.parts);
-  EXPECT_LE(makespan(weights_, lpt, problem_.parts),
-            makespan(weights_, block, problem_.parts) + 1e-9);
-}
-
-TEST_P(PartitionProperty, RcbValidAndReasonablyBalanced) {
-  build(GetParam());
-  const auto rcb = partition_rcb(problem_);
-  check_valid(rcb, problem_.parts);
-  const double total = std::accumulate(weights_.begin(), weights_.end(), 0.0);
-  const double ideal = total / problem_.parts;
-  // Weighted RCB splits can be off by the largest item per level; allow a
-  // generous factor but reject grossly imbalanced results.
-  EXPECT_LE(makespan(weights_, rcb, problem_.parts), 2.5 * ideal + 10.0);
+  const auto lpt = partition_greedy_lpt(weights_, parts_);
+  check_valid(lpt);
+  const auto block = partition_block(weights_.size(), parts_);
+  EXPECT_LE(makespan(weights_, lpt, parts_),
+            makespan(weights_, block, parts_) + 1e-9);
 }
 
 TEST_P(PartitionProperty, SfcValidAndCoversAllParts) {
   build(GetParam());
-  const auto sfc = partition_sfc(problem_);
-  check_valid(sfc, problem_.parts);
+  check_valid(sfc());
 }
 
-TEST_P(PartitionProperty, RefinementNeverIncreasesCut) {
+TEST_P(PartitionProperty, SfcMakespanWithinMeanPlusHeaviestItem) {
+  // A part closes on the item that lifts the running total to its share,
+  // so no part exceeds total/parts by more than one item.
   build(GetParam());
-  auto a = partition_rcb(problem_);
-  const auto cut_before = edge_cut(edges_, a);
-  refine_edge_cut(problem_, a, 2, 1.20);
-  EXPECT_LE(edge_cut(edges_, a), cut_before);
-  check_valid(a, problem_.parts);
+  const double total = std::accumulate(weights_.begin(), weights_.end(), 0.0);
+  const double heaviest = *std::max_element(weights_.begin(), weights_.end());
+  EXPECT_LE(makespan(weights_, sfc(), parts_),
+            total / parts_ + heaviest + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -175,15 +161,14 @@ INSTANTIATE_TEST_SUITE_P(
                       PartitionCase{200, 16, 3}, PartitionCase{1000, 32, 4},
                       PartitionCase{333, 7, 5}, PartitionCase{50, 50, 6}));
 
-TEST(Partition, RcbPreservesGeometry) {
-  // Points in two well-separated clusters with equal weights: RCB must not
-  // split a cluster across parts when 2 parts are requested.
+TEST(Partition, SfcPreservesGeometry) {
+  // Points in two well-separated clusters with equal weights: the curve
+  // split must not split a cluster across parts when 2 parts are requested.
   std::vector<double> w(40, 1.0);
   std::vector<geo::Vec3> c;
   for (int i = 0; i < 20; ++i) c.push_back({1.0 + 0.01 * i, 0, 0});
   for (int i = 0; i < 20; ++i) c.push_back({99.0 - 0.01 * i, 0, 0});
-  PartitionProblem p{w, c, {}, geo::Aabb{{0, 0, 0}, {100, 1, 1}}, 2};
-  const auto a = partition_rcb(p);
+  const auto a = partition_sfc(w, c, geo::Aabb{{0, 0, 0}, {100, 1, 1}}, 2);
   for (int i = 1; i < 20; ++i) EXPECT_EQ(a[i], a[0]);
   for (int i = 21; i < 40; ++i) EXPECT_EQ(a[i], a[20]);
   EXPECT_NE(a[0], a[20]);
@@ -202,8 +187,7 @@ TEST(Partition, SfcKeepsSpatialNeighborsTogether) {
       if (x + 1 < 8) edges.emplace_back(id, id + 8);
       if (y + 1 < 8) edges.emplace_back(id, id + 1);
     }
-  PartitionProblem p{w, c, edges, geo::Aabb{{0, 0, 0}, {8, 8, 1}}, 4};
-  const auto sfc = partition_sfc(p);
+  const auto sfc = partition_sfc(w, c, geo::Aabb{{0, 0, 0}, {8, 8, 1}}, 4);
   // Scatter assignment: round-robin.
   Assignment scatter(64);
   for (std::size_t i = 0; i < 64; ++i)

@@ -9,30 +9,38 @@
 namespace pmpl::model {
 namespace {
 
+/// Exact free area per region (x-major ordering, matching RegionGrid): the
+/// naive mapping with one region per processor.
+std::vector<double> region_vfree(const ModelEnvironment& m) {
+  return m.naive_load(static_cast<std::uint32_t>(m.num_regions()));
+}
+
 TEST(ModelEnv, TotalFreeAreaMatchesBlockedFraction) {
   for (const double blocked : {0.0, 0.1, 0.25, 0.5}) {
     const ModelEnvironment m(blocked, 20);
-    const double total = std::accumulate(m.vfree_weights().begin(),
-                                         m.vfree_weights().end(), 0.0);
+    const auto vfree = region_vfree(m);
+    const double total = std::accumulate(vfree.begin(), vfree.end(), 0.0);
     EXPECT_NEAR(total, 1.0 - blocked, 1e-9) << "blocked=" << blocked;
   }
 }
 
 TEST(ModelEnv, CenterRegionsAreBlocked) {
   const ModelEnvironment m(0.25, 8);
+  const auto vfree = region_vfree(m);
   // Obstacle spans [0.25, 0.75]^2; cell (3,3) covers [0.375,0.5]^2 — fully
   // inside.
-  EXPECT_NEAR(m.vfree(3 * 8 + 3), 0.0, 1e-12);
+  EXPECT_NEAR(vfree[3 * 8 + 3], 0.0, 1e-12);
   // Corner cell fully free: area (1/8)^2.
-  EXPECT_NEAR(m.vfree(0), 1.0 / 64.0, 1e-12);
+  EXPECT_NEAR(vfree[0], 1.0 / 64.0, 1e-12);
 }
 
 TEST(ModelEnv, PartialOverlapCells) {
   const ModelEnvironment m(0.25, 4);
+  const auto vfree = region_vfree(m);
   // Cell (1,1) covers [0.25,0.5]^2, fully inside obstacle [0.25,0.75]^2.
-  EXPECT_NEAR(m.vfree(1 * 4 + 1), 0.0, 1e-12);
+  EXPECT_NEAR(vfree[1 * 4 + 1], 0.0, 1e-12);
   // Cell (0,1) covers x[0,0.25], y[0.25,0.5]: free.
-  EXPECT_NEAR(m.vfree(0 * 4 + 1), 1.0 / 16.0, 1e-12);
+  EXPECT_NEAR(vfree[0 * 4 + 1], 1.0 / 16.0, 1e-12);
 }
 
 TEST(ModelEnv, FreeEnvironmentHasZeroCv) {
